@@ -339,6 +339,10 @@ class LieElement:
 
     @classmethod
     def from_json(cls, doc: Mapping, algebra: LieAlgebraSpec) -> "LieElement":
+        if not isinstance(doc, Mapping) or not isinstance(doc.get("coords", {}), Mapping):
+            raise AlgebraError(
+                "an element must be an object whose 'coords' map basis names to scalars"
+            )
         if doc.get("algebra") != algebra.name:
             raise AlgebraError(
                 f"element belongs to {doc.get('algebra')!r}, expected {algebra.name!r}"

@@ -444,9 +444,13 @@ def build_checks(
 
     ``algebras`` overrides the default random-trial algebra set; checks that
     need a matrix representation then require every override to have one.
+    Raises ``ValueError`` for an unknown suite or fewer than one trial, so
+    that no suite can pass without running its random trials.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     orders = (1, 2, 3) if order is None else (order,)
     thunks: list = []
 
@@ -530,8 +534,14 @@ def run_suite(
     seed: int = 0,
 ) -> VerificationReport:
     """Run a suite sequentially and assemble the report, ordered by check id."""
+    return run_checks(build_checks(suite, algebras, order, trials, seed), seed)
+
+
+def run_checks(checks: list, seed: int) -> VerificationReport:
+    """Run the (check id, thunk) pairs of ``build_checks`` in order and
+    assemble the report, ordered by check id."""
     results = []
-    for check_id, thunk in build_checks(suite, algebras, order, trials, seed):
+    for check_id, thunk in checks:
         start = time.perf_counter()
         result = thunk()
         result.seconds = time.perf_counter() - start

@@ -24,7 +24,7 @@ import sys
 from .algebras import AlgebraError, LieAlgebraSpec, validate_algebra
 from .bch import bch_mul
 from .catalog import resolve_algebra
-from .checks import SUITE_NAMES, run_suite
+from .checks import SUITE_NAMES, build_checks, run_checks
 from .jets import Jet, JetError, jet_bracket, jet_convert, jet_mul
 from .matrices import MatrixError, builtin_rep, matrix_mul
 from .scalars import SignatureError, SignatureMismatch
@@ -76,6 +76,8 @@ def cmd_validate(args) -> int:
 
 def _load_jet(path: str) -> Jet:
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise _CliUsageError(f"{path}: a jet document must be a JSON object")
     try:
         algebra = resolve_algebra(doc.get("algebra", ""))
     except AlgebraError as exc:
@@ -137,15 +139,10 @@ def cmd_verify(args) -> int:
         except AlgebraError as exc:
             return _fail(str(exc), USAGE_ERROR)
     try:
-        report = run_suite(
-            suite=args.suite,
-            algebras=algebras,
-            order=args.order,
-            trials=args.trials,
-            seed=args.seed,
-        )
-    except MatrixError as exc:
+        checks = build_checks(args.suite, algebras, args.order, args.trials, args.seed)
+    except ValueError as exc:  # unknown suite, trials < 1, or no matrix rep (MatrixError)
         return _fail(str(exc), USAGE_ERROR)
+    report = run_checks(checks, args.seed)
     _emit(report.to_json(include_timing=not args.no_timing))
     return 0 if report.all_passed else CHECK_FAILED
 

@@ -107,6 +107,8 @@ class Jet:
             coord_docs = doc["coords"]
         except (KeyError, TypeError, ValueError) as exc:
             raise JetError(f"malformed jet document: {exc}") from exc
+        if not isinstance(coord_docs, list):
+            raise JetError("malformed jet document: 'coords' must be a list of elements")
         coords = tuple(LieElement.from_json(c, algebra) for c in coord_docs)
         return jet_make(algebra, None, order, coords, system)
 

@@ -22,6 +22,18 @@ def h3_jet_doc(order, *names):
     return jet_make(H3, PLAIN_RING, order, coords).to_json()
 
 
+def _set(path, value):
+    """Corruption that replaces one entry of a jet document."""
+    def corrupt(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+
+    return corrupt
+
+
 @pytest.fixture
 def jet_files(tmp_path):
     def write(name, doc):
@@ -102,6 +114,23 @@ class TestMul:
         a = jet_files("a.json", doc)
         assert main(["mul", a, a]) == 2
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _set(("coords", 0, "coords", "p", "terms", 0, 1), "1/0"),
+            _set(("coords", 0, "coords", "p", "ring"), [["t", "x"]]),
+            _set(("coords", 0, "coords"), [["p", "1"]]),
+            lambda doc: [doc],
+        ],
+        ids=["zero-denominator", "non-integer-order", "coords-as-list", "top-level-array"],
+    )
+    def test_malformed_jet_is_one_line_usage_error(self, jet_files, capsys, corrupt):
+        doc = h3_jet_doc(1, "p")
+        a = jet_files("a.json", corrupt(doc))
+        assert main(["mul", a, a]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBracket:
     def test_pointwise_bracket(self, jet_files, capsys):
@@ -160,6 +189,13 @@ class TestVerify:
 
     def test_unknown_algebra_is_usage_error(self):
         assert main(["verify", "--algebra", "e8"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_is_usage_error(self, capsys, trials):
+        assert main(["verify", "--suite", "s6", "--algebra", "h3", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trials must be at least 1")
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

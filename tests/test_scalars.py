@@ -1,6 +1,7 @@
 """Ring kernel tests: exact arithmetic, canonical form, truncation, JSON."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,8 +139,13 @@ class TestRingLaws:
     def test_no_zero_coefficients_stored(self, ring, data):
         a = data.draw(scalars_of(ring))
         b = data.draw(scalars_of(ring))
-        for result in (a + b, a - b, a * b, -a):
+        q = data.draw(small_fractions)
+        for result in (a + b, a - b, a * b, -a, a.scale(q)):
+            assert result.den > 0
             assert all(c != 0 for c in result.terms.values())
+            assert gcd(result.den, *result.terms.values()) == 1
+            if not result.terms:
+                assert result.den == 1
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -149,7 +155,7 @@ class TestRingLaws:
         arity = ring.signature.arity
         dense = lambda s: {  # noqa: E731
             tuple(dict(k).get(g, 0) for g in range(arity)): c
-            for k, c in s.terms.items()
+            for k, c in s.coefficients().items()
         }
         expected = naive_poly_mul(dense(a), dense(b), ring.signature.orders)
         assert a * b == ring.scalar(expected)
@@ -185,7 +191,10 @@ def test_canonical_idempotence():
     assert len(s.terms) == 2  # the zero coefficient is never stored
     assert s == D3.scalar({(0,): 3, (1,): Fraction(1, 2)})
     # rebuilding from the canonical table changes nothing
-    dense = {tuple(dict(k).get(0, 0) for _ in range(1)): c for k, c in s.terms.items()}
+    dense = {
+        tuple(dict(k).get(0, 0) for _ in range(1)): c
+        for k, c in s.coefficients().items()
+    }
     assert D3.scalar(dense) == s
 
 
@@ -252,6 +261,11 @@ class TestEmbedSplit:
             rebuilt = rebuilt + embed(base, ext.signature) * ext.gen("t", power)
         assert rebuilt == s
         assert split_last_generator(ext.zero) == {}
+
+    def test_split_reduces_each_part(self):
+        s = D2.rational(Fraction(1, 2)) + D2.gen("d").scale(Fraction(1, 3))
+        parts = split_last_generator(s)
+        assert parts == {0: Q.rational(Fraction(1, 2)), 1: Q.rational(Fraction(1, 3))}
 
     def test_split_requires_a_generator(self):
         with pytest.raises(SignatureError):
