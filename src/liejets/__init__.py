@@ -49,25 +49,26 @@ from .jets import (  # noqa: F401
     jet_scale,
     jet_truncate,
 )
-from .bch import BCH_DEGREE3_TERMS, bch_mul, check_def61_vs_bch  # noqa: F401
+from .bch import BCH_DEGREE3_TERMS, bch_mul  # noqa: F401
 from .matrices import (  # noqa: F401
     MatrixError,
     MatrixRep,
     WeilMatrix,
     builtin_rep,
-    check_def61_vs_matrix,
     matrix_mul,
     matrix_rep,
-    verify_theorem_4,
     weil_exp,
     weil_log,
 )
 from .catalog import resolve_algebra  # noqa: F401
 from .report import CheckResult, VerificationReport  # noqa: F401
 from .checks import (  # noqa: F401
+    check_def61_vs_bch,
+    check_def61_vs_matrix,
     run_suite,
     verify_associativity,
     verify_bracket_recovery,
     verify_group_axioms,
     verify_lemma_631,
+    verify_theorem_4,
 )

@@ -12,25 +12,20 @@ coordinates are read back from the d-degree components, which exist and are
 unique because the extension is a free module over the base ring with basis
 1, d, ..., d^n.
 
-The coefficient table is fixed, audited data through bracket degree 3; this
-module shares no code with the closed-form product in :mod:`liejets.jets`,
-which is the point of an oracle.
+The coefficient table is fixed, audited data through bracket degree 3.  The
+oracles share only the curve lift and readback (:func:`liejets.jets.lift_curves`,
+:func:`liejets.jets.read_curve`), which the closed-form product never calls;
+that independence is the point of an oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from random import Random
 
-from .algebras import LieAlgebraSpec, LieElement, bracket
-from .hall import free_nilpotent
-from .jets import EXP, Jet, JetError, jet_make, jet_mul
-from .report import FAIL, PASS, CheckResult
-from .sampling import PLAIN_RING, random_jet, symbolic_jet_family
-from .scalars import WeilRing, embed, split_last_generator
+from .algebras import LieElement, bracket
+from .jets import Jet, JetError, lift_curves, read_curve
 
-__all__ = ["BCH_DEGREE3_TERMS", "bch_mul", "check_def61_vs_bch"]
+__all__ = ["BCH_DEGREE3_TERMS", "bch_mul"]
 
 #: Bracket words over the two arguments "a", "b" with their classical Dynkin
 #: coefficients, complete through bracket degree 3.  A word is either a leaf
@@ -78,38 +73,8 @@ def bch_mul(a: Jet, b: Jet, table: tuple = BCH_DEGREE3_TERMS) -> Jet:
     """Product of two exp-coordinate jets via the truncated series."""
     if a.order > 3 or b.order > 3:
         raise JetError("series table only covers orders up to 3")
-    for j in (a, b):
-        if j.system != EXP:
-            raise JetError("bch_mul requires exp coordinates")
-    # Reuse the pairing checks of the closed-form path's error contract.
-    if a.algebra is not b.algebra and a.algebra != b.algebra:
-        raise JetError(f"jets over {a.algebra.name} and {b.algebra.name} cannot mix")
-    if a.signature != b.signature or a.order != b.order:
-        raise JetError("jets must share one scalar ring and order")
-
-    n = a.order
-    base_sig = a.signature
-    dname = "d"
-    while dname in base_sig.names:
-        dname += "_"
-    ext_ring = WeilRing(base_sig.extend(dname, n))
-    ext_sig = ext_ring.signature
-    d_index = ext_sig.arity - 1
-
-    def curve(j: Jet) -> LieElement:
-        acc = None
-        for i, x in enumerate(j.coords, start=1):
-            dpow = ext_ring.gen(dname, i).scale(Fraction(1, factorial(i)))
-            lifted = LieElement(
-                j.algebra, ext_sig, tuple(embed(c, ext_sig) for c in x.coords)
-            )
-            term = lifted * dpow
-            acc = term if acc is None else acc + term
-        return acc
-
-    A = curve(a)
-    B = curve(b)
-
+    A, B = lift_curves(a, b)
+    d_index = A.signature.arity - 1
     total = None
     for word, coeff in table:
         value = _eval_word(word, A, B)
@@ -120,65 +85,4 @@ def bch_mul(a: Jet, b: Jet, table: tuple = BCH_DEGREE3_TERMS) -> Jet:
             )
         term = value.scale(coeff)
         total = term if total is None else total + term
-
-    # Read the jet coordinates off the d-degree components.
-    parts = [split_last_generator(c) for c in total.coords]
-    for p in parts:
-        comp = p.get(0)
-        if comp is not None and comp.terms:
-            raise AssertionError("series product has a nonzero degree-0 component")
-    base_ring = WeilRing(base_sig)
-    coords = []
-    for i in range(1, n + 1):
-        vec = tuple(p.get(i, base_ring.zero) * factorial(i) for p in parts)
-        coords.append(LieElement(a.algebra, base_sig, vec))
-    return jet_make(a.algebra, base_ring, n, tuple(coords), EXP)
-
-
-def check_def61_vs_bch(
-    algebra: LieAlgebraSpec, order: int, trials: int = 100, seed: int = 0
-) -> CheckResult:
-    """Closed-form product vs. series product.
-
-    Runs one fully generic symbolic comparison over the free nilpotent
-    algebra on two generators of class ``order``, then ``trials`` seeded
-    random rational comparisons over ``algebra``.  Exact equality everywhere.
-    """
-    check_id = f"def6.1-vs-bch-n{order}"
-    detail: dict = {"algebra": algebra.name, "order": order}
-
-    generic = free_nilpotent(2, order)
-    _, jets = symbolic_jet_family(generic, order, ("a", "b"))
-    ga, gb = jets["a"], jets["b"]
-    if jet_mul(ga, gb) != bch_mul(ga, gb):
-        detail["symbolic"] = FAIL
-        return CheckResult(
-            check_id,
-            FAIL,
-            detail,
-            counterexample={"symbolic": True, "a": ga.to_json(), "b": gb.to_json()},
-        )
-    detail["symbolic"] = PASS
-
-    rng = Random(seed)
-    for trial in range(trials):
-        a = random_jet(algebra, PLAIN_RING, order, rng)
-        b = random_jet(algebra, PLAIN_RING, order, rng)
-        closed = jet_mul(a, b)
-        series = bch_mul(a, b)
-        if closed != series:
-            detail["random_trials"] = trial
-            return CheckResult(
-                check_id,
-                FAIL,
-                detail,
-                counterexample={
-                    "trial": trial,
-                    "a": a.to_json(),
-                    "b": b.to_json(),
-                    "closed_form": closed.to_json(),
-                    "series": series.to_json(),
-                },
-            )
-    detail["random_trials"] = trials
-    return CheckResult(check_id, PASS, detail)
+    return read_curve(total, a)

@@ -1,16 +1,19 @@
-"""The verification drivers and the claim catalog.
+"""The claim catalog: each claim is a law, and one runner checks every law.
 
-Each driver machine-checks one identity about the jet group law and returns
-a :class:`~liejets.report.CheckResult`.  Checks come in two flavors:
+A law takes one tuple of inputs and returns ``None`` when its identity holds
+there, or else its evidence, a JSON-ready dict.  :func:`run_law` checks a law
+two ways and stops at the first failure:
 
-* symbolic: fully generic elements over a free nilpotent algebra (see
+* symbolic: on fully generic elements over a free nilpotent algebra (see
   :func:`liejets.sampling.symbolic_jet_family`), where equality of results is
   a polynomial identity in the coefficients and therefore covers all inputs;
-* randomized: seeded trials with small rational coordinates, where exact
-  arithmetic makes any single discrepancy decisive.
+* randomized: on seeded trials from each input family (one algebra,
+  representation or ring), where exact arithmetic makes any single
+  discrepancy decisive.
 
-``run_suite`` assembles named groups of checks into a deterministic report
-ordered by check id.
+Each check function pairs a law with its inputs and shapes its report entry;
+``build_checks`` lists the checks per suite and ``run_suite`` runs them into a
+deterministic report ordered by check id.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from __future__ import annotations
 import platform
 import time
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 from . import __version__
 from .algebras import LieAlgebraSpec, basis_element, bracket, validate_algebra
-from .bch import check_def61_vs_bch
+from .bch import bch_mul
 from .catalog import default_verification_algebras, resolve_algebra
 from .hall import free_nilpotent
 from .jets import (
@@ -36,22 +40,30 @@ from .jets import (
     jet_mul,
     jet_scale,
     jet_truncate,
+    lift_curves,
 )
-from .matrices import builtin_rep, check_def61_vs_matrix, verify_theorem_4
-from .report import FAIL, PASS, CheckResult, VerificationReport, merge_results
-from .sampling import PLAIN_RING, random_jet, random_rational, symbolic_jet_family
+from .matrices import MatrixRep, builtin_rep, exp_weights, log_of_exp_product
+from .matrices import theorem_4_sides
+from .report import FAIL, PASS, CheckResult, VerificationReport
+from .sampling import PLAIN_RING, random_element, random_jet, random_rational
+from .sampling import symbolic_jet_family
 from .scalars import WeilRing, ring_make
 
 __all__ = [
+    "run_law",
+    "verify_theorem_4",
     "verify_associativity",
     "verify_lemma_631",
     "verify_group_axioms",
     "verify_bracket_recovery",
+    "check_def61_vs_bch",
+    "check_def61_vs_matrix",
     "struct_witt_dimensions",
     "struct_jacobi_builtins",
     "struct_ring_laws",
     "struct_tower_compatibility",
     "SUITE_NAMES",
+    "build_checks",
     "run_suite",
 ]
 
@@ -59,185 +71,301 @@ _HALF = Fraction(1, 2)
 _THREE_HALVES = Fraction(3, 2)
 
 
-# -- associativity -------------------------------------------------------------
+# -- the runner ------------------------------------------------------------------
 
 
-def associativity_symbolic(order: int) -> tuple[bool, dict | None]:
-    """(a.b).c == a.(b.c) for a fully generic triple over free-nilpotent(3,3)."""
-    algebra = free_nilpotent(3, 3)
-    _, jets = symbolic_jet_family(algebra, order, ("a", "b", "c"))
-    a, b, c = jets["a"], jets["b"], jets["c"]
+class Outcome:
+    """What :func:`run_law` found.
+
+    ``trials`` is the number of seeded trials asked of each instance;
+    ``symbolic`` is the verdict on the symbolic inputs (None when there were
+    none); ``instances`` maps each instance reached, in order, to its verdict;
+    ``counterexample`` is the first failure, or None when the law held.
+    """
+
+    __slots__ = ("trials", "symbolic", "instances", "counterexample")
+
+    def __init__(self, trials: int):
+        self.trials = trials
+        self.symbolic: str | None = None
+        self.instances: dict = {}
+        self.counterexample: dict | None = None
+
+    def result(self, check_id: str, detail: dict) -> CheckResult:
+        status = PASS if self.counterexample is None else FAIL
+        return CheckResult(check_id, status, detail, self.counterexample)
+
+    def by_instance(self, order: int, entry) -> dict:
+        """Detail keyed by instance name, with ``entry(held, status)`` fields
+        for each instance reached, ``held`` being its trials that held; a
+        symbolic failure reaches none."""
+        if not self.instances:
+            return {"symbolic": self.symbolic}
+        failed_at = (self.counterexample or {}).get("trial")
+        return {
+            name: {
+                "algebra": name, "order": order,
+                **entry(failed_at if status == FAIL else self.trials, status),
+            }
+            for name, status in self.instances.items()
+        }
+
+
+def run_law(law, families, trials: int, seed: int, symbolic: tuple | None = None
+            ) -> Outcome:
+    """Check ``law`` on the ``symbolic`` inputs, then on ``trials`` seeded
+    draws from each family, and stop at the first failure.
+
+    ``families`` are (label, draw) pairs: ``label`` is a dict naming the
+    instance, whose first value is the instance's name and which is copied
+    into a failure's counterexample; ``draw(rng)`` returns one input tuple.
+    Each family draws from its own ``Random(seed)``, so no family's inputs
+    depend on which families run before it.  A counterexample is the law's
+    evidence plus ``"symbolic": True`` or the label and the trial index.
+    """
+    out = Outcome(trials)
+    if symbolic is not None:
+        evidence = law(*symbolic)
+        out.symbolic = PASS if evidence is None else FAIL
+        if evidence is not None:
+            out.counterexample = {"symbolic": True, **evidence}
+            return out
+    for label, draw in families:
+        name = next(iter(label.values()))
+        out.instances[name] = FAIL
+        rng = Random(seed)
+        for trial in range(trials):
+            evidence = law(*draw(rng))
+            if evidence is not None:
+                out.counterexample = {**label, "trial": trial, **evidence}
+                return out
+        out.instances[name] = PASS
+    return out
+
+
+# -- inputs -------------------------------------------------------------------------
+
+
+def _symbolic(algebra: LieAlgebraSpec, order: int, labels: str, **kwargs) -> tuple:
+    """One fully generic jet per label character, over one shared ring."""
+    return tuple(symbolic_jet_family(algebra, order, tuple(labels), **kwargs)[1].values())
+
+
+def _jets(algebra, order, count, rng, ring=PLAIN_RING, integer=False) -> tuple:
+    return tuple(
+        random_jet(algebra, ring, order, rng, integer=integer) for _ in range(count)
+    )
+
+
+def _jet_families(algebras, order: int, count: int, **kwargs) -> list:
+    return [
+        ({"algebra": a.name}, partial(_jets, a, order, count, **kwargs))
+        for a in algebras
+    ]
+
+
+# -- Theorem 4 ----------------------------------------------------------------------
+
+
+def exp_product_holds(weights: tuple, xs: list, ys: list) -> dict | None:
+    """Theorem 4's exp-product identity for constant matrices xs, ys."""
+    lhs, rhs = theorem_4_sides(xs, ys, weights)
+    if lhs == rhs:
+        return None
+    return {
+        key: [[[str(e) for e in row] for row in m.rows] for m in mats]
+        for key, mats in (("X", xs), ("Y", ys))
+    }
+
+
+def _images(rep: MatrixRep, ring: WeilRing, order: int, rng: Random) -> tuple:
+    """Images of 2 * ``order`` random integer elements: the X_i, then the Y_i."""
+    mats = [
+        rep.realize(random_element(rep.algebra, ring, rng, integer=True))
+        for _ in range(2 * order)
+    ]
+    return mats[:order], mats[order:]
+
+
+def verify_theorem_4(order: int, reps: list, trials: int = 100, seed: int = 0
+                     ) -> CheckResult:
+    """Exp-product identities over Q[d_1..d_n]/(d_i^2), as exact matrix
+    identities, on random integer-coordinate elements of each representation."""
+    weights = exp_weights(order)
+    ring = WeilRing(weights[0].signature)
+    families = [
+        ({"algebra": r.algebra.name}, partial(_images, r, ring, order)) for r in reps
+    ]
+    out = run_law(partial(exp_product_holds, weights), families, trials, seed)
+    detail = out.by_instance(order, lambda held, status: {"trials": trials})
+    return out.result(f"thm-4.{order}", detail)
+
+
+# -- Section 6: associativity ----------------------------------------------------
+
+
+def associative(a: Jet, b: Jet, c: Jet) -> dict | None:
+    """(a.b).c == a.(b.c)."""
     left = jet_mul(jet_mul(a, b), c)
     right = jet_mul(a, jet_mul(b, c))
     if left == right:
-        return True, None
-    return False, {"symbolic": True, "left": left.to_json(), "right": right.to_json()}
+        return None
+    return {
+        "a": a.to_json(), "b": b.to_json(), "c": c.to_json(),
+        "left": left.to_json(), "right": right.to_json(),
+    }
 
 
-def associativity_random(
-    algebra: LieAlgebraSpec, order: int, trials: int, seed: int
-) -> tuple[bool, dict | None]:
-    rng = Random(seed)
-    for trial in range(trials):
-        a = random_jet(algebra, PLAIN_RING, order, rng)
-        b = random_jet(algebra, PLAIN_RING, order, rng)
-        c = random_jet(algebra, PLAIN_RING, order, rng)
-        if jet_mul(jet_mul(a, b), c) != jet_mul(a, jet_mul(b, c)):
-            return False, {
-                "trial": trial,
-                "algebra": algebra.name,
-                "a": a.to_json(),
-                "b": b.to_json(),
-                "c": c.to_json(),
-            }
-    return True, None
+def verify_associativity(order: int, algebras: list[LieAlgebraSpec], trials: int = 100,
+                         seed: int = 0) -> CheckResult:
+    """Associativity: symbolic over free-nilpotent(3,3), then seeded random
+    triples in every given algebra."""
+    out = run_law(
+        associative, _jet_families(algebras, order, 3), trials, seed,
+        symbolic=_symbolic(free_nilpotent(3, 3), order, "abc"),
+    )
+    detail = {"order": order, "symbolic_algebra": "free-nilpotent(3,3)",
+              "symbolic": out.symbolic}
+    if out.instances:
+        detail["random"] = {
+            name: {"trials": trials, "status": status}
+            for name, status in out.instances.items()
+        }
+    return out.result(f"thm-6.{order}", detail)
 
 
-def verify_associativity(
-    order: int,
-    algebras: list[LieAlgebraSpec] | None = None,
-    trials: int = 100,
-    seed: int = 0,
-) -> CheckResult:
-    check_id = f"thm-6.{order}"
-    detail: dict = {"order": order, "symbolic_algebra": "free-nilpotent(3,3)"}
-    ok, ce = associativity_symbolic(order)
-    detail["symbolic"] = PASS if ok else FAIL
-    if not ok:
-        return CheckResult(check_id, FAIL, detail, counterexample=ce)
-    random_detail = {}
-    for algebra in algebras if algebras is not None else default_verification_algebras():
-        ok, ce = associativity_random(algebra, order, trials, seed)
-        random_detail[algebra.name] = {"trials": trials, "status": PASS if ok else FAIL}
-        if not ok:
-            detail["random"] = random_detail
-            return CheckResult(check_id, FAIL, detail, counterexample=ce)
-    detail["random"] = random_detail
-    return CheckResult(check_id, PASS, detail)
-
-
-def verify_lemma_631() -> CheckResult:
-    """The cubic bracket identity behind order-3 associativity reduces to zero.
-
-    Checked on the generators of free-nilpotent(3,3); the expression is
-    multilinear, so vanishing there settles it for all elements everywhere.
-    """
-    algebra = free_nilpotent(3, 3)
-    x = basis_element(algebra, PLAIN_RING, "x")
-    y = basis_element(algebra, PLAIN_RING, "y")
-    z = basis_element(algebra, PLAIN_RING, "z")
+def cubic_identity(x, y, z) -> dict | None:
+    """The cubic bracket identity behind order-3 associativity reduces to zero."""
     expr = (
         bracket(bracket(x, y), z).scale(_THREE_HALVES)
         + (bracket(x, bracket(y, z)) + bracket(y, bracket(x, z))).scale(_HALF)
         - bracket(x, bracket(y, z)).scale(_THREE_HALVES)
         + (bracket(y, bracket(x, z)) + bracket(z, bracket(x, y))).scale(_HALF)
     )
-    if expr.is_zero():
-        return CheckResult("lemma-6.3.1", PASS, {"algebra": algebra.name})
-    return CheckResult(
-        "lemma-6.3.1",
-        FAIL,
-        {"algebra": algebra.name},
-        counterexample={"residual": expr.to_json()},
+    return None if expr.is_zero() else {"residual": expr.to_json()}
+
+
+def verify_lemma_631() -> CheckResult:
+    """:func:`cubic_identity` on the generators of free-nilpotent(3,3); the
+    expression is multilinear, so vanishing there settles it for all elements
+    everywhere."""
+    algebra = free_nilpotent(3, 3)
+    gens = tuple(basis_element(algebra, PLAIN_RING, name) for name in "xyz")
+    out = run_law(cubic_identity, (), 1, 0, symbolic=gens)
+    return out.result("lemma-6.3.1", {"algebra": algebra.name})
+
+
+def series_agrees(a: Jet, b: Jet) -> dict | None:
+    """The closed-form product equals the truncated BCH series product."""
+    closed = jet_mul(a, b)
+    series = bch_mul(a, b)
+    if closed == series:
+        return None
+    return {
+        "a": a.to_json(), "b": b.to_json(),
+        "closed_form": closed.to_json(), "series": series.to_json(),
+    }
+
+
+def check_def61_vs_bch(order: int, algebras: list[LieAlgebraSpec], trials: int = 100,
+                       seed: int = 0) -> CheckResult:
+    """Closed-form product vs. series product: one fully generic symbolic
+    comparison over free-nilpotent(2, order), then seeded random rational
+    comparisons over each algebra.  Exact equality everywhere."""
+    out = run_law(
+        series_agrees, _jet_families(algebras, order, 2), trials, seed,
+        symbolic=_symbolic(free_nilpotent(2, order), order, "ab"),
     )
+    detail = out.by_instance(order, lambda held, status: {
+        "symbolic": out.symbolic, "random_trials": held,
+    })
+    return out.result(f"def6.1-vs-bch-n{order}", detail)
 
 
-# -- group axioms ----------------------------------------------------------------
+def matrix_agrees(rep: MatrixRep, a: Jet, b: Jet) -> dict | None:
+    """log(exp(A) exp(B)) equals the curve of the closed-form product a.b, as
+    exact matrices over the ring extended by d."""
+    x, y, xy = lift_curves(a, b, jet_mul(a, b))
+    if log_of_exp_product(rep, x, y) == rep.realize(xy):
+        return None
+    return {"a": a.to_json(), "b": b.to_json()}
 
 
-def _axioms_hold(a, identity) -> str | None:
-    """Name of the first violated axiom for one jet, or None."""
-    if jet_mul(identity, a) != a or jet_mul(a, identity) != a:
-        return "unit"
-    inv = jet_inverse(a)
-    if jet_mul(a, inv) != identity or jet_mul(inv, a) != identity:
-        return "inverse"
+def _rep_jets(rep: MatrixRep, order: int, rng: Random) -> tuple:
+    return (rep, *_jets(rep.algebra, order, 2, rng, integer=True))
+
+
+def check_def61_vs_matrix(order: int, reps: list, trials: int = 100, seed: int = 0
+                          ) -> CheckResult:
+    """Closed-form product vs. matrix exp/log over Q[d]/(d^{order+1}), on
+    random integer-coordinate jets of each representation's algebra."""
+    families = [
+        ({"algebra": r.algebra.name}, partial(_rep_jets, r, order)) for r in reps
+    ]
+    out = run_law(matrix_agrees, families, trials, seed)
+    detail = out.by_instance(order, lambda held, status: {"trials": trials})
+    return out.result(f"def6.1-vs-matrix-n{order}", detail)
+
+
+# -- Section 7: group axioms and bracket recovery ---------------------------------
+
+
+def unit_and_inverse(*jets: Jet) -> dict | None:
+    """The zero jet is a two-sided unit and negation a two-sided inverse."""
+    for a in jets:
+        identity = jet_identity(a.algebra, WeilRing(a.signature), a.order)
+        inv = jet_inverse(a)
+        if jet_mul(identity, a) != a or jet_mul(a, identity) != a:
+            axiom = "unit"
+        elif jet_mul(a, inv) != identity or jet_mul(inv, a) != identity:
+            axiom = "inverse"
+        else:
+            continue
+        return {"order": a.order, "axiom": axiom, "a": a.to_json()}
     return None
 
 
-def verify_group_axioms(
-    algebras: list[LieAlgebraSpec] | None = None,
-    orders: tuple[int, ...] = (1, 2, 3),
-    trials: int = 1000,
-    seed: int = 0,
-) -> CheckResult:
+def verify_group_axioms(algebras: list[LieAlgebraSpec], orders: tuple = (1, 2, 3),
+                        trials: int = 1000, seed: int = 0) -> CheckResult:
     """Unit and inverse laws: symbolically over free-nilpotent(2,3) and on
-    seeded random jets in every requested algebra."""
-    detail: dict = {"orders": list(orders), "trials": trials}
-    generic_algebra = free_nilpotent(2, 3)
-    for order in orders:
-        ring, jets = symbolic_jet_family(generic_algebra, order, ("a",))
-        a = jets["a"]
-        identity = jet_identity(generic_algebra, ring, order)
-        violated = _axioms_hold(a, identity)
-        if violated is not None:
-            return CheckResult(
-                "thm-7.0",
-                FAIL,
-                detail,
-                counterexample={"symbolic": True, "order": order, "axiom": violated},
-            )
-    detail["symbolic"] = PASS
-    random_detail = {}
-    for algebra in algebras if algebras is not None else default_verification_algebras():
-        rng = Random(seed)
-        identity_by_order = {
-            order: jet_identity(algebra, PLAIN_RING, order) for order in orders
-        }
-        for order in orders:
-            identity = identity_by_order[order]
-            for trial in range(trials):
-                a = random_jet(algebra, PLAIN_RING, order, rng)
-                violated = _axioms_hold(a, identity)
-                if violated is not None:
-                    return CheckResult(
-                        "thm-7.0",
-                        FAIL,
-                        detail,
-                        counterexample={
-                            "algebra": algebra.name,
-                            "order": order,
-                            "trial": trial,
-                            "axiom": violated,
-                            "a": a.to_json(),
-                        },
-                    )
-        random_detail[algebra.name] = PASS
-    detail["random"] = random_detail
-    return CheckResult("thm-7.0", PASS, detail)
+    seeded random jets of every order in every given algebra."""
+    families = [
+        ({"algebra": a.name, "order": n}, partial(_jets, a, n, 1))
+        for a in algebras
+        for n in orders
+    ]
+    generic = tuple(_symbolic(free_nilpotent(2, 3), n, "a")[0] for n in orders)
+    out = run_law(unit_and_inverse, families, trials, seed, symbolic=generic)
+    detail = {"orders": list(orders), "trials": trials, "symbolic": out.symbolic}
+    if out.instances:
+        detail["random"] = out.instances
+    return out.result("thm-7.0", detail)
 
 
-# -- bracket recovery --------------------------------------------------------------
+def bracket_recovered(a_raw: Jet, b_raw: Jet) -> dict | None:
+    """The group commutator of the e1- and e2-scaled jets equals their
+    pointwise bracket and the expected closed form: zero at order 1, at
+    orders 2 and 3 the bracket terms scaled by e1*e2.
 
-
-def _recovery_outcome(a_raw, b_raw, e1, e2) -> tuple[bool, bool, dict | None]:
-    """Compare the group commutator of e1/e2-scaled jets with the pointwise
-    bracket, and both against the expected closed form.
-
-    Returns (commutator_equals_bracket, matches_expected_form, counterexample).
+    The jets' ring must have square-zero generators named ``e1`` and ``e2``.
     """
+    ring = WeilRing(a_raw.signature)
+    e1, e2 = ring.gen("e1"), ring.gen("e2")
     a = jet_scale(a_raw, e1)
     b = jet_scale(b_raw, e2)
     commutator = jet_convert(jet_group_commutator(a, b), MONOMIAL)
     pointwise = jet_bracket(jet_convert(a, MONOMIAL), jet_convert(b, MONOMIAL))
-    order = a.order
-    ring = WeilRing(a.signature)
-    e12 = e1 * e2
-    zero = jet_identity(a.algebra, ring, order, MONOMIAL)
-    expected_coords = list(zero.coords)
-    if order >= 2:
-        expected_coords[1] = bracket(a_raw.coords[0], b_raw.coords[0]) * e12
-    if order >= 3:
-        expected_coords[2] = (
-            bracket(a_raw.coords[0], b_raw.coords[1])
-            + bracket(a_raw.coords[1], b_raw.coords[0])
-        ).scale(_HALF) * e12
-    expected = Jet(zero.algebra, zero.signature, order, MONOMIAL, tuple(expected_coords))
-    agree = commutator == pointwise
-    matches = commutator == expected and pointwise == expected
-    if agree and matches:
-        return True, True, None
-    return agree, matches, {
+    x, y, e12 = a_raw.coords, b_raw.coords, e1 * e2
+    zero = jet_identity(a.algebra, ring, a.order, MONOMIAL)
+    coords = list(zero.coords)
+    if a.order >= 2:
+        coords[1] = bracket(x[0], y[0]) * e12
+    if a.order >= 3:
+        coords[2] = (bracket(x[0], y[1]) + bracket(x[1], y[0])).scale(_HALF) * e12
+    expected = Jet(zero.algebra, zero.signature, a.order, MONOMIAL, tuple(coords))
+    if commutator == pointwise == expected:
+        return None
+    return {
         "a": a.to_json(),
         "b": b.to_json(),
         "group_commutator": commutator.to_json(),
@@ -246,44 +374,19 @@ def _recovery_outcome(a_raw, b_raw, e1, e2) -> tuple[bool, bool, dict | None]:
     }
 
 
-def verify_bracket_recovery(
-    algebra: LieAlgebraSpec, order: int, trials: int = 100, seed: int = 0
-) -> CheckResult:
-    """Group commutator of square-zero-scaled jets recovers the jet bracket.
-
-    Symbolic part over free-nilpotent(2,3) with fully generic coefficients,
-    then seeded random trials over ``algebra``; both must also match the
-    expected closed form (zero at order 1; at orders 2 and 3 the bracket
-    terms scaled by e1*e2).
-    """
-    check_id = f"thm-7.{order}"
-    detail: dict = {"algebra": algebra.name, "order": order}
-
-    generic = free_nilpotent(2, 3)
-    ring, jets = symbolic_jet_family(
-        generic, order, ("a", "b"), extra_generators=(("e1", 1), ("e2", 1))
-    )
-    agree, matches, ce = _recovery_outcome(
-        jets["a"], jets["b"], ring.gen("e1"), ring.gen("e2")
-    )
-    detail["symbolic"] = PASS if (agree and matches) else FAIL
-    if not (agree and matches):
-        ce["symbolic"] = True
-        return CheckResult(check_id, FAIL, detail, counterexample=ce)
-
-    rng = Random(seed)
-    ring2 = ring_make((("e1", 1), ("e2", 1)))
-    e1, e2 = ring2.gen("e1"), ring2.gen("e2")
-    for trial in range(trials):
-        a_raw = random_jet(algebra, ring2, order, rng)
-        b_raw = random_jet(algebra, ring2, order, rng)
-        agree, matches, ce = _recovery_outcome(a_raw, b_raw, e1, e2)
-        if not (agree and matches):
-            ce["trial"] = trial
-            return CheckResult(check_id, FAIL, detail, counterexample=ce)
-    detail["random_trials"] = trials
-    detail["expected_form"] = PASS
-    return CheckResult(check_id, PASS, detail)
+def verify_bracket_recovery(order: int, algebras: list[LieAlgebraSpec], trials: int = 100,
+                            seed: int = 0) -> CheckResult:
+    """Group commutator of square-zero-scaled jets recovers the jet bracket:
+    symbolic over free-nilpotent(2,3) with fully generic coefficients, then
+    seeded random trials over each algebra (see :func:`bracket_recovered`)."""
+    square_zero = (("e1", 1), ("e2", 1))
+    generic = _symbolic(free_nilpotent(2, 3), order, "ab", extra_generators=square_zero)
+    families = _jet_families(algebras, order, 2, ring=ring_make(square_zero))
+    out = run_law(bracket_recovered, families, trials, seed, symbolic=generic)
+    detail = out.by_instance(order, lambda held, status: {
+        "symbolic": out.symbolic, "random_trials": held, "expected_form": status,
+    })
+    return out.result(f"thm-7.{order}", detail)
 
 
 # -- structural checks ---------------------------------------------------------------
@@ -338,13 +441,34 @@ def struct_jacobi_builtins() -> CheckResult:
     return CheckResult("struct-jacobi-builtins", PASS, detail)
 
 
-def _random_scalar(ring: WeilRing, rng: Random):
-    orders = ring.signature.orders
-    terms = {}
+def ring_laws_hold(a, b, c) -> dict | None:
+    """Ring axioms and canonical storage on three scalars of one ring."""
+    laws = {
+        "add-assoc": (a + b) + c == a + (b + c),
+        "add-comm": a + b == b + a,
+        "mul-assoc": (a * b) * c == a * (b * c),
+        "mul-comm": a * b == b * a,
+        "distrib": a * (b + c) == a * b + a * c,
+        "canonical": all(
+            coeff != 0 for s in (a + b, a * b, a - b) for coeff in s.terms.values()
+        ),
+    }
+    for law, holds in laws.items():
+        if not holds:
+            return {"law": law, "a": a.to_json(), "b": b.to_json(), "c": c.to_json()}
+    return None
+
+
+def _scalars(ring: WeilRing, rng: Random) -> tuple:
+    """Three random scalars of three random terms each."""
+    scalars = []
     for _ in range(3):
-        vec = tuple(rng.randint(0, m) for m in orders)
-        terms[vec] = terms.get(vec, Fraction(0)) + random_rational(rng)
-    return ring.scalar(terms)
+        terms = {}
+        for _ in range(3):
+            vec = tuple(rng.randint(0, m) for m in ring.signature.orders)
+            terms[vec] = terms.get(vec, Fraction(0)) + random_rational(rng)
+        scalars.append(ring.scalar(terms))
+    return tuple(scalars)
 
 
 def struct_ring_laws(trials: int = 100, seed: int = 0) -> CheckResult:
@@ -354,7 +478,6 @@ def struct_ring_laws(trials: int = 100, seed: int = 0) -> CheckResult:
         ring_make((("e1", 1), ("e2", 1))),
         ring_make((("d", 2), ("e", 1))),
     ]
-    rng = Random(seed)
     detail = {"rings": [repr(r) for r in rings], "trials": trials}
     for ring in rings:
         for name, m in ring.signature.generators:
@@ -363,74 +486,32 @@ def struct_ring_laws(trials: int = 100, seed: int = 0) -> CheckResult:
                     "struct-ring-laws", FAIL, detail,
                     counterexample={"law": "nilpotency", "generator": name},
                 )
-        for trial in range(trials):
-            a = _random_scalar(ring, rng)
-            b = _random_scalar(ring, rng)
-            c = _random_scalar(ring, rng)
-            laws = {
-                "add-assoc": (a + b) + c == a + (b + c),
-                "add-comm": a + b == b + a,
-                "mul-assoc": (a * b) * c == a * (b * c),
-                "mul-comm": a * b == b * a,
-                "distrib": a * (b + c) == a * b + a * c,
-                "canonical": all(
-                    coeff != 0 for s in (a + b, a * b, a - b) for coeff in s.terms.values()
-                ),
-            }
-            for law, holds in laws.items():
-                if not holds:
-                    return CheckResult(
-                        "struct-ring-laws", FAIL, detail,
-                        counterexample={
-                            "law": law, "trial": trial, "ring": repr(ring),
-                            "a": a.to_json(), "b": b.to_json(), "c": c.to_json(),
-                        },
-                    )
-    return CheckResult("struct-ring-laws", PASS, detail)
+    families = [({"ring": repr(r)}, partial(_scalars, r)) for r in rings]
+    out = run_law(ring_laws_hold, families, trials, seed)
+    return out.result("struct-ring-laws", detail)
 
 
-def struct_tower_compatibility(
-    algebras: list[LieAlgebraSpec] | None = None,
-    trials: int = 100,
-    seed: int = 0,
-) -> CheckResult:
+def tower_commutes(a: Jet, b: Jet) -> dict | None:
     """Truncating a product equals multiplying the truncations (3 -> 2 -> 1)."""
-    detail: dict = {"trials": trials}
-    for algebra in algebras if algebras is not None else default_verification_algebras():
-        rng = Random(seed)
-        for trial in range(trials):
-            a = random_jet(algebra, PLAIN_RING, 3, rng)
-            b = random_jet(algebra, PLAIN_RING, 3, rng)
-            full = jet_mul(a, b)
-            for lower in (2, 1):
-                direct = jet_mul(jet_truncate(a, lower), jet_truncate(b, lower))
-                if jet_truncate(full, lower) != direct:
-                    return CheckResult(
-                        "struct-tower-compatibility", FAIL, detail,
-                        counterexample={
-                            "algebra": algebra.name, "trial": trial,
-                            "target_order": lower,
-                            "a": a.to_json(), "b": b.to_json(),
-                        },
-                    )
-        detail[algebra.name] = PASS
-    return CheckResult("struct-tower-compatibility", PASS, detail)
+    full = jet_mul(a, b)
+    for lower in (2, 1):
+        direct = jet_mul(jet_truncate(a, lower), jet_truncate(b, lower))
+        if jet_truncate(full, lower) != direct:
+            return {"target_order": lower, "a": a.to_json(), "b": b.to_json()}
+    return None
+
+
+def struct_tower_compatibility(algebras: list[LieAlgebraSpec], trials: int = 100,
+                               seed: int = 0) -> CheckResult:
+    """Truncating a product equals multiplying the truncations, on seeded
+    random order-3 jets in every given algebra."""
+    out = run_law(tower_commutes, _jet_families(algebras, 3, 2), trials, seed)
+    return out.result("struct-tower-compatibility", {"trials": trials, **out.instances})
 
 
 # -- suites ---------------------------------------------------------------------------
 
 SUITE_NAMES = ("all", "s4", "s6", "s7")
-
-_REP_ALGEBRAS = ("h3", "sl2")
-
-
-def _matrix_reps(algebras: list[LieAlgebraSpec] | None, default_names) -> list:
-    if algebras is None:
-        return [builtin_rep(name) for name in default_names]
-    reps = []
-    for algebra in algebras:
-        reps.append(builtin_rep(algebra.name))
-    return reps
 
 
 def build_checks(
@@ -442,88 +523,50 @@ def build_checks(
 ) -> list:
     """List of (check id, thunk) for one suite, in catalog order.
 
-    ``algebras`` overrides the default random-trial algebra set; checks that
+    ``algebras`` overrides the default random-trial algebra sets; checks that
     need a matrix representation then require every override to have one.
-    Raises ``ValueError`` for an unknown suite or fewer than one trial, so
-    that no suite can pass without running its random trials.
+    Raises ``ValueError`` for an unknown suite, fewer than one trial or an
+    empty ``algebras`` list, so that no suite can pass without running its
+    random trials.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if algebras is not None and not algebras:
+        raise ValueError("the algebras override names no algebra")
     orders = (1, 2, 3) if order is None else (order,)
-    thunks: list = []
+    every = algebras or default_verification_algebras()
+    pair = algebras or [resolve_algebra("h3"), resolve_algebra("sl2")]
+    triple = algebras or [resolve_algebra(name) for name in ("h3", "sl2", "so3")]
 
-    def add(check_id, thunk):
-        thunks.append((check_id, thunk))
+    def per_order(prefix: str, check, instances: list) -> list:
+        return [
+            (f"{prefix}{n}", partial(check, n, instances, trials, seed)) for n in orders
+        ]
 
+    rows: list = []
     if suite in ("all", "s4"):
-        reps = _matrix_reps(algebras, _REP_ALGEBRAS)
-        for n in orders:
-            add(
-                f"thm-4.{n}",
-                lambda n=n, reps=reps: merge_results(
-                    f"thm-4.{n}",
-                    [verify_theorem_4(n, rep, trials, seed) for rep in reps],
-                ),
-            )
+        rows += per_order("thm-4.", verify_theorem_4, [builtin_rep(a.name) for a in pair])
     if suite in ("all", "s6"):
-        for n in orders:
-            add(
-                f"thm-6.{n}",
-                lambda n=n: verify_associativity(n, algebras, trials, seed),
-            )
+        rows += per_order("thm-6.", verify_associativity, every)
         if order in (None, 3):
-            add("lemma-6.3.1", verify_lemma_631)
+            rows.append(("lemma-6.3.1", verify_lemma_631))
     if suite in ("all", "s7"):
-        add(
-            "thm-7.0",
-            lambda: verify_group_axioms(algebras, orders, trials, seed),
-        )
-        for n in orders:
-            add(
-                f"thm-7.{n}",
-                lambda n=n: merge_results(
-                    f"thm-7.{n}",
-                    [
-                        verify_bracket_recovery(a, n, trials, seed)
-                        for a in (
-                            algebras
-                            if algebras is not None
-                            else [resolve_algebra("h3"), resolve_algebra("sl2")]
-                        )
-                    ],
-                ),
-            )
+        rows.append(("thm-7.0", partial(verify_group_axioms, every, orders, trials, seed)))
+        rows += per_order("thm-7.", verify_bracket_recovery, pair)
     if suite == "all":
-        verification_set = (
-            algebras if algebras is not None else default_verification_algebras()
-        )
-        for n in orders:
-            add(
-                f"def6.1-vs-bch-n{n}",
-                lambda n=n: merge_results(
-                    f"def6.1-vs-bch-n{n}",
-                    [check_def61_vs_bch(a, n, trials, seed) for a in verification_set],
-                ),
-            )
-        matrix_reps = _matrix_reps(algebras, ("h3", "sl2", "so3"))
-        for n in orders:
-            add(
-                f"def6.1-vs-matrix-n{n}",
-                lambda n=n: merge_results(
-                    f"def6.1-vs-matrix-n{n}",
-                    [check_def61_vs_matrix(rep, n, trials, seed) for rep in matrix_reps],
-                ),
-            )
-        add("struct-witt-dimensions", struct_witt_dimensions)
-        add("struct-jacobi-builtins", struct_jacobi_builtins)
-        add("struct-ring-laws", lambda: struct_ring_laws(trials, seed))
-        add(
-            "struct-tower-compatibility",
-            lambda: struct_tower_compatibility(algebras, trials, seed),
-        )
-    return thunks
+        rows += per_order("def6.1-vs-bch-n", check_def61_vs_bch, every)
+        reps = [builtin_rep(a.name) for a in triple]
+        rows += per_order("def6.1-vs-matrix-n", check_def61_vs_matrix, reps)
+        rows += [
+            ("struct-witt-dimensions", struct_witt_dimensions),
+            ("struct-jacobi-builtins", struct_jacobi_builtins),
+            ("struct-ring-laws", partial(struct_ring_laws, trials, seed)),
+            ("struct-tower-compatibility",
+             partial(struct_tower_compatibility, every, trials, seed)),
+        ]
+    return rows
 
 
 def run_suite(

@@ -9,8 +9,13 @@ systems are supported:
 
 ``exp`` is the canonical system: the closed-form group law below is stated in
 it, and the factorial rescale lives in one audited converter.  The group law
-is hard-coded per order (1, 2, 3); the independent series evaluation in
-:mod:`liejets.bch` deliberately shares none of this code.
+is hard-coded per order (1, 2, 3).
+
+The two oracles (:mod:`liejets.bch` and :mod:`liejets.matrices`) read a jet as
+a curve over the scalar ring extended by a fresh nilpotent d; they share only
+the lift to that curve and the readback from it (:func:`lift_curves`,
+:func:`read_curve`), which the closed-form product never calls, so a fault in
+either helper shows up as a disagreement with the closed form.
 
 Orders above 3 are rejected: no closed product formula is provided for them.
 """
@@ -22,7 +27,14 @@ from math import factorial
 from typing import Iterable, Mapping
 
 from .algebras import AlgebraError, LieAlgebraSpec, LieElement, bracket, zero_element
-from .scalars import SignatureMismatch, WeilRing, WeilScalar
+from .scalars import (
+    SignatureMismatch,
+    WeilRing,
+    WeilScalar,
+    embed,
+    json_int,
+    split_last_generator,
+)
 
 __all__ = [
     "EXP",
@@ -39,6 +51,8 @@ __all__ = [
     "jet_group_commutator",
     "jet_truncate",
     "jet_scale",
+    "lift_curves",
+    "read_curve",
 ]
 
 EXP = "exp"
@@ -102,7 +116,7 @@ class Jet:
     @classmethod
     def from_json(cls, doc: Mapping, algebra: LieAlgebraSpec) -> "Jet":
         try:
-            order = int(doc["order"])
+            order = json_int(doc["order"])
             system = doc["coordinates"]
             coord_docs = doc["coords"]
         except (KeyError, TypeError, ValueError) as exc:
@@ -245,3 +259,55 @@ def jet_scale(j: Jet, scalar) -> Jet:
     """Multiply every coordinate by one scalar (WeilScalar, Fraction, or int)."""
     return Jet(j.algebra, j.signature, j.order, j.system,
                tuple(c * scalar for c in j.coords))
+
+
+def lift_curves(*jets: Jet) -> tuple[LieElement, ...]:
+    """The curves d -> sum_i d^i/i! X_i of exp-coordinate jets, as elements
+    over the jets' common ring extended by a fresh last generator d of their
+    common order.  All curves share one extended signature object, so the
+    scalar layer's same-ring fast path applies when they are combined.
+    """
+    first = jets[0]
+    for j in jets:
+        _check_pair(first, j, system=EXP)
+    name = "d"
+    while name in first.signature.names:
+        name += "_"
+    ring = WeilRing(first.signature.extend(name, first.order))
+    sig = ring.signature
+    weights = [
+        ring.gen(name, i).scale(Fraction(1, factorial(i)))
+        for i in range(1, first.order + 1)
+    ]
+
+    def lift(j: Jet) -> LieElement:
+        acc = zero_element(j.algebra, ring)
+        for x, w in zip(j.coords, weights):
+            lifted = LieElement(j.algebra, sig, tuple(embed(c, sig) for c in x.coords))
+            acc = acc + lifted * w
+        return acc
+
+    return tuple(lift(j) for j in jets)
+
+
+def read_curve(x: LieElement, like: Jet) -> Jet:
+    """The exp-coordinate jet whose curve is ``x``, over ``like``'s ring and
+    order: the inverse of :func:`lift_curves`.
+
+    Splits every coordinate by powers of d, the last generator, and rescales
+    the d^i part by i!.  The parts exist and are unique because the extended
+    ring is a free module over the base ring with basis 1, d, ..., d^n.
+    """
+    sig = like.signature
+    parts = [split_last_generator(c) for c in x.coords]
+    if any(0 in p for p in parts):
+        raise AssertionError("curve has a nonzero degree-0 component")
+    coords = []
+    for i in range(1, like.order + 1):
+        vec = tuple(
+            WeilScalar(sig, p[i].terms, p[i].den).scale(factorial(i)) if i in p
+            else WeilScalar(sig, {})
+            for p in parts
+        )
+        coords.append(LieElement(like.algebra, sig, vec))
+    return Jet(like.algebra, sig, like.order, EXP, tuple(coords))

@@ -18,21 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from random import Random
 
-from .algebras import LieAlgebraSpec, LieElement
-from .jets import EXP, Jet, JetError, jet_make, jet_mul
-from .report import FAIL, PASS, CheckResult
-from .sampling import PLAIN_RING, random_element, random_jet
-from .scalars import (
-    RingSignature,
-    WeilRing,
-    WeilScalar,
-    embed,
-    rational_from_str,
-    ring_make,
-    split_last_generator,
-)
+from .algebras import LieAlgebraSpec, LieElement, basis_element, bracket
+from .jets import Jet, JetError, lift_curves, read_curve
+from .scalars import RingSignature, WeilRing, WeilScalar, rational_from_str, ring_make
 
 __all__ = [
     "MatrixError",
@@ -43,52 +32,15 @@ __all__ = [
     "matrix_rep",
     "builtin_rep",
     "BUILTIN_REP_NAMES",
+    "log_of_exp_product",
     "matrix_mul",
-    "verify_theorem_4",
-    "check_def61_vs_matrix",
+    "exp_weights",
+    "theorem_4_sides",
 ]
 
 
 class MatrixError(ValueError):
     """Raised for invalid matrices, failed preconditions, or bad reps."""
-
-
-# -- plain rational matrices (tuples of tuples of Fraction) -------------------
-
-
-def _rmat(rows) -> tuple:
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
-
-
-def _rmat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _rmat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _rmat_scale(a, q):
-    q = Fraction(q)
-    return tuple(tuple(x * q for x in row) for row in a)
-
-
-def _rmat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    inner = range(len(b))
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in inner) for j in range(m))
-        for i in range(n)
-    )
-
-
-def _rmat_comm(a, b):
-    return _rmat_sub(_rmat_mul(a, b), _rmat_mul(b, a))
-
-
-def _rmat_zero(n):
-    return tuple((Fraction(0),) * n for _ in range(n))
 
 
 class WeilMatrix:
@@ -168,7 +120,7 @@ class WeilMatrix:
                         t = self.rows[i][k] * other.rows[k][j]
                         if t.terms:
                             acc = t if acc is None else acc + t
-                    row.append(acc if acc is not None else _zero_scalar(self.signature))
+                    row.append(acc if acc is not None else WeilScalar(self.signature, {}))
                 rows.append(tuple(row))
             return WeilMatrix(self.signature, tuple(rows))
         if isinstance(other, (WeilScalar, int, Fraction)):
@@ -189,11 +141,6 @@ class WeilMatrix:
             self.signature, tuple(tuple(x.scale(q) for x in row) for row in self.rows)
         )
 
-    def embed(self, target: RingSignature) -> "WeilMatrix":
-        return WeilMatrix(
-            target, tuple(tuple(embed(x, target) for x in row) for row in self.rows)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, WeilMatrix):
             return NotImplemented
@@ -202,10 +149,6 @@ class WeilMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
         return f"WeilMatrix[{self.size}]({body})"
-
-
-def _zero_scalar(sig: RingSignature) -> WeilScalar:
-    return WeilScalar(sig, {})
 
 
 def _degree_cap(sig: RingSignature) -> int:
@@ -256,19 +199,9 @@ class MatrixRep:
     dimension: int
     images: dict
 
-    def image_of(self, coords) -> tuple:
-        """Rational matrix for rational coordinates (one per basis element)."""
-        acc = _rmat_zero(self.dimension)
-        for name, c in zip(self.algebra.basis, coords):
-            c = Fraction(c)
-            if c:
-                acc = _rmat_add(acc, _rmat_scale(self.images[name], c))
-        return acc
-
-    def realize(self, x: LieElement, ring: WeilRing | None = None) -> WeilMatrix:
+    def realize(self, x: LieElement) -> WeilMatrix:
         """WeilMatrix image of an element with WeilScalar coordinates."""
-        if ring is None:
-            ring = WeilRing(x.signature)
+        ring = WeilRing(x.signature)
         n = self.dimension
         cells = [[ring.zero] * n for _ in range(n)]
         for name, s in zip(self.algebra.basis, x.coords):
@@ -358,7 +291,10 @@ def matrix_rep(
     missing = set(algebra.basis) - set(images)
     if missing:
         raise MatrixError(f"missing images for basis elements {sorted(missing)}")
-    mats = {name: _rmat(images[name]) for name in algebra.basis}
+    mats = {
+        name: tuple(tuple(Fraction(e) for e in row) for row in images[name])
+        for name in algebra.basis
+    }
     sizes = {len(m) for m in mats.values()} | {
         len(row) for m in mats.values() for row in m
     }
@@ -367,19 +303,15 @@ def matrix_rep(
     n = sizes.pop()
     if dimension is not None and dimension != n:
         raise MatrixError(f"declared dimension {dimension} but images are {n}x{n}")
+    rep = MatrixRep(algebra=algebra, dimension=n, images=mats)
+    q = ring_make(())
     for i, bi in enumerate(algebra.basis):
-        for j in range(i + 1, algebra.dim):
-            bj = algebra.basis[j]
-            expected = _rmat_zero(n)
-            for k, c in algebra.basis_bracket(i, j).items():
-                expected = _rmat_add(
-                    expected, _rmat_scale(mats[algebra.basis[k]], c)
-                )
-            if _rmat_comm(mats[bi], mats[bj]) != expected:
-                raise MatrixError(
-                    f"images violate bracket compatibility on ({bi}, {bj})"
-                )
-    return MatrixRep(algebra=algebra, dimension=n, images=mats)
+        for bj in algebra.basis[i + 1:]:
+            x, y = basis_element(algebra, q, bi), basis_element(algebra, q, bj)
+            X, Y = rep.realize(x), rep.realize(y)
+            if X * Y - Y * X != rep.realize(bracket(x, y)):
+                raise MatrixError(f"images violate bracket compatibility on ({bi}, {bj})")
+    return rep
 
 
 #: Names with a built-in representation.
@@ -423,167 +355,61 @@ def builtin_rep(name: str) -> MatrixRep:
 # -- jet multiplication through the matrix group -------------------------------
 
 
-def _curve_matrix(rep: MatrixRep, j: Jet, ext_ring: WeilRing, dname: str
-                  ) -> WeilMatrix:
-    """Matrix of sum_i d^i/i! * image(X_i) over the extended ring."""
-    acc = WeilMatrix.zero(ext_ring, rep.dimension)
-    for i, x in enumerate(j.coords, start=1):
-        dpow = ext_ring.gen(dname, i).scale(Fraction(1, factorial(i)))
-        lifted = rep.realize(x).embed(ext_ring.signature)
-        acc = acc + lifted * dpow
-    return acc
+def log_of_exp_product(rep: MatrixRep, x: LieElement, y: LieElement) -> WeilMatrix:
+    """weil_log(weil_exp(image x) * weil_exp(image y)) for elements whose
+    coordinates have zero constant term."""
+    return weil_log(weil_exp(rep.realize(x)) * weil_exp(rep.realize(y)))
 
 
 def matrix_mul(a: Jet, b: Jet, rep: MatrixRep) -> Jet:
     """Multiply jets by exp/log in the matrix group, reading coordinates back.
 
-    Computes weil_log(weil_exp(A) * weil_exp(B)) over the ring extended by a
-    nilpotency-order-n generator d, splits the result by powers of d, and
-    solves each component against the basis images.
+    Computes the log of the product of the exponentials of both jets' curves
+    over the ring extended by a nilpotency-order-n generator d, solves it
+    against the basis images, and reads the jet off the powers of d.
     """
-    if a.system != EXP or b.system != EXP:
-        raise JetError("matrix_mul requires exp coordinates")
     if a.algebra != rep.algebra:
         raise JetError(f"representation is for {rep.algebra.name}, jet is over "
                        f"{a.algebra.name}")
-    if a.signature != b.signature or a.order != b.order or a.algebra != b.algebra:
-        raise JetError("jets must share algebra, scalar ring, and order")
-    n = a.order
-    base_sig = a.signature
-    dname = "d"
-    while dname in base_sig.names:
-        dname += "_"
-    ext_ring = WeilRing(base_sig.extend(dname, n))
-    L = weil_log(
-        weil_exp(_curve_matrix(rep, a, ext_ring, dname))
-        * weil_exp(_curve_matrix(rep, b, ext_ring, dname))
-    )
-    base_ring = WeilRing(base_sig)
-    components = {
-        i: [[base_ring.zero] * rep.dimension for _ in range(rep.dimension)]
-        for i in range(1, n + 1)
-    }
-    for r in range(rep.dimension):
-        for c in range(rep.dimension):
-            for power, s in split_last_generator(L.rows[r][c]).items():
-                if not s.terms:
-                    continue
-                if power == 0:
-                    raise AssertionError("matrix log has a degree-0 component")
-                components[power][r][c] = s
-    coords = []
-    for i in range(1, n + 1):
-        M = WeilMatrix(base_sig, tuple(tuple(row) for row in components[i]))
-        coords.append(rep.extract(M) * factorial(i))
-    return jet_make(a.algebra, base_ring, n, tuple(coords), EXP)
+    x, y = lift_curves(a, b)
+    return read_curve(rep.extract(log_of_exp_product(rep, x, y)), a)
 
 
-# -- verification drivers -------------------------------------------------------
+# -- Theorem 4: exp-product identities ------------------------------------------
 
 
-def verify_theorem_4(n: int, rep: MatrixRep, trials: int = 100, seed: int = 0
-                     ) -> CheckResult:
-    """Exp-product identities over Q[d_1..d_n]/(d_i^2), exact matrix equality.
-
-    With s = d_1 + ... + d_n and random integer-coordinate elements, compares
-
-        exp(sum s^i/i! X_i) * exp(sum s^i/i! Y_i)
-        == exp(sum s^i/i! Z_i)
-
-    where Z_i are the closed-form product coefficients, built here from
-    matrix commutators only.
-    """
+def exp_weights(n: int) -> tuple[WeilScalar, ...]:
+    """s^i/i! for i = 1..n over Q[d_1..d_n]/(d_i^2), with s = d_1 + ... + d_n."""
     if n not in (1, 2, 3):
         raise MatrixError(f"order must be 1, 2, or 3, got {n}")
-    check_id = f"thm-4.{n}"
-    detail = {"algebra": rep.algebra.name, "order": n, "trials": trials}
     ring = ring_make(tuple((f"d{i}", 1) for i in range(1, n + 1)))
-    s = ring.zero
-    for i in range(1, n + 1):
-        s = s + ring.gen(f"d{i}")
-    spow = {i: s**i for i in range(1, n + 1)}
+    s = sum((ring.gen(f"d{i}") for i in range(1, n + 1)), ring.zero)
+    return tuple((s**i).scale(Fraction(1, factorial(i))) for i in range(1, n + 1))
+
+
+def theorem_4_sides(xs, ys, weights) -> tuple[WeilMatrix, WeilMatrix]:
+    """Both sides of exp(sum w_i X_i) * exp(sum w_i Y_i) == exp(sum w_i Z_i).
+
+    ``xs`` and ``ys`` are constant matrices X_1..X_n and Y_1..Y_n over the
+    ring of ``weights``, the :func:`exp_weights` of n, and Z_i are the
+    closed-form product coefficients, built here from matrix commutators only.
+    """
+    n = len(weights)
 
     def side(mats) -> WeilMatrix:
-        acc = WeilMatrix.zero(ring, rep.dimension)
-        for i, m in enumerate(mats, start=1):
-            lifted = WeilMatrix.from_rational(ring, m)
-            acc = acc + lifted * spow[i].scale(Fraction(1, factorial(i)))
+        acc = mats[0] * weights[0]
+        for m, w in zip(mats[1:], weights[1:]):
+            acc = acc + m * w
         return weil_exp(acc)
 
-    rng = Random(seed)
-    half = Fraction(1, 2)
-    three_halves = Fraction(3, 2)
-    for trial in range(trials):
-        xs = [
-            rep.image_of(
-                [c.constant_term() for c in
-                 random_element(rep.algebra, PLAIN_RING, rng, integer=True).coords]
-            )
-            for _ in range(n)
-        ]
-        ys = [
-            rep.image_of(
-                [c.constant_term() for c in
-                 random_element(rep.algebra, PLAIN_RING, rng, integer=True).coords]
-            )
-            for _ in range(n)
-        ]
-        lhs = side(xs) * side(ys)
-        zs = [_rmat_add(xs[0], ys[0])]
-        if n >= 2:
-            zs.append(_rmat_add(_rmat_add(xs[1], ys[1]), _rmat_comm(xs[0], ys[0])))
-        if n == 3:
-            cross = _rmat_add(_rmat_comm(xs[0], ys[1]), _rmat_comm(xs[1], ys[0]))
-            nested = _rmat_comm(_rmat_sub(xs[0], ys[0]), _rmat_comm(xs[0], ys[0]))
-            z3 = _rmat_add(
-                _rmat_add(xs[2], ys[2]),
-                _rmat_add(_rmat_scale(cross, three_halves), _rmat_scale(nested, half)),
-            )
-            zs.append(z3)
-        rhs = side(zs)
-        if lhs != rhs:
-            return CheckResult(
-                check_id,
-                FAIL,
-                detail,
-                counterexample={
-                    "trial": trial,
-                    "X": [[[str(e) for e in row] for row in m] for m in xs],
-                    "Y": [[[str(e) for e in row] for row in m] for m in ys],
-                },
-            )
-    return CheckResult(check_id, PASS, detail)
+    def comm(p, q):
+        return p * q - q * p
 
-
-def check_def61_vs_matrix(rep: MatrixRep, order: int, trials: int = 100,
-                          seed: int = 0) -> CheckResult:
-    """Closed-form product vs. matrix exp/log over Q[d]/(d^{order+1}).
-
-    For random integer-coordinate jets a, b compares
-    weil_log(weil_exp(A) * weil_exp(B)) with the matrix curve of
-    jet_mul(a, b), as exact matrices over the truncated ring.
-    """
-    check_id = f"def6.1-vs-matrix-n{order}"
-    detail = {"algebra": rep.algebra.name, "order": order, "trials": trials}
-    ext_ring = ring_make((("d", order),))
-    rng = Random(seed)
-    for trial in range(trials):
-        a = random_jet(rep.algebra, PLAIN_RING, order, rng, integer=True)
-        b = random_jet(rep.algebra, PLAIN_RING, order, rng, integer=True)
-        lhs = weil_log(
-            weil_exp(_curve_matrix(rep, a, ext_ring, "d"))
-            * weil_exp(_curve_matrix(rep, b, ext_ring, "d"))
-        )
-        rhs = _curve_matrix(rep, jet_mul(a, b), ext_ring, "d")
-        if lhs != rhs:
-            return CheckResult(
-                check_id,
-                FAIL,
-                detail,
-                counterexample={
-                    "trial": trial,
-                    "a": a.to_json(),
-                    "b": b.to_json(),
-                },
-            )
-    return CheckResult(check_id, PASS, detail)
+    zs = [xs[0] + ys[0]]
+    if n >= 2:
+        zs.append(xs[1] + ys[1] + comm(xs[0], ys[0]))
+    if n == 3:
+        cross = comm(xs[0], ys[1]) + comm(xs[1], ys[0])
+        nested = comm(xs[0] - ys[0], comm(xs[0], ys[0]))
+        zs.append(xs[2] + ys[2] + (cross * 3 + nested).scale(Fraction(1, 2)))
+    return side(xs) * side(ys), side(zs)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["CheckResult", "VerificationReport", "merge_results"]
+__all__ = ["CheckResult", "VerificationReport"]
 
 PASS = "pass"
 FAIL = "fail"
@@ -57,12 +57,3 @@ class VerificationReport:
             "versions": self.versions,
         }
 
-
-def merge_results(check_id: str, results: list[CheckResult]) -> CheckResult:
-    """Fold per-instance results (e.g. one per algebra) into one check."""
-    status = PASS if all(r.passed for r in results) else FAIL
-    detail = {r.detail.get("algebra", str(i)): r.detail for i, r in enumerate(results)}
-    counterexample = next(
-        (r.counterexample for r in results if r.counterexample is not None), None
-    )
-    return CheckResult(check_id, status, detail, counterexample)

@@ -42,6 +42,7 @@ __all__ = [
     "WeilRing",
     "ring_make",
     "rational_from_str",
+    "json_int",
     "embed",
     "split_last_generator",
 ]
@@ -57,11 +58,22 @@ class SignatureMismatch(ValueError):
 
 def rational_from_str(text: str | int) -> Fraction:
     """Parse a rational from "p/q" or "p" form (also accepts ints); raise
-    ``SignatureError`` for anything that is not a rational."""
+    ``SignatureError`` for anything that is not a rational, floats and
+    booleans included, since neither is an exact rational input."""
+    if isinstance(text, (bool, float)):
+        raise SignatureError(f"invalid rational {text!r}; write it as \"p/q\"")
     try:
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SignatureError(f"invalid rational {text!r}") from exc
+
+
+def json_int(value) -> int:
+    """``value`` if it is an integer; ``TypeError`` for anything else, floats
+    and booleans included, which ``int()`` would silently truncate or coerce."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -107,7 +119,7 @@ class RingSignature:
     @classmethod
     def from_json(cls, doc: Iterable) -> "RingSignature":
         try:
-            gens = tuple((str(n), int(m)) for n, m in doc)
+            gens = tuple((str(n), json_int(m)) for n, m in doc)
         except (TypeError, ValueError) as exc:
             raise SignatureError(
                 f"ring must be a list of [name, order] pairs with integer orders: {exc}"
@@ -443,7 +455,7 @@ class WeilScalar:
         sig = RingSignature.from_json(doc["ring"])
         dense = {}
         try:
-            rows = [(tuple(int(e) for e in vec), coeff) for vec, coeff in doc["terms"]]
+            rows = [(tuple(json_int(e) for e in vec), coeff) for vec, coeff in doc["terms"]]
         except (TypeError, ValueError) as exc:
             raise SignatureError(
                 f"terms must be a list of [exponent vector, rational] pairs: {exc}"

@@ -6,7 +6,8 @@ from random import Random
 import pytest
 
 from liejets.algebras import abelian, bracket, heisenberg3, sl2
-from liejets.bch import BCH_DEGREE3_TERMS, bch_mul, check_def61_vs_bch
+from liejets.bch import BCH_DEGREE3_TERMS, bch_mul
+from liejets.checks import check_def61_vs_bch
 from liejets.hall import free_nilpotent
 from liejets.jets import JetError, jet_identity, jet_make, jet_mul
 from liejets.sampling import PLAIN_RING, random_jet, symbolic_jet_family
@@ -121,10 +122,10 @@ class TestBchMul:
 class TestAgreementCheck:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_symbolic_and_random_pass(self, order):
-        result = check_def61_vs_bch(H3, order, trials=25, seed=0)
+        result = check_def61_vs_bch(order, [H3], trials=25, seed=0)
         assert result.passed
-        assert result.detail["symbolic"] == "pass"
-        assert result.detail["random_trials"] == 25
+        assert result.detail["h3"]["symbolic"] == "pass"
+        assert result.detail["h3"]["random_trials"] == 25
         assert result.check == f"def6.1-vs-bch-n{order}"
 
     def test_agreement_across_builtin_catalog(self):
@@ -132,4 +133,4 @@ class TestAgreementCheck:
 
         for spec in default_verification_algebras():
             for order in (1, 2, 3):
-                assert check_def61_vs_bch(spec, order, trials=10, seed=3).passed
+                assert check_def61_vs_bch(order, [spec], trials=10, seed=3).passed

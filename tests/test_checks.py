@@ -1,12 +1,18 @@
 """Verification driver tests: drivers, failure reporting, suite assembly."""
 
+import hashlib
+import json
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
+
+import liejets.jets
 
 from liejets.algebras import basis_element, heisenberg3, make_algebra, sl2, zero_element
 from liejets.catalog import resolve_algebra
 from liejets.checks import (
-    associativity_random,
-    associativity_symbolic,
+    associative,
     build_checks,
     run_suite,
     struct_jacobi_builtins,
@@ -18,8 +24,9 @@ from liejets.checks import (
     verify_group_axioms,
     verify_lemma_631,
 )
+from liejets.hall import free_nilpotent
 from liejets.jets import jet_make, jet_mul
-from liejets.sampling import PLAIN_RING
+from liejets.sampling import PLAIN_RING, symbolic_jet_family
 
 H3 = heisenberg3()
 
@@ -31,8 +38,8 @@ CORRUPTED = make_algebra(
 class TestAssociativity:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_symbolic_generic(self, order):
-        ok, counterexample = associativity_symbolic(order)
-        assert ok and counterexample is None
+        _, jets = symbolic_jet_family(free_nilpotent(3, 3), order, ("a", "b", "c"))
+        assert associative(*jets.values()) is None
 
     def test_driver_passes(self):
         result = verify_associativity(3, [H3, sl2()], trials=20, seed=0)
@@ -56,24 +63,23 @@ class TestAssociativity:
         assert left != right
         assert (left.coords[2] - right.coords[2]) == z.scale(-1)
 
-        ok, counterexample = associativity_random(CORRUPTED, 3, trials=30, seed=0)
-        assert not ok
+        result = verify_associativity(3, [CORRUPTED], trials=30, seed=0)
+        assert not result.passed
+        counterexample = result.counterexample
         assert counterexample["algebra"] == "h3-corrupted"
         assert "a" in counterexample
 
     def test_bilinearity_alone_gives_order2(self):
         # order 2 associativity never touches the Jacobi identity
-        ok, _ = associativity_random(CORRUPTED, 2, trials=30, seed=0)
-        assert ok
+        assert verify_associativity(2, [CORRUPTED], trials=30, seed=0).passed
 
     def test_thousand_random_jets_per_builtin(self):
         # 112 triples per order = 1008 seeded jets per algebra
         from liejets.catalog import default_verification_algebras
 
-        for spec in default_verification_algebras():
-            for order in (1, 2, 3):
-                ok, counterexample = associativity_random(spec, order, 112, seed=1)
-                assert ok, counterexample
+        for order in (1, 2, 3):
+            result = verify_associativity(order, default_verification_algebras(), 112, seed=1)
+            assert result.passed, result.counterexample
 
 
 def test_lemma_631_reduces_to_zero():
@@ -98,14 +104,14 @@ class TestGroupAxioms:
 class TestBracketRecovery:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_symbolic_and_random(self, order):
-        result = verify_bracket_recovery(H3, order, trials=20, seed=0)
+        result = verify_bracket_recovery(order, [H3], trials=20, seed=0)
         assert result.passed
         assert result.check == f"thm-7.{order}"
-        assert result.detail["symbolic"] == "pass"
-        assert result.detail["expected_form"] == "pass"
+        assert result.detail["h3"]["symbolic"] == "pass"
+        assert result.detail["h3"]["expected_form"] == "pass"
 
     def test_sl2_random(self):
-        assert verify_bracket_recovery(sl2(), 3, trials=20, seed=1).passed
+        assert verify_bracket_recovery(3, [sl2()], trials=20, seed=1).passed
 
 
 class TestStructural:
@@ -129,6 +135,13 @@ class TestSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             build_checks("s5")
+
+    def test_empty_algebra_list_rejected(self):
+        # an empty override would otherwise pass every check without a trial
+        with pytest.raises(ValueError):
+            build_checks("all", algebras=[])
+        with pytest.raises(ValueError):
+            run_suite("all", algebras=[])
 
     def test_s7_order3_contains_recovery_and_axioms(self):
         ids = [check_id for check_id, _ in build_checks("s7", order=3)]
@@ -175,3 +188,38 @@ class TestSuites:
         failing = {c.check: c for c in report.checks if not c.passed}
         assert "thm-6.3" in failing
         assert failing["thm-6.3"].counterexample is not None
+
+
+def test_seed0_report_matches_the_recorded_digest():
+    """The --no-timing report at seed 0 is byte-identical to the one recorded
+    with the benchmark (interpreter version left out)."""
+    baseline = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
+    doc = run_suite("all", trials=100, seed=0).to_json(include_timing=False)
+    del doc["versions"]["python"]
+    digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+    assert digest == json.loads(baseline.read_text())["catalog"]["digest_seed0"]
+
+
+@pytest.mark.parametrize(
+    "constant, value, failing",
+    [
+        # 3/2 -> 1 in the order-3 cross term of jet_mul
+        ("_THREE_HALVES", Fraction(1),
+         {"def6.1-vs-bch-n3", "def6.1-vs-matrix-n3", "thm-6.3", "thm-7.3"}),
+        # 1/2 -> 0 drops the nested order-3 term, which the square-zero
+        # scaling of thm-7.3 cannot see
+        ("_HALF", Fraction(0), {"def6.1-vs-bch-n3", "def6.1-vs-matrix-n3", "thm-6.3"}),
+    ],
+)
+def test_corrupted_closed_form_fails_exactly_the_checks_that_guard_it(
+    monkeypatch, constant, value, failing
+):
+    monkeypatch.setattr(liejets.jets, constant, value)
+    report = run_suite("all", trials=3, seed=0)
+    failed = {c.check: c for c in report.checks if not c.passed}
+    assert set(failed) == failing
+    for check in failed.values():
+        counterexample = check.counterexample
+        assert counterexample.get("symbolic") is True or isinstance(
+            counterexample.get("trial"), int
+        )

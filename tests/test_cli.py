@@ -34,6 +34,18 @@ def _set(path, value):
     return corrupt
 
 
+def _over_t(order, exponent):
+    """Corruption that moves the first coordinate onto the ring [["t", order]]
+    with the single term t^exponent."""
+    def corrupt(doc):
+        element = doc["coords"][0]
+        element["ring"] = [["t", order]]
+        element["coords"]["p"] = {"ring": [["t", order]], "terms": [[[exponent], "1"]]}
+        return doc
+
+    return corrupt
+
+
 @pytest.fixture
 def jet_files(tmp_path):
     def write(name, doc):
@@ -121,10 +133,22 @@ class TestMul:
             _set(("coords", 0, "coords", "p", "ring"), [["t", "x"]]),
             _set(("coords", 0, "coords"), [["p", "1"]]),
             lambda doc: [doc],
+            _set(("coords", 0, "coords", "p", "terms", 0, 1), 0.1),
+            _over_t(1.7, 1),
+            _over_t(1, 1.9),
+            _set(("order",), 1.0),
+            _set(("coords", 0, "coords", "p", "terms", 0, 1), True),
+            _set(("order",), True),
         ],
-        ids=["zero-denominator", "non-integer-order", "coords-as-list", "top-level-array"],
+        ids=[
+            "zero-denominator", "non-integer-order", "coords-as-list", "top-level-array",
+            "float-coefficient", "float-ring-order", "float-exponent", "float-jet-order",
+            "boolean-coefficient", "boolean-jet-order",
+        ],
     )
     def test_malformed_jet_is_one_line_usage_error(self, jet_files, capsys, corrupt):
+        # An order-1 jet whose only coordinate is p: every corruption above
+        # turns a valid document into one that must be refused.
         doc = h3_jet_doc(1, "p")
         a = jet_files("a.json", corrupt(doc))
         assert main(["mul", a, a]) == 2

@@ -6,15 +6,14 @@ from random import Random
 import pytest
 
 from liejets.algebras import basis_element, heisenberg3, zero_element
+from liejets.checks import check_def61_vs_matrix, verify_theorem_4
 from liejets.jets import jet_make, jet_mul
 from liejets.matrices import (
     MatrixError,
     WeilMatrix,
     builtin_rep,
-    check_def61_vs_matrix,
     matrix_mul,
     matrix_rep,
-    verify_theorem_4,
     weil_exp,
     weil_log,
     MatrixRep,
@@ -222,7 +221,7 @@ class TestTheorem4:
     @pytest.mark.parametrize("name", ["sl2", "h3"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_passes(self, name, n):
-        result = verify_theorem_4(n, builtin_rep(name), trials=15, seed=0)
+        result = verify_theorem_4(n, [builtin_rep(name)], trials=15, seed=0)
         assert result.passed
         assert result.check == f"thm-4.{n}"
 
@@ -252,14 +251,14 @@ class TestTheorem4:
 
     def test_order_out_of_range(self):
         with pytest.raises(MatrixError):
-            verify_theorem_4(4, builtin_rep("sl2"))
+            verify_theorem_4(4, [builtin_rep("sl2")])
 
 
 class TestDef61VsMatrix:
     @pytest.mark.parametrize("name", ["h3", "sl2", "so3"])
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_passes(self, name, order):
-        result = check_def61_vs_matrix(builtin_rep(name), order, trials=15, seed=0)
+        result = check_def61_vs_matrix(order, [builtin_rep(name)], trials=15, seed=0)
         assert result.passed
         assert result.check == f"def6.1-vs-matrix-n{order}"
 
