@@ -104,9 +104,6 @@ class HallBasis:
     names: tuple[str, ...]
     degrees: tuple[int, ...]
 
-    def index_of_word(self, word: tuple[int, ...]) -> int:
-        return self.words.index(word)
-
 
 def _tree_name(tree: Tree, letters: tuple[str, ...]) -> str:
     if isinstance(tree, int):

@@ -4,8 +4,18 @@ A matrix whose entries all have zero constant term is nilpotent for scalar
 reasons: each power raises the minimum total degree in the ring generators,
 and the ring kills every monomial beyond the sum of the nilpotency orders.
 Its exponential is therefore a finite sum, computed exactly, and the group
-identities for the jet product become literal matrix identities that can be
-checked entry by entry over the truncated ring.
+identities for the jet product become literal matrix identities over the
+truncated ring.
+
+A matrix over the truncated ring is stored as a polynomial with matrix
+coefficients: a table mapping each monomial to a flat row-major tuple of
+integer numerators, over one positive denominator shared by the whole
+matrix.  The form is canonical, in the same way as a ``WeilScalar``: no
+all-zero coefficient matrix is stored, and the denominator is coprime to the
+gcd of every numerator (1 for the zero matrix), so equality is literal
+comparison.  A product loops over pairs of monomials, multiplying each pair
+once and adding one small integer matrix product per pair, then reduces the
+whole result with a single gcd.
 
 A :class:`MatrixRep` sends basis elements of an algebra to rational matrices
 and is validated at load time: the image of every basis bracket must equal
@@ -17,11 +27,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, gcd, lcm
+from operator import add, mul, neg, sub
 
 from .algebras import LieAlgebraSpec, LieElement, basis_element, bracket
 from .jets import Jet, JetError, lift_curves, read_curve
-from .scalars import RingSignature, WeilRing, WeilScalar, rational_from_str, ring_make
+from .scalars import (
+    RingSignature,
+    SignatureMismatch,
+    WeilRing,
+    WeilScalar,
+    _mono_mul,
+    _reduced,
+    json_int,
+    rational_from_str,
+    ring_make,
+)
 
 __all__ = [
     "MatrixError",
@@ -43,92 +65,201 @@ class MatrixError(ValueError):
     """Raised for invalid matrices, failed preconditions, or bad reps."""
 
 
+def _integer_cells(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _matrix(signature: RingSignature, size: int, coeffs: dict, den: int) -> "WeilMatrix":
+    """Matrix from nonzero coefficient tuples over ``den`` > 0, with their
+    common factor divided out (so the zero matrix gets denominator 1)."""
+    if not coeffs:
+        den = 1
+    elif den != 1:
+        g = den
+        for cell in coeffs.values():
+            g = gcd(g, *cell)
+            if g == 1:
+                break
+        else:
+            den //= g
+            coeffs = {k: tuple(c // g for c in cell) for k, cell in coeffs.items()}
+    m = object.__new__(WeilMatrix)
+    m.signature = signature
+    m.size = size
+    m.coeffs = coeffs
+    m.den = den
+    return m
+
+
 class WeilMatrix:
-    """Square matrix with WeilScalar entries, all over one ring."""
+    """Square matrix over one truncated ring, in canonical polynomial form.
 
-    __slots__ = ("signature", "size", "rows")
+    ``coeffs`` maps monomials to flat row-major tuples of ``size * size``
+    integer numerators, none of them all zero, and ``den`` is their shared
+    positive denominator, coprime to the gcd of every numerator and 1 for
+    zero.  The constructor converts a grid of ``WeilScalar`` rows; ``rows``
+    reads one back.
+    """
 
-    def __init__(self, signature: RingSignature, rows: tuple):
+    __slots__ = ("signature", "size", "coeffs", "den")
+
+    def __init__(self, signature: RingSignature, rows):
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise MatrixError("the rows of a matrix must form a square grid")
         self.signature = signature
-        self.rows = rows
-        self.size = len(rows)
+        for row in rows:
+            for e in row:
+                self._check_ring(e.signature)
+        # Over the lcm of the entries' denominators the numerators stay
+        # coprime to the shared denominator, as in WeilScalar.from_terms.
+        den = lcm(*(e.den for row in rows for e in row))
+        cells: dict = {}
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                f = den // e.den
+                for k, c in e.terms.items():
+                    cell = cells.get(k)
+                    if cell is None:
+                        cell = cells[k] = [0] * (n * n)
+                    cell[i * n + j] = c * f
+        self.size = n
+        self.coeffs = {k: tuple(cell) for k, cell in cells.items()}
+        self.den = den
 
     @classmethod
     def identity(cls, ring: WeilRing, n: int) -> "WeilMatrix":
-        return cls(
-            ring.signature,
-            tuple(
-                tuple(ring.one if i == j else ring.zero for j in range(n))
-                for i in range(n)
-            ),
-        )
+        unit = tuple(int(i == j) for i in range(n) for j in range(n))
+        return _matrix(ring.signature, n, {(): unit} if n else {}, 1)
 
     @classmethod
     def zero(cls, ring: WeilRing, n: int) -> "WeilMatrix":
-        return cls(ring.signature, tuple((ring.zero,) * n for _ in range(n)))
+        return _matrix(ring.signature, n, {}, 1)
 
     @classmethod
     def from_rational(cls, ring: WeilRing, rows) -> "WeilMatrix":
-        return cls(
-            ring.signature,
-            tuple(tuple(ring.rational(e) for e in row) for row in rows),
+        cell, den = _integer_cells(e for row in rows for e in row)
+        return _matrix(ring.signature, len(rows), {(): cell} if any(cell) else {}, den)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as a grid of ``WeilScalar`` values."""
+        n, sig, den = self.size, self.signature, self.den
+        return tuple(
+            tuple(
+                _reduced(sig, {k: c for k, cell in self.coeffs.items()
+                               if (c := cell[i * n + j])}, den)
+                for j in range(n)
+            )
+            for i in range(n)
         )
 
     def is_zero(self) -> bool:
-        return all(not e.terms for row in self.rows for e in row)
+        return not self.coeffs
 
     def is_scalar_nilpotent(self) -> bool:
         """True when every entry has zero constant term."""
-        return all(not e.constant_term() for row in self.rows for e in row)
+        return () not in self.coeffs
+
+    def _check_ring(self, signature: RingSignature) -> None:
+        if signature is not self.signature and signature != self.signature:
+            raise SignatureMismatch(
+                f"cannot mix rings {self.signature.generators} and {signature.generators}"
+            )
+
+    def _check(self, other: "WeilMatrix") -> None:
+        self._check_ring(other.signature)
+        if other.size != self.size:
+            raise MatrixError(f"cannot combine {self.size}x{self.size} and "
+                              f"{other.size}x{other.size} matrices")
+
+    def _combine(self, other: "WeilMatrix", op) -> "WeilMatrix":
+        """self + other (``op`` is add) or self - other (``op`` is sub)."""
+        self._check(other)
+        da, db = self.den, other.den
+        if da == db:
+            den, fb = da, 1
+            out = dict(self.coeffs)
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            den = da * fa
+            out = {k: tuple(c * fa for c in cell) for k, cell in self.coeffs.items()}
+        for k, cell in other.coeffs.items():
+            if fb != 1:
+                cell = tuple(c * fb for c in cell)
+            acc = out.get(k)
+            if acc is None:
+                out[k] = cell if op is add else tuple(map(neg, cell))
+            else:
+                acc = tuple(map(op, acc, cell))
+                if any(acc):
+                    out[k] = acc
+                else:
+                    del out[k]
+        return _matrix(self.signature, self.size, out, den)
 
     def __add__(self, other):
         if not isinstance(other, WeilMatrix):
             return NotImplemented
-        return WeilMatrix(
-            self.signature,
-            tuple(
-                tuple(x + y for x, y in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other):
         if not isinstance(other, WeilMatrix):
             return NotImplemented
-        return WeilMatrix(
-            self.signature,
-            tuple(
-                tuple(x - y for x, y in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return WeilMatrix(
-            self.signature, tuple(tuple(-x for x in row) for row in self.rows)
+        return _matrix(
+            self.signature, self.size,
+            {k: tuple(map(neg, cell)) for k, cell in self.coeffs.items()}, self.den,
         )
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        n = self.size
+        size = n * n
+        # Only nonzero entries take part: the right factor's rows as lists of
+        # (column, value), once per product, and the left factor's entries as
+        # (row offset, column, value), once per monomial.
         if isinstance(other, WeilMatrix):
-            n = self.size
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = None
-                    for k in range(n):
-                        t = self.rows[i][k] * other.rows[k][j]
-                        if t.terms:
-                            acc = t if acc is None else acc + t
-                    row.append(acc if acc is not None else WeilScalar(self.signature, {}))
-                rows.append(tuple(row))
-            return WeilMatrix(self.signature, tuple(rows))
-        if isinstance(other, (WeilScalar, int, Fraction)):
-            return WeilMatrix(
-                self.signature,
-                tuple(tuple(x * other for x in row) for row in self.rows),
-            )
-        return NotImplemented
+            self._check(other)
+            rights = [
+                (k, [[(j, v) for j in range(n) if (v := cell[r + j])]
+                     for r in range(0, size, n)])
+                for k, cell in other.coeffs.items()
+            ]
+        elif isinstance(other, WeilScalar):
+            self._check_ring(other.signature)
+            # the scalar as a multiple of the identity matrix
+            rights = [(k, [[(j, c)] for j in range(n)]) for k, c in other.terms.items()]
+        else:
+            return NotImplemented
+        orders = self.signature.orders
+        out: dict = {}
+        for k1, x in self.coeffs.items():
+            entries = [(i - i % n, i % n, v) for i, v in enumerate(x) if v]
+            for k2, rows in rights:
+                if not k1:
+                    k = k2
+                elif not k2:
+                    k = k1
+                else:
+                    k = _mono_mul(k1, k2, orders)
+                    if k is None:
+                        continue
+                acc = out.get(k)
+                if acc is None:
+                    acc = out[k] = [0] * size
+                for r, c, v in entries:
+                    for j, w in rows[c]:
+                        acc[r + j] += v * w
+        coeffs = {k: tuple(cell) for k, cell in out.items() if any(cell)}
+        return _matrix(self.signature, n, coeffs, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (WeilScalar, int, Fraction)):
@@ -136,15 +267,28 @@ class WeilMatrix:
         return NotImplemented
 
     def scale(self, rational) -> "WeilMatrix":
-        q = Fraction(rational)
-        return WeilMatrix(
-            self.signature, tuple(tuple(x.scale(q) for x in row) for row in self.rows)
-        )
+        """Multiply every entry by a plain rational."""
+        if not isinstance(rational, (int, Fraction)):
+            rational = Fraction(rational)
+        p, q = rational.numerator, rational.denominator
+        if not p:
+            return _matrix(self.signature, self.size, {}, 1)
+        if p == 1 and q == 1:
+            return self
+        coeffs = self.coeffs
+        if p != 1:
+            coeffs = {k: tuple(c * p for c in cell) for k, cell in coeffs.items()}
+        return _matrix(self.signature, self.size, coeffs, self.den * q)
 
     def __eq__(self, other):
         if not isinstance(other, WeilMatrix):
             return NotImplemented
-        return self.signature == other.signature and self.rows == other.rows
+        return (
+            self.signature == other.signature
+            and self.size == other.size
+            and self.den == other.den
+            and self.coeffs == other.coeffs
+        )
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
@@ -193,73 +337,103 @@ def weil_log(M: WeilMatrix) -> WeilMatrix:
 
 @dataclass
 class MatrixRep:
-    """Rational matrix images of an algebra's basis, bracket-compatible."""
+    """Rational matrix images of an algebra's basis, bracket-compatible.
+
+    The images must not change once the representation is in use: their
+    integer forms and the solver for coordinates are derived from them on
+    first use and kept.
+    """
 
     algebra: LieAlgebraSpec
     dimension: int
     images: dict
 
-    def realize(self, x: LieElement) -> WeilMatrix:
-        """WeilMatrix image of an element with WeilScalar coordinates."""
-        ring = WeilRing(x.signature)
-        n = self.dimension
-        cells = [[ring.zero] * n for _ in range(n)]
-        for name, s in zip(self.algebra.basis, x.coords):
-            if not s.terms:
-                continue
-            img = self.images[name]
-            for r in range(n):
-                for c in range(n):
-                    e = img[r][c]
-                    if e:
-                        cells[r][c] = cells[r][c] + s.scale(e)
-        return WeilMatrix(ring.signature, tuple(tuple(row) for row in cells))
+    @cached_property
+    def _numerators(self) -> dict:
+        """Each image as (flat row-major integer numerators, denominator)."""
+        return {
+            name: _integer_cells(e for row in rows for e in row)
+            for name, rows in self.images.items()
+        }
 
-    def extract(self, M: WeilMatrix) -> LieElement:
-        """Solve sum_k x_k * image(b_k) = M for the coordinates x_k.
+    @cached_property
+    def _solver(self) -> tuple[list, list]:
+        """Integer forms of the rational maps that recover coordinates.
 
-        Gaussian elimination on the rational image span, applied to the
-        WeilScalar right-hand sides.  Raises if M lies outside the span.
+        Gauss-Jordan elimination of [A | I], where the columns of A are the
+        flattened images, leaves a row (e_k | L_k) for each basis element, so
+        that x_k = L_k v for every v = A x in the span, and rows (0 | R) with
+        R v = 0 exactly on the span.  Returns the L_k as (numerators,
+        denominator) pairs and the R as numerators.
         """
-        dim = self.algebra.dim
-        n = self.dimension
-        rows = []
-        for r in range(n):
-            for c in range(n):
-                coeffs = [self.images[b][r][c] for b in self.algebra.basis]
-                rows.append((coeffs, M.rows[r][c]))
-        solution: list = [None] * dim
-        row_at = 0
+        basis = self.algebra.basis
+        n, dim = self.dimension, len(basis)
+        size = n * n
+        rows = [
+            [Fraction(self.images[b][e // n][e % n]) for b in basis]
+            + [Fraction(int(e == f)) for f in range(size)]
+            for e in range(size)
+        ]
         for col in range(dim):
-            pivot = next(
-                (i for i in range(row_at, len(rows)) if rows[i][0][col]), None
-            )
+            pivot = next((i for i in range(col, size) if rows[i][col]), None)
             if pivot is None:
                 raise MatrixError(
                     "basis images are linearly dependent; coordinates undetermined"
                 )
-            rows[row_at], rows[pivot] = rows[pivot], rows[row_at]
-            coeffs, rhs = rows[row_at]
-            inv = Fraction(1) / coeffs[col]
-            coeffs = [e * inv for e in coeffs]
-            rhs = rhs.scale(inv)
-            rows[row_at] = (coeffs, rhs)
-            for i in range(len(rows)):
-                if i == row_at:
-                    continue
-                ci, ri = rows[i]
-                f = ci[col]
-                if f:
-                    ci = [e - f * p for e, p in zip(ci, coeffs)]
-                    ri = ri - rhs.scale(f)
-                    rows[i] = (ci, ri)
-            row_at += 1
-        for i, (coeffs, rhs) in enumerate(rows):
-            if i < dim:
-                solution[coeffs.index(1)] = rhs
-            elif rhs.terms:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            inv = 1 / rows[col][col]
+            lead = rows[col] = [e * inv for e in rows[col]]
+            for i in range(size):
+                f = rows[i][col]
+                if i != col and f:
+                    rows[i] = [e - f * p for e, p in zip(rows[i], lead)]
+        inverse = [_integer_cells(row[dim:]) for row in rows[:dim]]
+        residuals = [_integer_cells(row[dim:])[0] for row in rows[dim:]]
+        return inverse, residuals
+
+    def realize(self, x: LieElement) -> WeilMatrix:
+        """WeilMatrix image of an element with WeilScalar coordinates, built
+        from the coordinates' integer numerators."""
+        images = self._numerators
+        parts = [
+            (s, images[name]) for name, s in zip(self.algebra.basis, x.coords) if s.terms
+        ]
+        den = lcm(*(s.den * d for s, (_, d) in parts))
+        cells: dict = {}
+        for s, (image, d) in parts:
+            f = den // (s.den * d)
+            for k, c in s.terms.items():
+                c *= f
+                term = [c * e for e in image]
+                acc = cells.get(k)
+                cells[k] = term if acc is None else list(map(add, acc, term))
+        coeffs = {k: tuple(cell) for k, cell in cells.items() if any(cell)}
+        return _matrix(x.signature, self.dimension, coeffs, den)
+
+    def extract(self, M: WeilMatrix) -> LieElement:
+        """Solve sum_k x_k * image(b_k) = M for the coordinates x_k.
+
+        Each monomial's coefficient matrix is solved against the rational
+        image span.  Raises if M lies outside the span.
+        """
+        if M.size != self.dimension:
+            raise MatrixError(
+                f"a {M.size}x{M.size} matrix is not in a {self.dimension}-dimensional "
+                "representation"
+            )
+        inverse, residuals = self._solver
+        for cell in M.coeffs.values():
+            if any(sum(map(mul, r, cell)) for r in residuals):
                 raise MatrixError("matrix does not lie in the image span")
-        return LieElement(self.algebra, M.signature, tuple(solution))
+        coords = []
+        for row, d in inverse:
+            terms = {}
+            for k, cell in M.coeffs.items():
+                c = sum(map(mul, row, cell))
+                if c:
+                    terms[k] = c
+            coords.append(_reduced(M.signature, terms, d * M.den))
+        return LieElement(self.algebra, M.signature, tuple(coords))
 
     def to_json(self) -> dict:
         return {
@@ -273,15 +447,25 @@ class MatrixRep:
 
     @classmethod
     def from_json(cls, doc, algebra: LieAlgebraSpec) -> "MatrixRep":
+        if not isinstance(doc, dict):
+            raise MatrixError("a representation must be a JSON object")
         if doc.get("algebra") != algebra.name:
             raise MatrixError(
                 f"representation is for {doc.get('algebra')!r}, expected {algebra.name!r}"
             )
-        images = {
-            name: [[rational_from_str(e) for e in row] for row in rows]
-            for name, rows in doc["images"].items()
-        }
-        return matrix_rep(algebra, images, int(doc["dimension"]))
+        if not isinstance(doc.get("images"), dict):
+            raise MatrixError("'images' must be an object mapping basis names to matrices")
+        if "dimension" not in doc:
+            raise MatrixError("a representation needs its 'dimension'")
+        try:
+            dimension = json_int(doc["dimension"])
+            images = {
+                name: [[rational_from_str(e) for e in row] for row in rows]
+                for name, rows in doc["images"].items()
+            }
+        except (TypeError, ValueError) as exc:
+            raise MatrixError(f"malformed representation: {exc}") from exc
+        return matrix_rep(algebra, images, dimension)
 
 
 def matrix_rep(

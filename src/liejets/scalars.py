@@ -255,12 +255,6 @@ class WeilScalar:
         """Value at all generators = 0."""
         return Fraction(self.terms.get((), 0), self.den)
 
-    def min_degree(self) -> int:
-        """Smallest total degree of any stored monomial (0 for the zero scalar)."""
-        if not self.terms:
-            return 0
-        return min(sum(e for _, e in key) for key in self.terms)
-
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):

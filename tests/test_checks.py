@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import liejets.checks
 import liejets.jets
 
 from liejets.algebras import basis_element, heisenberg3, make_algebra, sl2, zero_element
@@ -26,6 +27,7 @@ from liejets.checks import (
 )
 from liejets.hall import free_nilpotent
 from liejets.jets import jet_make, jet_mul
+from liejets.matrices import MatrixRep
 from liejets.sampling import PLAIN_RING, symbolic_jet_family
 
 H3 = heisenberg3()
@@ -223,3 +225,27 @@ def test_corrupted_closed_form_fails_exactly_the_checks_that_guard_it(
         assert counterexample.get("symbolic") is True or isinstance(
             counterexample.get("trial"), int
         )
+
+
+def test_wrong_representation_image_fails_exactly_the_matrix_checks_that_see_it(
+    monkeypatch
+):
+    real = liejets.checks.builtin_rep
+
+    def with_doubled_z(name):
+        rep = real(name)
+        if name != "h3":
+            return rep
+        doubled = tuple(tuple(2 * e for e in row) for row in rep.images["z"])
+        # built directly, so matrix_rep's bracket check does not refuse it
+        return MatrixRep(rep.algebra, rep.dimension, {**rep.images, "z": doubled})
+
+    monkeypatch.setattr(liejets.checks, "builtin_rep", with_doubled_z)
+    report = run_suite("all", trials=3, seed=0)
+    failed = {c.check: c for c in report.checks if not c.passed}
+    # order 1 holds because the order-1 product is linear, and thm-4.* because
+    # Theorem 4 holds for any matrices
+    assert set(failed) == {"def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3"}
+    for check in failed.values():
+        assert check.counterexample["algebra"] == "h3"
+        assert isinstance(check.counterexample["trial"], int)

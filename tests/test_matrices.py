@@ -1,17 +1,20 @@
 """Matrix oracle tests: exact exp/log, representations, theorem drivers."""
 
+import json
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 
-from liejets.algebras import basis_element, heisenberg3, zero_element
-from liejets.checks import check_def61_vs_matrix, verify_theorem_4
+from liejets.algebras import abelian, basis_element, heisenberg3, zero_element
+from liejets.checks import check_def61_vs_matrix, exp_product_holds, verify_theorem_4
 from liejets.jets import jet_make, jet_mul
 from liejets.matrices import (
     MatrixError,
     WeilMatrix,
     builtin_rep,
+    exp_weights,
     matrix_mul,
     matrix_rep,
     weil_exp,
@@ -19,7 +22,7 @@ from liejets.matrices import (
     MatrixRep,
 )
 from liejets.sampling import PLAIN_RING, random_element, random_jet
-from liejets.scalars import ring_make
+from liejets.scalars import SignatureMismatch, WeilRing, ring_make
 
 H3 = heisenberg3()
 
@@ -48,6 +51,172 @@ def random_nilpotent_matrix(ring, n, rng):
             row.append(ring.scalar(terms))
         rows.append(tuple(row))
     return WeilMatrix(ring.signature, tuple(rows))
+
+
+# -- the entrywise reference: grids of WeilScalar entries -----------------------
+
+
+def grid_mul(a, b):
+    """Entrywise product: each entry a sum over k of WeilScalar products."""
+    n = len(a)
+    zero = a[0][0] * 0
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), zero) for j in range(n))
+        for i in range(n)
+    )
+
+
+def grid_add(a, b, sign=1):
+    return tuple(
+        tuple(x + y.scale(sign) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
+
+
+def grid_scale(a, q):
+    return tuple(tuple(x * q for x in row) for row in a)
+
+
+def grid_identity(ring, n):
+    return tuple(
+        tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n)
+    )
+
+
+def grid_is_zero(a):
+    return all(x.is_zero() for row in a for x in row)
+
+
+def grid_exp(a, ring):
+    """I + A + A^2/2! + ..., up to the first zero term."""
+    acc = term = grid_identity(ring, len(a))
+    k = 1
+    while True:
+        term = grid_scale(grid_mul(term, a), Fraction(1, k))
+        if grid_is_zero(term):
+            return acc
+        acc = grid_add(acc, term)
+        k += 1
+
+
+def grid_log(u, ring):
+    """(U-I) - (U-I)^2/2 + ..., up to the first zero power."""
+    n = len(u)
+    nil = grid_add(u, grid_identity(ring, n), -1)
+    acc = grid_scale(nil, 0)
+    power = grid_identity(ring, n)
+    k = 1
+    while True:
+        power = grid_mul(power, nil)
+        if grid_is_zero(power):
+            return acc
+        acc = grid_add(acc, grid_scale(power, Fraction((-1) ** (k + 1), k)))
+        k += 1
+
+
+def random_grid(ring, n, rng, constant=True):
+    """Random entries with non-integer rational coefficients; some entries
+    are zero, and without ``constant`` every entry has zero constant term."""
+    orders = ring.signature.orders
+    grid = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            terms = {}
+            for _ in range(rng.randint(0, 3)):
+                vec = tuple(rng.randint(0, m) for m in orders)
+                if not constant and not any(vec):
+                    continue
+                c = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 9)))
+                terms[vec] = terms.get(vec, 0) + c
+            row.append(ring.scalar(terms))
+        grid.append(tuple(row))
+    return tuple(grid)
+
+
+def assert_canonical(m):
+    """No all-zero coefficient matrix, a positive denominator coprime to
+    every numerator, and denominator 1 for zero."""
+    assert m.den > 0
+    for cell in m.coeffs.values():
+        assert len(cell) == m.size * m.size
+        assert any(cell)
+    assert gcd(m.den, *(c for cell in m.coeffs.values() for c in cell)) == 1
+    if not m.coeffs:
+        assert m.den == 1
+
+
+REFERENCE_RINGS = [
+    ring_make([("d", 3)]),
+    ring_make([("d1", 1), ("d2", 1), ("d3", 1)]),
+    ring_make([("e1", 3), ("e2", 1)]),
+]
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
+class TestAgainstEntrywiseReference:
+    def check(self, result, grid):
+        assert_canonical(result)
+        assert result == WeilMatrix(result.signature, grid)
+        assert result.rows == grid
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_arithmetic(self, ring, n):
+        rng = Random(17 + n)
+        zero = grid_scale(grid_identity(ring, n), 0)
+        one = grid_identity(ring, n)
+        for _ in range(12):
+            a, b = random_grid(ring, n, rng), random_grid(ring, n, rng)
+            s = random_grid(ring, 1, rng)[0][0]
+            q = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+            A, B = WeilMatrix(ring.signature, a), WeilMatrix(ring.signature, b)
+            Z, I = WeilMatrix.zero(ring, n), WeilMatrix.identity(ring, n)
+            assert_canonical(A)
+            self.check(A * B, grid_mul(a, b))
+            self.check(B * A, grid_mul(b, a))
+            self.check(A + B, grid_add(a, b))
+            self.check(A - B, grid_add(a, b, -1))
+            self.check(A - A, zero)
+            self.check(-A, grid_scale(a, -1))
+            self.check(A.scale(q), grid_scale(a, q))
+            self.check(A * q, grid_scale(a, q))
+            self.check(A * 3, grid_scale(a, 3))
+            self.check(A * s, grid_scale(a, s))
+            self.check(s * A, grid_scale(a, s))
+            self.check(A * Z, zero)
+            self.check(Z * A, zero)
+            self.check(A + Z, a)
+            self.check(A * I, a)
+            self.check(I * A, a)
+            self.check(I * I, one)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exp_and_log(self, ring, n):
+        rng = Random(29 + n)
+        for _ in range(6):
+            a = random_grid(ring, n, rng, constant=False)
+            A = WeilMatrix(ring.signature, a)
+            self.check(weil_exp(A), grid_exp(a, ring))
+            u = grid_add(grid_identity(ring, n), a)
+            self.check(weil_log(WeilMatrix(ring.signature, u)), grid_log(u, ring))
+        self.check(weil_exp(WeilMatrix.zero(ring, n)), grid_identity(ring, n))
+        self.check(weil_log(WeilMatrix.identity(ring, n)), grid_scale(grid_identity(ring, n), 0))
+
+
+def test_mismatched_shapes_and_rings_rejected():
+    ring, other = ring_make([("d", 2)]), ring_make([("e", 1)])
+    with pytest.raises(MatrixError):
+        WeilMatrix(ring.signature, ((ring.one, ring.zero),))
+    with pytest.raises(SignatureMismatch):
+        WeilMatrix(ring.signature, ((other.one,),))
+    A = WeilMatrix.identity(ring, 2)
+    with pytest.raises(MatrixError):
+        A * WeilMatrix.identity(ring, 3)
+    with pytest.raises(SignatureMismatch):
+        A + WeilMatrix.identity(other, 2)
+    with pytest.raises(SignatureMismatch):
+        A * other.gen("e")
+    with pytest.raises(MatrixError):
+        builtin_rep("sl2").extract(WeilMatrix.zero(ring, 3))
 
 
 class TestExp:
@@ -216,6 +385,42 @@ class TestRep:
         with pytest.raises(MatrixError):
             MatrixRep.from_json(rep.to_json(), H3)
 
+    @pytest.mark.parametrize("name", ["h3", "sl2", "so3"])
+    def test_json_round_trip_through_text(self, name):
+        rep = builtin_rep(name)
+        assert MatrixRep.from_json(json.loads(json.dumps(rep.to_json())), rep.algebra) == rep
+
+    @pytest.mark.parametrize(
+        "rep, dimension",
+        [
+            # int() would read 2.9 as 2 and true as 1, both matching the images
+            (builtin_rep("sl2"), 2.9),
+            (matrix_rep(abelian(1), {"a1": [[1]]}), True),
+            (builtin_rep("sl2"), "2"),
+        ],
+    )
+    def test_json_dimension_must_be_an_integer(self, rep, dimension):
+        doc = {**rep.to_json(), "dimension": dimension}
+        with pytest.raises(MatrixError):
+            MatrixRep.from_json(doc, rep.algebra)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            ["sl2"],
+            {"algebra": "sl2", "dimension": 2, "images": [["1", "0"]]},
+            {"algebra": "sl2", "images": builtin_rep("sl2").to_json()["images"]},
+            {"algebra": "sl2", "dimension": 2,
+             "images": {**builtin_rep("sl2").to_json()["images"], "h": 7}},
+            {"algebra": "sl2", "dimension": 2,
+             "images": {**builtin_rep("sl2").to_json()["images"], "h": [[0.5, 0], [0, 1]]}},
+        ],
+        ids=["array", "images-array", "no-dimension", "image-not-rows", "float-entry"],
+    )
+    def test_json_malformed_document_rejected(self, doc):
+        with pytest.raises(MatrixError):
+            MatrixRep.from_json(doc, builtin_rep("sl2").algebra)
+
 
 class TestTheorem4:
     @pytest.mark.parametrize("name", ["sl2", "h3"])
@@ -252,6 +457,32 @@ class TestTheorem4:
     def test_order_out_of_range(self):
         with pytest.raises(MatrixError):
             verify_theorem_4(4, [builtin_rep("sl2")])
+
+    def test_failing_evidence_is_the_string_grid_of_the_inputs(self):
+        # the order-2 identity in the order-3 ring misses the s^3 terms, so it
+        # fails; its evidence reads the inputs back through WeilMatrix.rows
+        weights = exp_weights(3)[:2]
+        ring = WeilRing(weights[0].signature)
+        one_plus_half_d1 = ring.one + ring.gen("d1").scale(Fraction(1, 2))
+        xs = [
+            WeilMatrix.from_rational(ring, [[0, 1, -3], [0, 0, Fraction(1, 2)], [0, 0, 0]]),
+            WeilMatrix.from_rational(ring, [[0, Fraction(2, 3), 0], [0, 0, 0], [0, 0, 0]])
+            * one_plus_half_d1,
+        ]
+        ys = [
+            WeilMatrix.from_rational(ring, [[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+            WeilMatrix.from_rational(ring, [[0, 0, 0], [0, 0, Fraction(-1, 5)], [0, 0, 0]]),
+        ]
+        assert exp_product_holds(weights, xs, ys) == {
+            "X": [
+                [["0", "1", "-3"], ["0", "0", "1/2"], ["0", "0", "0"]],
+                [["0", "2/3 + 1/3*d1", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+            ],
+            "Y": [
+                [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+                [["0", "0", "0"], ["0", "0", "-1/5"], ["0", "0", "0"]],
+            ],
+        }
 
 
 class TestDef61VsMatrix:
