@@ -38,7 +38,12 @@ __all__ = [
     "sl2",
     "so3",
     "abelian",
+    "MAX_DIMENSION",
 ]
+
+#: Largest algebra dimension accepted.  The Jacobi scan is cubic in the
+#: dimension; the largest algebra in the catalog, free-nilpotent(3,3), has 14.
+MAX_DIMENSION = 32
 
 
 class AlgebraError(ValueError):
@@ -162,6 +167,8 @@ def make_algebra(
 ) -> LieAlgebraSpec:
     """Build a spec from named brackets, normalizing order and signs."""
     basis = tuple(str(b) for b in basis)
+    if len(basis) > MAX_DIMENSION:
+        raise AlgebraError(f"algebra dimension {len(basis)} exceeds {MAX_DIMENSION}")
     if len(set(basis)) != len(basis):
         raise AlgebraError(f"duplicate basis names in {basis}")
     index = {b: i for i, b in enumerate(basis)}
@@ -445,6 +452,6 @@ def so3() -> LieAlgebraSpec:
 
 def abelian(n: int) -> LieAlgebraSpec:
     """Abelian algebra of dimension n (all brackets vanish)."""
-    if n < 1:
-        raise AlgebraError("abelian algebra needs dimension >= 1")
+    if not 1 <= n <= MAX_DIMENSION:
+        raise AlgebraError(f"abelian algebra needs dimension 1..{MAX_DIMENSION}, got {n}")
     return make_algebra(f"abelian({n})", tuple(f"a{i + 1}" for i in range(n)), {})

@@ -12,10 +12,12 @@ coordinates are read back from the d-degree components, which exist and are
 unique because the extension is a free module over the base ring with basis
 1, d, ..., d^n.
 
-The coefficient table is fixed, audited data through bracket degree 3.  The
-oracles share only the curve lift and readback (:func:`liejets.jets.lift_curves`,
-:func:`liejets.jets.read_curve`), which the closed-form product never calls;
-that independence is the point of an oracle.
+The coefficient table is fixed, audited data through bracket degree 3, read
+when :func:`bch_mul` is called.  The oracles share only the curve lift and
+readback (:func:`liejets.jets.lift_curves`, :func:`liejets.jets.read_curve`),
+which rescale through :func:`liejets.jets.jet_convert` and which the
+closed-form product never calls; that independence is the point of an oracle.
+Every d-degree is read through :mod:`liejets.scalars`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from fractions import Fraction
 
 from .algebras import LieElement, bracket
 from .jets import Jet, JetError, lift_curves, read_curve
+from .scalars import lowest_last_power
 
 __all__ = ["BCH_DEGREE3_TERMS", "bch_mul"]
 
@@ -53,32 +56,15 @@ def _eval_word(word, a: LieElement, b: LieElement) -> LieElement:
     return bracket(_eval_word(word[0], a, b), _eval_word(word[1], a, b))
 
 
-def _min_degree_of(elem: LieElement, gen_index: int) -> int | None:
-    """Smallest exponent of one ring generator across all stored terms
-    (None when the element is zero)."""
-    best = None
-    for c in elem.coords:
-        for key in c.terms:
-            e = 0
-            for g, p in key:
-                if g == gen_index:
-                    e = p
-                    break
-            if best is None or e < best:
-                best = e
-    return best
-
-
-def bch_mul(a: Jet, b: Jet, table: tuple = BCH_DEGREE3_TERMS) -> Jet:
+def bch_mul(a: Jet, b: Jet) -> Jet:
     """Product of two exp-coordinate jets via the truncated series."""
     if a.order > 3 or b.order > 3:
         raise JetError("series table only covers orders up to 3")
     A, B = lift_curves(a, b)
-    d_index = A.signature.arity - 1
     total = None
-    for word, coeff in table:
+    for word, coeff in BCH_DEGREE3_TERMS:
         value = _eval_word(word, A, B)
-        lowest = _min_degree_of(value, d_index)
+        lowest = lowest_last_power(*value.coords)
         if lowest is not None and lowest < _word_degree(word):
             raise AssertionError(
                 f"bracket word {word} produced a term of d-degree {lowest}"

@@ -77,12 +77,8 @@ def _concat_product(a: dict, b: dict, cap: int) -> dict:
     return out
 
 
-def expand_tree(tree: Tree, cap: int) -> dict:
-    """Expansion of a bracket tree in the free associative algebra (degree <= cap)."""
-    if isinstance(tree, int):
-        return {(tree,): Fraction(1)}
-    left = expand_tree(tree[0], cap)
-    right = expand_tree(tree[1], cap)
+def _commutator(left: dict, right: dict, cap: int) -> dict:
+    """left*right - right*left in the free associative algebra (degree <= cap)."""
     out = _concat_product(left, right, cap)
     for w, c in _concat_product(right, left, cap).items():
         acc = out.get(w, 0) - c
@@ -91,6 +87,13 @@ def expand_tree(tree: Tree, cap: int) -> dict:
         else:
             del out[w]
     return out
+
+
+def expand_tree(tree: Tree, cap: int) -> dict:
+    """Expansion of a bracket tree in the free associative algebra (degree <= cap)."""
+    if isinstance(tree, int):
+        return {(tree,): Fraction(1)}
+    return _commutator(expand_tree(tree[0], cap), expand_tree(tree[1], cap), cap)
 
 
 @dataclass(frozen=True)
@@ -174,15 +177,8 @@ def free_nilpotent(generator_count: int, nilpotency_class: int) -> LieAlgebraSpe
         for j in range(i + 1, n):
             if basis.degrees[i] + basis.degrees[j] > cap:
                 continue
-            commutator = _concat_product(expansions[basis.words[i]],
-                                         expansions[basis.words[j]], cap)
-            for w, c in _concat_product(expansions[basis.words[j]],
-                                        expansions[basis.words[i]], cap).items():
-                acc = commutator.get(w, 0) - c
-                if acc:
-                    commutator[w] = acc
-                else:
-                    del commutator[w]
+            commutator = _commutator(expansions[basis.words[i]],
+                                     expansions[basis.words[j]], cap)
             coeffs = _rewrite_to_basis(commutator, expansions)
             entries = tuple(sorted((word_index[w], c) for w, c in coeffs.items() if c))
             if entries:

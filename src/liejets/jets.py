@@ -8,14 +8,15 @@ systems are supported:
 * ``monomial``: the jet stands for d -> d X_1 + d^2 X_2 + ... + d^n X_n
 
 ``exp`` is the canonical system: the closed-form group law below is stated in
-it, and the factorial rescale lives in one audited converter.  The group law
-is hard-coded per order (1, 2, 3).
+it, and the rescale between the two systems lives in one audited converter,
+:func:`jet_convert`.  The group law is hard-coded per order (1, 2, 3).
 
 The two oracles (:mod:`liejets.bch` and :mod:`liejets.matrices`) read a jet as
-a curve over the scalar ring extended by a fresh nilpotent d; they share only
-the lift to that curve and the readback from it (:func:`lift_curves`,
-:func:`read_curve`), which the closed-form product never calls, so a fault in
-either helper shows up as a disagreement with the closed form.
+a curve over the scalar ring extended by a fresh nilpotent d: its monomial jet
+with coordinate i moved to d^i.  They share only the lift to that curve and
+the readback from it (:func:`lift_curves`, :func:`read_curve`, both through
+:func:`jet_convert`), which the closed-form product never calls, so a fault in
+any of them shows up as a disagreement with the closed form.
 
 Orders above 3 are rejected: no closed product formula is provided for them.
 """
@@ -31,9 +32,9 @@ from .scalars import (
     SignatureMismatch,
     WeilRing,
     WeilScalar,
-    embed,
     json_int,
     split_last_generator,
+    with_last_power,
 )
 
 __all__ = [
@@ -262,10 +263,11 @@ def jet_scale(j: Jet, scalar) -> Jet:
 
 
 def lift_curves(*jets: Jet) -> tuple[LieElement, ...]:
-    """The curves d -> sum_i d^i/i! X_i of exp-coordinate jets, as elements
-    over the jets' common ring extended by a fresh last generator d of their
-    common order.  All curves share one extended signature object, so the
-    scalar layer's same-ring fast path applies when they are combined.
+    """The curves d -> sum_i d^i/i! X_i of exp-coordinate jets: each jet's
+    monomial coordinate i moved to d^i, over the jets' common ring extended by
+    a fresh last generator d of their common order.  All curves share one
+    extended signature object, so the scalar layer's same-ring fast path
+    applies when they are combined.
     """
     first = jets[0]
     for j in jets:
@@ -273,19 +275,14 @@ def lift_curves(*jets: Jet) -> tuple[LieElement, ...]:
     name = "d"
     while name in first.signature.names:
         name += "_"
-    ring = WeilRing(first.signature.extend(name, first.order))
-    sig = ring.signature
-    weights = [
-        ring.gen(name, i).scale(Fraction(1, factorial(i)))
-        for i in range(1, first.order + 1)
-    ]
+    sig = first.signature.extend(name, first.order)
 
     def lift(j: Jet) -> LieElement:
-        acc = zero_element(j.algebra, ring)
-        for x, w in zip(j.coords, weights):
-            lifted = LieElement(j.algebra, sig, tuple(embed(c, sig) for c in x.coords))
-            acc = acc + lifted * w
-        return acc
+        parts = [
+            LieElement(j.algebra, sig, tuple(with_last_power(c, sig, i) for c in x.coords))
+            for i, x in enumerate(jet_convert(j, MONOMIAL).coords, 1)
+        ]
+        return sum(parts[1:], parts[0])
 
     return tuple(lift(j) for j in jets)
 
@@ -294,20 +291,18 @@ def read_curve(x: LieElement, like: Jet) -> Jet:
     """The exp-coordinate jet whose curve is ``x``, over ``like``'s ring and
     order: the inverse of :func:`lift_curves`.
 
-    Splits every coordinate by powers of d, the last generator, and rescales
-    the d^i part by i!.  The parts exist and are unique because the extended
-    ring is a free module over the base ring with basis 1, d, ..., d^n.
+    Splits every coordinate by powers of d, the last generator, into a
+    monomial jet and converts it with :func:`jet_convert`.  The parts exist
+    and are unique because the extended ring is a free module over the base
+    ring with basis 1, d, ..., d^n.
     """
     sig = like.signature
-    parts = [split_last_generator(c) for c in x.coords]
+    parts = [split_last_generator(c, sig) for c in x.coords]
     if any(0 in p for p in parts):
         raise AssertionError("curve has a nonzero degree-0 component")
-    coords = []
-    for i in range(1, like.order + 1):
-        vec = tuple(
-            WeilScalar(sig, p[i].terms, p[i].den).scale(factorial(i)) if i in p
-            else WeilScalar(sig, {})
-            for p in parts
-        )
-        coords.append(LieElement(like.algebra, sig, vec))
-    return Jet(like.algebra, sig, like.order, EXP, tuple(coords))
+    zero = WeilScalar(sig, {})
+    coords = tuple(
+        LieElement(like.algebra, sig, tuple(p.get(i, zero) for p in parts))
+        for i in range(1, like.order + 1)
+    )
+    return jet_convert(Jet(like.algebra, sig, like.order, MONOMIAL, coords), EXP)

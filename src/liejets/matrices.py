@@ -303,11 +303,11 @@ def weil_exp(M: WeilMatrix) -> WeilMatrix:
     """I + M + M^2/2! + ...; finite because M is scalar-nilpotent."""
     if not M.is_scalar_nilpotent():
         raise MatrixError("weil_exp needs every entry to have zero constant term")
-    ring = WeilRing(M.signature)
-    acc = WeilMatrix.identity(ring, M.size)
-    term = acc
+    acc = WeilMatrix.identity(WeilRing(M.signature), M.size) + M
+    term = M
     cap = _degree_cap(M.signature)
-    for k in range(1, cap + 2):
+    # M^(cap + 1) = 0, so both series end by k = max(2, cap + 1)
+    for k in range(2, cap + 3):
         term = (term * M).scale(Fraction(1, k))
         if term.is_zero():
             return acc
@@ -317,14 +317,12 @@ def weil_exp(M: WeilMatrix) -> WeilMatrix:
 
 def weil_log(M: WeilMatrix) -> WeilMatrix:
     """(M-I) - (M-I)^2/2 + (M-I)^3/3 - ...; finite for unipotent M."""
-    ring = WeilRing(M.signature)
-    N = M - WeilMatrix.identity(ring, M.size)
+    N = M - WeilMatrix.identity(WeilRing(M.signature), M.size)
     if not N.is_scalar_nilpotent():
         raise MatrixError("weil_log needs M - I to have entries with zero constant term")
-    acc = WeilMatrix.zero(ring, M.size)
-    power = WeilMatrix.identity(ring, M.size)
+    acc = power = N
     cap = _degree_cap(M.signature)
-    for k in range(1, cap + 2):
+    for k in range(2, cap + 3):
         power = power * N
         if power.is_zero():
             return acc

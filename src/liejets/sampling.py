@@ -34,41 +34,35 @@ __all__ = [
 PLAIN_RING = WeilRing(RingSignature(()))
 
 
-def random_rational(rng: Random, numerator_bound: int = 9, denominator_bound: int = 3
-                    ) -> Fraction:
+#: Random rationals are p/q with |p| <= NUMERATOR_BOUND and
+#: 1 <= q <= DENOMINATOR_BOUND; random integer coordinates lie in
+#: [-INT_BOUND, INT_BOUND].
+NUMERATOR_BOUND = 9
+DENOMINATOR_BOUND = 3
+INT_BOUND = 3
+
+
+def random_rational(rng: Random) -> Fraction:
     return Fraction(
-        rng.randint(-numerator_bound, numerator_bound),
-        rng.randint(1, denominator_bound),
+        rng.randint(-NUMERATOR_BOUND, NUMERATOR_BOUND),
+        rng.randint(1, DENOMINATOR_BOUND),
     )
 
 
-def random_element(
-    algebra: LieAlgebraSpec,
-    ring: WeilRing,
-    rng: Random,
-    integer: bool = False,
-    bound: int = 3,
-) -> LieElement:
+def random_element(algebra: LieAlgebraSpec, ring: WeilRing, rng: Random,
+                   integer: bool = False) -> LieElement:
     """Element with random small rational (or integer) coordinates."""
     coords = []
     for _ in range(algebra.dim):
-        q = Fraction(rng.randint(-bound, bound)) if integer else random_rational(rng)
+        q = Fraction(rng.randint(-INT_BOUND, INT_BOUND)) if integer else random_rational(rng)
         coords.append(ring.rational(q))
     return LieElement(algebra, ring.signature, tuple(coords))
 
 
-def random_jet(
-    algebra: LieAlgebraSpec,
-    ring: WeilRing,
-    order: int,
-    rng: Random,
-    system: str = EXP,
-    integer: bool = False,
-    bound: int = 3,
-) -> Jet:
+def random_jet(algebra: LieAlgebraSpec, ring: WeilRing, order: int, rng: Random,
+               system: str = EXP, integer: bool = False) -> Jet:
     coords = tuple(
-        random_element(algebra, ring, rng, integer=integer, bound=bound)
-        for _ in range(order)
+        random_element(algebra, ring, rng, integer=integer) for _ in range(order)
     )
     return jet_make(algebra, ring, order, coords, system)
 

@@ -15,7 +15,11 @@ reduce the result.  ``coefficients()`` gives the terms as ``Fraction`` values.
 
 A signature with no generators is the ring Q itself.  Rings with one
 generator of order n model rings of nilpotent infinitesimals of order n;
-several generators model products of such rings.
+several generators model products of such rings.  The oracles' curve lift
+and readback (``liejets.jets``) move scalars to and from powers of a fresh
+last generator with :func:`with_last_power` and :func:`split_last_generator`,
+and :func:`lowest_last_power` reads the lowest such power; the factorial
+rescale they also need lives in ``liejets.jets.jet_convert``.
 
 All values are immutable after construction and safe to share freely.
 """
@@ -43,7 +47,8 @@ __all__ = [
     "ring_make",
     "rational_from_str",
     "json_int",
-    "embed",
+    "with_last_power",
+    "lowest_last_power",
     "split_last_generator",
 ]
 
@@ -503,40 +508,49 @@ def ring_make(generators: Iterable[tuple[str, int]]) -> WeilRing:
     return WeilRing(RingSignature(tuple(generators)))
 
 
-def embed(scalar: WeilScalar, target: RingSignature) -> WeilScalar:
-    """Reinterpret a scalar in a signature that extends its own at the end.
+def with_last_power(scalar: WeilScalar, target: RingSignature, power: int) -> WeilScalar:
+    """The scalar times t^power over ``target``, its signature plus one last
+    generator t, for 0 <= power <= the order of t.
 
     Valid because sparse monomial keys index generators by position, and the
     original generators keep their positions; the canonical numerators and
     denominator carry over unchanged.
     """
     own = scalar.signature.generators
-    if target.generators[: len(own)] != own:
+    if target.arity != len(own) + 1 or target.generators[:-1] != own:
         raise SignatureMismatch(
-            f"{target.generators} does not extend {own} at the end"
+            f"{target.generators} is not {own} plus one generator"
         )
-    return WeilScalar(target, dict(scalar.terms), scalar.den)
+    if not 0 <= power <= target.orders[-1]:
+        raise SignatureError(f"power {power} exceeds the bounds of the last generator")
+    tail = ((len(own), power),) if power else ()
+    return WeilScalar(target, {k + tail: c for k, c in scalar.terms.items()}, scalar.den)
 
 
-def split_last_generator(scalar: WeilScalar) -> dict[int, WeilScalar]:
-    """Decompose by powers of the final generator.
+def lowest_last_power(*scalars: WeilScalar) -> int | None:
+    """Smallest power of the final generator among the terms of scalars over
+    one ring (None when every scalar is zero)."""
+    last = scalars[0].signature.arity - 1
+    return min(
+        (k[-1][1] if k and k[-1][0] == last else 0 for s in scalars for k in s.terms),
+        default=None,
+    )
 
-    Returns {power: coefficient scalar} over the ring without that generator;
-    absent powers have zero coefficient.  Each part is reduced on its own,
-    since its numerators can share a factor with the shared denominator.
+
+def split_last_generator(scalar: WeilScalar, base: RingSignature) -> dict[int, WeilScalar]:
+    """Decompose by powers of the final generator of a scalar whose ring is
+    ``base`` plus one generator.
+
+    Returns {power: coefficient scalar} over ``base``; absent powers have zero
+    coefficient.  Each part is reduced on its own, since its numerators can
+    share a factor with the shared denominator.
     """
     sig = scalar.signature
-    if sig.arity == 0:
-        raise SignatureError("scalar has no generators to split on")
-    last = sig.arity - 1
-    base = RingSignature(sig.generators[:-1])
+    if sig.arity != base.arity + 1 or sig.generators[:-1] != base.generators:
+        raise SignatureError(f"{sig.generators} is not {base.generators} plus one generator")
+    last = base.arity
     parts: dict[int, dict] = {}
     for key, coeff in scalar.terms.items():
-        if key and key[-1][0] == last:
-            power = key[-1][1]
-            rest = key[:-1]
-        else:
-            power = 0
-            rest = key
-        parts.setdefault(power, {})[rest] = coeff
+        power = key[-1][1] if key and key[-1][0] == last else 0
+        parts.setdefault(power, {})[key[:-1] if power else key] = coeff
     return {p: _reduced(base, terms, scalar.den) for p, terms in parts.items()}

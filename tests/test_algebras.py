@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liejets.algebras import (
+    MAX_DIMENSION,
     AlgebraError,
     LieAlgebraSpec,
     LieElement,
@@ -237,3 +238,11 @@ class TestJson:
 def test_abelian_requires_positive_dimension():
     with pytest.raises(AlgebraError):
         abelian(0)
+
+
+def test_dimensions_above_the_limit_are_refused():
+    assert abelian(MAX_DIMENSION).dim == MAX_DIMENSION
+    with pytest.raises(AlgebraError):
+        abelian(MAX_DIMENSION + 1)
+    with pytest.raises(AlgebraError):
+        make_algebra("big", [f"b{i}" for i in range(MAX_DIMENSION + 1)], {})

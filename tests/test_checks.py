@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import liejets.bch
 import liejets.checks
 import liejets.jets
 
 from liejets.algebras import basis_element, heisenberg3, make_algebra, sl2, zero_element
+from liejets.bch import BCH_DEGREE3_TERMS
 from liejets.catalog import resolve_algebra
 from liejets.checks import (
     associative,
@@ -217,6 +219,41 @@ def test_corrupted_closed_form_fails_exactly_the_checks_that_guard_it(
     monkeypatch, constant, value, failing
 ):
     monkeypatch.setattr(liejets.jets, constant, value)
+    report = run_suite("all", trials=3, seed=0)
+    failed = {c.check: c for c in report.checks if not c.passed}
+    assert set(failed) == failing
+    for check in failed.values():
+        counterexample = check.counterexample
+        assert counterexample.get("symbolic") is True or isinstance(
+            counterexample.get("trial"), int
+        )
+
+
+@pytest.mark.parametrize(
+    "module, name, value, failing",
+    [
+        # -1/2 for the 1/2 of [a, b] in the series table.  Only the series
+        # comparisons evaluate the table, and at order 1 the bracket of two
+        # curves d X, d Y lies in d^2 and is truncated away.
+        (liejets.bch, "BCH_DEGREE3_TERMS",
+         tuple((w, -c if w == ("a", "b") else c) for w, c in BCH_DEGREE3_TERMS),
+         {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3"}),
+        # n^2 for n! in jet_convert: 1! stays right, 2! and 3! go wrong.  Both
+        # oracles lift and read back through jet_convert, and a product mixes
+        # lower coordinates into degree 2 and 3 with the true factorials, so
+        # the wrong rescale no longer commutes with it; thm-7.2/7.3 compare a
+        # converted group commutator with the bracket of converted jets, which
+        # scale degree k by 1/f(k) and 1/(f(i) f(k - i)) respectively.
+        (liejets.jets, "factorial", lambda n: n * n,
+         {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3", "def6.1-vs-matrix-n2",
+          "def6.1-vs-matrix-n3", "thm-7.2", "thm-7.3"}),
+    ],
+    ids=["bch-sign", "jet-convert-factorial"],
+)
+def test_corrupted_oracle_fails_exactly_the_checks_that_guard_it(
+    monkeypatch, module, name, value, failing
+):
+    monkeypatch.setattr(module, name, value)
     report = run_suite("all", trials=3, seed=0)
     failed = {c.check: c for c in report.checks if not c.passed}
     assert set(failed) == failing

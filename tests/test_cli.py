@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from liejets.algebras import basis_element, heisenberg3, zero_element
+from liejets.algebras import MAX_DIMENSION, basis_element, heisenberg3, zero_element
 from liejets.cli import main
 from liejets.jets import jet_make
 from liejets.sampling import PLAIN_RING
@@ -84,6 +84,13 @@ class TestValidate:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
+
+    def test_oversized_spec_is_one_line_usage_error(self, jet_files, capsys):
+        doc = {"name": "big", "basis": [f"b{i}" for i in range(MAX_DIMENSION + 1)]}
+        assert main(["validate", jet_files("big.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_malformed_json_is_usage_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -213,6 +220,16 @@ class TestVerify:
 
     def test_unknown_algebra_is_usage_error(self):
         assert main(["verify", "--algebra", "e8"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--algebra", "abelian", "--generators", str(MAX_DIMENSION + 1)],
+        ["--algebra", f"abelian({MAX_DIMENSION + 1})"],
+    ])
+    def test_oversized_algebra_is_one_line_usage_error(self, capsys, argv):
+        assert main(["verify", "--suite", "s6", "--trials", "1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_no_trials_is_usage_error(self, capsys, trials):

@@ -11,10 +11,10 @@ from liejets.scalars import (
     SignatureError,
     SignatureMismatch,
     WeilScalar,
-    embed,
     rational_from_str,
     ring_make,
     split_last_generator,
+    with_last_power,
 )
 
 D3 = ring_make([("d", 3)])
@@ -244,29 +244,37 @@ class TestJson:
 class TestEmbedSplit:
     def test_embed_preserves_terms(self):
         s = D2.one + D2.gen("d")
-        wide = embed(s, D2.signature.extend("t", 1))
-        assert wide.constant_term() == 1
-        assert wide.signature.names == ("d", "t")
+        ext = ring_make([("d", 2), ("t", 1)])
+        assert with_last_power(s, ext.signature, 0) == ext.one + ext.gen("d")
+        assert with_last_power(s, ext.signature, 1) == ext.gen("t") + ext.gen("d") * ext.gen("t")
+        with pytest.raises(SignatureError):
+            with_last_power(s, ext.signature, 2)
 
     def test_embed_requires_prefix(self):
         with pytest.raises(SignatureMismatch):
-            embed(D2.gen("d"), EE.signature)
+            with_last_power(D2.gen("d"), EE.signature, 1)
+        with pytest.raises(SignatureMismatch):
+            with_last_power(Q.one, EE.signature, 1)
+        with pytest.raises(SignatureMismatch):
+            with_last_power(Q.one, Q.signature, 0)
 
     def test_split_round_trip(self):
         ext = ring_make([("d", 2), ("t", 3)])
         s = (ext.one + ext.gen("d")) * (ext.one + ext.gen("t") + ext.gen("t", 2))
-        parts = split_last_generator(s)
+        parts = split_last_generator(s, D2.signature)
         rebuilt = ext.zero
         for power, base in parts.items():
-            rebuilt = rebuilt + embed(base, ext.signature) * ext.gen("t", power)
+            rebuilt = rebuilt + with_last_power(base, ext.signature, power)
         assert rebuilt == s
-        assert split_last_generator(ext.zero) == {}
+        assert split_last_generator(ext.zero, D2.signature) == {}
 
     def test_split_reduces_each_part(self):
         s = D2.rational(Fraction(1, 2)) + D2.gen("d").scale(Fraction(1, 3))
-        parts = split_last_generator(s)
+        parts = split_last_generator(s, Q.signature)
         assert parts == {0: Q.rational(Fraction(1, 2)), 1: Q.rational(Fraction(1, 3))}
 
     def test_split_requires_a_generator(self):
         with pytest.raises(SignatureError):
-            split_last_generator(Q.one)
+            split_last_generator(Q.one, Q.signature)
+        with pytest.raises(SignatureError):
+            split_last_generator(EE.one, Q.signature)
