@@ -11,7 +11,6 @@ Specs and elements are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -199,13 +198,14 @@ def make_algebra(
     return LieAlgebraSpec(name, basis, structure, degrees, generator_count)
 
 
-@dataclass
 class ValidationReport:
     """Outcome of a Jacobi-identity scan over all basis triples."""
 
-    ok: bool
-    failing_triple: tuple[str, str, str] | None = None
-    defect: dict[str, Fraction] | None = None
+    def __init__(self, ok: bool, failing_triple: tuple[str, str, str] | None = None,
+                 defect: dict[str, Fraction] | None = None):
+        self.ok = ok
+        self.failing_triple = failing_triple
+        self.defect = defect
 
     def to_json(self) -> dict:
         doc: dict = {"status": "pass" if self.ok else "fail"}

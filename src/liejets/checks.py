@@ -27,7 +27,7 @@ from random import Random
 from . import __version__
 from .algebras import LieAlgebraSpec, basis_element, bracket, validate_algebra
 from .bch import bch_mul
-from .catalog import default_verification_algebras, resolve_algebra
+from .catalog import SUITE_NAMES, default_verification_algebras, resolve_algebra
 from .hall import free_nilpotent
 from .jets import (
     MONOMIAL,
@@ -510,8 +510,6 @@ def struct_tower_compatibility(algebras: list[LieAlgebraSpec], trials: int = 100
 
 
 # -- suites ---------------------------------------------------------------------------
-
-SUITE_NAMES = ("all", "s4", "s6", "s7")
 
 
 def build_checks(

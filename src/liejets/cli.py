@@ -12,6 +12,10 @@ are incompatible, 2 usage or input error.  All input/output is JSON on the
 standard streams.  Same seed and flags give identical reports;
 ``--no-timing`` drops the per-check timing fields so reports are
 byte-identical across runs.
+
+A subcommand imports only the modules it runs: ``mul`` loads the series
+oracle for ``--via bch`` and the matrix oracle for ``--via matrix``, and the
+check catalog is loaded by ``verify`` alone.
 """
 
 from __future__ import annotations
@@ -22,11 +26,8 @@ import os
 import sys
 
 from .algebras import AlgebraError, LieAlgebraSpec, validate_algebra
-from .bch import bch_mul
-from .catalog import resolve_algebra
-from .checks import SUITE_NAMES, build_checks, run_checks
+from .catalog import SUITE_NAMES, UnknownAlgebraError, resolve_algebra
 from .jets import Jet, JetError, jet_bracket, jet_convert, jet_mul
-from .matrices import MatrixError, builtin_rep, matrix_mul
 from .scalars import SignatureError, SignatureMismatch
 
 USAGE_ERROR = 2
@@ -40,11 +41,13 @@ def _fail(message: str, code: int) -> int:
 
 def _load_json(path: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise _CliUsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Malformed JSON, text that is not UTF-8, an integer literal too long
+        # to convert, or arrays and objects nested too deeply to parse.
         raise _CliUsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -63,7 +66,7 @@ def cmd_validate(args) -> int:
         else:
             try:
                 spec = resolve_algebra(args.spec)
-            except AlgebraError:
+            except UnknownAlgebraError:
                 raise _CliUsageError(
                     f"{args.spec!r} is neither a readable file nor a built-in algebra"
                 ) from None
@@ -78,8 +81,11 @@ def _load_jet(path: str) -> Jet:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise _CliUsageError(f"{path}: a jet document must be a JSON object")
+    name = doc.get("algebra", "")
+    if not isinstance(name, str):
+        raise _CliUsageError(f"{path}: 'algebra' must be the name of a built-in algebra")
     try:
-        algebra = resolve_algebra(doc.get("algebra", ""))
+        algebra = resolve_algebra(name)
     except AlgebraError as exc:
         raise _CliUsageError(str(exc)) from exc
     try:
@@ -102,8 +108,12 @@ def cmd_mul(args) -> int:
         if args.via == "def61":
             product = jet_mul(a, b)
         elif args.via == "bch":
+            from .bch import bch_mul
+
             product = bch_mul(a, b)
         else:
+            from .matrices import MatrixError, builtin_rep, matrix_mul
+
             try:
                 rep = builtin_rep(a.algebra.name)
             except MatrixError as exc:
@@ -130,6 +140,8 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .checks import build_checks, run_checks
+
     algebras = None
     if args.algebra is not None:
         try:

@@ -25,7 +25,6 @@ upper triangular 3x3), sl2 (2x2), and so3 (3x3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
@@ -333,18 +332,32 @@ def weil_log(M: WeilMatrix) -> WeilMatrix:
 # -- representations -----------------------------------------------------------
 
 
-@dataclass
 class MatrixRep:
     """Rational matrix images of an algebra's basis, bracket-compatible.
 
     The images must not change once the representation is in use: their
     integer forms and the solver for coordinates are derived from them on
-    first use and kept.
+    first use and kept.  Two representations are equal when their algebras,
+    dimensions and images are.
     """
 
-    algebra: LieAlgebraSpec
-    dimension: int
-    images: dict
+    def __init__(self, algebra: LieAlgebraSpec, dimension: int, images: dict):
+        self.algebra = algebra
+        self.dimension = dimension
+        self.images = images
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.dimension, self.images) == (
+            other.algebra, other.dimension, other.images
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"MatrixRep(algebra={self.algebra!r}, dimension={self.dimension!r}, "
+                f"images={self.images!r})")
 
     @cached_property
     def _numerators(self) -> dict:

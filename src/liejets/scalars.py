@@ -26,7 +26,6 @@ All values are immutable after construction and safe to share freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
@@ -81,32 +80,48 @@ def json_int(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class RingSignature:
     """Ordered generators of a truncated polynomial ring.
 
     Each entry is (name, order) with order m meaning t^{m+1} = 0.  ``names``,
     ``orders`` and ``arity`` are derived once at construction and take no
-    part in equality, hashing or repr.
+    part in equality, hashing or repr.  Instances are immutable; equality and
+    hashing are those of the ``generators`` tuple, tested by identity first
+    because scalar arithmetic compares the signatures of its operands.
     """
 
-    generators: tuple[tuple[str, int], ...]
-    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    orders: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    arity: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        gens = tuple((str(n), int(m)) for n, m in self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, generators: tuple[tuple[str, int], ...]):
+        gens = tuple((str(n), int(m)) for n, m in generators)
         names = tuple(n for n, _ in gens)
         if len(set(names)) != len(names):
             raise SignatureError(f"duplicate generator name in {list(names)}")
         for n, m in gens:
             if m < 1:
                 raise SignatureError(f"nilpotency order of {n!r} must be >= 1, got {m}")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "orders", tuple(m for _, m in gens))
-        object.__setattr__(self, "arity", len(gens))
+        set_field = object.__setattr__
+        set_field(self, "generators", gens)
+        set_field(self, "names", names)
+        set_field(self, "orders", tuple(m for _, m in gens))
+        set_field(self, "arity", len(gens))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators == other.generators
+
+    def __hash__(self):
+        return hash((self.generators,))
+
+    def __repr__(self):
+        return f"RingSignature(generators={self.generators!r})"
 
     def index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.generators):

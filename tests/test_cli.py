@@ -3,8 +3,12 @@
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from liejets.algebras import MAX_DIMENSION, basis_element, heisenberg3, zero_element
 from liejets.cli import main
@@ -12,6 +16,11 @@ from liejets.jets import jet_make
 from liejets.sampling import PLAIN_RING
 
 H3 = heisenberg3()
+
+#: Files that are no JSON document at all: bytes that are not UTF-8 text, and
+#: arrays nested deeper than the parser's recursion limit.
+NOT_UTF8 = b"\xff\xfe{}"
+NESTED_TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
 
 
 def h3_jet_doc(order, *names):
@@ -50,7 +59,7 @@ def _over_t(order, exponent):
 def jet_files(tmp_path):
     def write(name, doc):
         path = tmp_path / name
-        path.write_text(json.dumps(doc))
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         return str(path)
 
     return write
@@ -96,6 +105,30 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("content", [NOT_UTF8, NESTED_TOO_DEEP],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_json_is_one_line_usage_error(self, jet_files, capsys, content):
+        assert main(["validate", jet_files("spec.json", content)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, bound", [
+        (f"abelian({MAX_DIMENSION + 1})", f"1..{MAX_DIMENSION}"),
+        ("free-nilpotent(4,3)", "generator count must be between 1 and 3"),
+    ])
+    def test_out_of_bounds_builtin_names_its_bound(self, capsys, name, bound):
+        assert main(["validate", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert bound in err
+
+    def test_unknown_name_is_neither_file_nor_builtin(self, capsys):
+        assert main(["validate", "g2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'g2' is neither a readable file nor a built-in algebra\n"
+        )
 
 
 class TestMul:
@@ -146,11 +179,13 @@ class TestMul:
             _set(("order",), 1.0),
             _set(("coords", 0, "coords", "p", "terms", 0, 1), True),
             _set(("order",), True),
+            lambda doc: NOT_UTF8,
+            lambda doc: NESTED_TOO_DEEP,
         ],
         ids=[
             "zero-denominator", "non-integer-order", "coords-as-list", "top-level-array",
             "float-coefficient", "float-ring-order", "float-exponent", "float-jet-order",
-            "boolean-coefficient", "boolean-jet-order",
+            "boolean-coefficient", "boolean-jet-order", "not-utf8", "nested-too-deep",
         ],
     )
     def test_malformed_jet_is_one_line_usage_error(self, jet_files, capsys, corrupt):
@@ -261,3 +296,110 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+# -- fuzzing the JSON loaders through the command line --------------------------
+
+_BASES = {
+    "h3": ("p", "q", "z"),
+    "sl2": ("e", "f", "h"),
+    "so3": ("L1", "L2", "L3"),
+    "abelian(2)": ("a1", "a2"),
+    "free-nilpotent(2,2)": ("x", "y", "[x,y]"),
+}
+_RINGS = ([], [["t", 1]], [["t", 2], ["u", 1]])
+_RATIONALS = st.sampled_from(["1", "-1", "1/2", "-3/4", "2"])
+
+#: Any JSON value.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def _jet(draw, algebra, order, ring):
+    """A valid jet document: ``order`` elements of ``algebra`` over ``ring``."""
+    def scalar():
+        exponents = st.lists(st.integers(0, 2), min_size=len(ring), max_size=len(ring))
+        terms = draw(st.dictionaries(exponents.map(tuple), _RATIONALS, max_size=2))
+        return {"ring": ring, "terms": [[list(e), c] for e, c in terms.items()]}
+
+    def element():
+        names = draw(st.sets(st.sampled_from(_BASES[algebra]), max_size=2))
+        return {"algebra": algebra, "ring": ring, "coords": {n: scalar() for n in sorted(names)}}
+
+    system = draw(st.sampled_from(["exp", "monomial"]))
+    return {"algebra": algebra, "order": order, "coordinates": system,
+            "coords": [element() for _ in range(order)]}
+
+
+def _spec(draw, algebra):
+    """A spec document over the basis of ``algebra`` with a few brackets."""
+    basis = list(_BASES[algebra])
+    names = st.sampled_from(basis)
+    brackets = draw(st.lists(
+        st.fixed_dictionaries({
+            "left": names,
+            "right": names,
+            "value": st.lists(st.tuples(names, _RATIONALS).map(list), max_size=2),
+        }),
+        max_size=3,
+    ))
+    return {"name": algebra, "basis": basis, "brackets": brackets}
+
+
+def _paths(doc, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _document_pairs(draw):
+    """Two documents, each a jet of one shared shape, a spec or any JSON value;
+    in a shaped document one node is now and then replaced by any JSON value."""
+    algebra = draw(st.sampled_from(sorted(_BASES)))
+    order = draw(st.integers(1, 3))
+    ring = draw(st.sampled_from(_RINGS))
+    docs = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["jet", "jet", "spec", "any"]))
+        if kind == "any":
+            docs.append(draw(_json))
+            continue
+        doc = _jet(draw, algebra, order, ring) if kind == "jet" else _spec(draw, algebra)
+        if draw(st.booleans()):
+            doc = json.loads(json.dumps(doc))  # no node shared with another or with _RINGS
+            *parents, last = draw(st.sampled_from(list(_paths(doc))[1:]))
+            target = doc
+            for key in parents:
+                target = target[key]
+            target[last] = draw(_json)
+        docs.append(doc)
+    return tuple(docs)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(docs=_document_pairs())
+@example(docs=(NOT_UTF8, h3_jet_doc(1, "p")))
+@example(docs=(h3_jet_doc(1, "p"), NESTED_TOO_DEEP))
+def test_any_document_gets_an_exit_code_and_no_traceback(jet_files, docs):
+    """Whatever the files hold, ``mul``, ``bracket`` and ``validate`` return
+    0, 1 or 2 and raise nothing."""
+    paths = [jet_files("a.json", docs[0]), jet_files("b.json", docs[1])]
+    runs = [["mul", *paths, "--via", via] for via in ("def61", "bch", "matrix")]
+    runs += [["bracket", *paths], ["validate", paths[0]]]
+    for argv in runs:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv

@@ -1,0 +1,101 @@
+"""Start-up footprint: a cold ``liejets mul`` loads only what its engine runs,
+and the package still exports every public name on first access."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import liejets
+from liejets.algebras import basis_element, heisenberg3
+from liejets.jets import jet_make
+from liejets.sampling import PLAIN_RING
+
+SRC = str(Path(liejets.__file__).resolve().parents[1])
+
+#: Modules that no ``mul`` engine runs.
+NOT_FOR_MUL = ("liejets.checks", "liejets.hall", "liejets.report", "liejets.sampling",
+               "dataclasses")
+
+#: Every public name of the package when it imported all of its modules eagerly.
+EXPORTED = (
+    "AlgebraError", "BCH_DEGREE3_TERMS", "CheckResult", "EXP", "HallBasis", "Jet",
+    "JetError", "LieAlgebraSpec", "LieElement", "MONOMIAL", "MatrixError", "MatrixRep",
+    "Rational", "RingSignature", "SignatureError", "SignatureMismatch",
+    "VerificationReport", "WeilMatrix", "WeilRing", "WeilScalar", "abelian", "algebras",
+    "basis_element", "bch", "bch_mul", "bracket", "builtin_rep", "catalog",
+    "check_def61_vs_bch", "check_def61_vs_matrix", "checks", "element", "free_nilpotent",
+    "hall", "hall_basis", "heisenberg3", "jet_bracket", "jet_convert",
+    "jet_group_commutator", "jet_identity", "jet_inverse", "jet_make", "jet_mul",
+    "jet_scale", "jet_truncate", "jets", "matrices", "matrix_mul", "matrix_rep", "report",
+    "resolve_algebra", "ring_make", "run_suite", "sampling", "scalars", "sl2", "so3",
+    "validate_algebra", "verify_associativity", "verify_bracket_recovery",
+    "verify_group_axioms", "verify_lemma_631", "verify_theorem_4", "weil_exp", "weil_log",
+    "zero_element",
+)
+
+
+def _python(*argv) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def _imported_by_mul(tmp_path, via: str) -> set:
+    """Every module a cold ``python -m liejets mul --via <via>`` imports, as
+    listed by ``-X importtime``."""
+    h3 = heisenberg3()
+    paths = []
+    for name, basis in (("a.json", "pqz"), ("b.json", "qzp")):
+        coords = [basis_element(h3, PLAIN_RING, b) for b in basis]
+        path = tmp_path / name
+        path.write_text(json.dumps(jet_make(h3, PLAIN_RING, 3, coords).to_json()))
+        paths.append(str(path))
+    proc = _python("-X", "importtime", "-m", "liejets", "mul", *paths, "--via", via)
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and line.count("|") == 2
+    }
+
+
+@pytest.mark.parametrize("via", ["def61", "bch"])
+def test_closed_form_and_series_mul_load_neither_checks_nor_matrices(tmp_path, via):
+    loaded = _imported_by_mul(tmp_path, via)
+    assert {"liejets.cli", "liejets.jets"} <= loaded
+    assert loaded.isdisjoint(NOT_FOR_MUL + ("liejets.matrices",))
+    assert ("liejets.bch" in loaded) == (via == "bch")
+
+
+def test_matrix_mul_loads_the_matrix_oracle_only(tmp_path):
+    loaded = _imported_by_mul(tmp_path, "matrix")
+    assert "liejets.matrices" in loaded
+    assert loaded.isdisjoint(NOT_FOR_MUL + ("liejets.bch",))
+
+
+def test_every_exported_name_resolves_in_a_fresh_interpreter():
+    code = (
+        "import json, liejets, sys; "
+        "print(json.dumps([n for n in sys.argv[1:] if not hasattr(liejets, n)]))"
+    )
+    proc = _python("-c", code, *EXPORTED)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_names_resolve_to_their_modules_objects():
+    from liejets import jet_mul, run_suite
+
+    assert jet_mul is liejets.jets.jet_mul
+    assert run_suite is liejets.checks.run_suite
+    assert set(liejets.__all__) <= set(EXPORTED) <= set(dir(liejets))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        liejets.no_such_name
+    with pytest.raises(ImportError):
+        from liejets import no_such_name  # noqa: F401
