@@ -2,9 +2,10 @@
 
 An algebra is a named basis plus a table of brackets [b_i, b_j] for i < j;
 antisymmetry fills in the rest and [b_i, b_i] = 0.  Elements carry coordinate
-vectors of :class:`~liejets.scalars.WeilScalar`, so the same bracket code
-serves both plain rational elements and elements over nilpotent scalar
-extensions.
+vectors of :class:`~liejets.scalars.WeilScalar`, and :func:`bracket` is the
+one place structure constants meet coordinates: it serves plain rational
+elements and elements over nilpotent scalar extensions, the engines, the
+checks and the Jacobi scan of :func:`validate_algebra` alike.
 
 Specs and elements are immutable after construction.
 """
@@ -12,6 +13,7 @@ Specs and elements are immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .scalars import (
@@ -49,13 +51,21 @@ class AlgebraError(ValueError):
     """Raised for malformed algebra specs or mismatched operands."""
 
 
+def _name(value) -> str:
+    """A basis or algebra name from a spec document, which must be a string."""
+    if not isinstance(value, str):
+        raise AlgebraError(f"names must be strings, got {value!r}")
+    return value
+
+
 class LieAlgebraSpec:
     """Lie algebra on a named basis with rational structure constants.
 
     ``structure`` maps index pairs (i, j) with i < j to tuples of
     (k, coefficient) meaning [b_i, b_j] = sum c * b_k.  Pairs that bracket to
     zero are absent.  ``degrees`` and ``generator_count`` are optional grading
-    metadata (set for free nilpotent algebras) and do not affect equality.
+    metadata, set by :func:`liejets.hall.free_nilpotent`, and do not affect
+    equality.
     """
 
     __slots__ = ("name", "basis", "structure", "degrees", "generator_count", "_index")
@@ -99,34 +109,6 @@ class LieAlgebraSpec:
     def __repr__(self):
         return f"LieAlgebraSpec({self.name!r}, dim={self.dim})"
 
-    # -- basis-level bracket as rational coordinate dicts -----------------
-
-    def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        """[b_i, b_j] as a sparse rational coordinate dict."""
-        if i == j:
-            return {}
-        if i < j:
-            return {k: c for k, c in self.structure.get((i, j), ())}
-        return {k: -c for k, c in self.structure.get((j, i), ())}
-
-    def vector_bracket(
-        self, va: Mapping[int, Fraction], vb: Mapping[int, Fraction]
-    ) -> dict[int, Fraction]:
-        """Bracket of two sparse rational coordinate dicts."""
-        out: dict[int, Fraction] = {}
-        for i, a in va.items():
-            for j, b in vb.items():
-                c = a * b
-                if not c:
-                    continue
-                for k, s in self.basis_bracket(i, j).items():
-                    acc = out.get(k, 0) + s * c
-                    if acc:
-                        out[k] = acc
-                    else:
-                        out.pop(k, None)
-        return out
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -144,14 +126,18 @@ class LieAlgebraSpec:
     @classmethod
     def from_json(cls, doc: Mapping) -> "LieAlgebraSpec":
         try:
-            name = doc["name"]
-            basis = [str(b) for b in doc["basis"]]
-            brackets = {
-                (entry["left"], entry["right"]): [
-                    (str(b), rational_from_str(c)) for b, c in entry["value"]
+            name = _name(doc["name"])
+            if not isinstance(doc["basis"], list):
+                raise AlgebraError("'basis' must be a list of names")
+            basis = [_name(b) for b in doc["basis"]]
+            brackets: dict = {}
+            for entry in doc.get("brackets", []):
+                pair = (_name(entry["left"]), _name(entry["right"]))
+                if pair in brackets or pair[::-1] in brackets:
+                    raise AlgebraError(f"bracket [{pair[0]}, {pair[1]}] is given twice")
+                brackets[pair] = [
+                    (_name(b), rational_from_str(c)) for b, c in entry["value"]
                 ]
-                for entry in doc.get("brackets", [])
-            }
         except (KeyError, TypeError, ValueError) as exc:
             raise AlgebraError(f"malformed algebra spec: {exc}") from exc
         return make_algebra(name, basis, brackets)
@@ -161,8 +147,6 @@ def make_algebra(
     name: str,
     basis: Iterable[str],
     brackets: Mapping[tuple[str, str], Iterable[tuple[str, object]]],
-    degrees: tuple[int, ...] | None = None,
-    generator_count: int | None = None,
 ) -> LieAlgebraSpec:
     """Build a spec from named brackets, normalizing order and signs."""
     basis = tuple(str(b) for b in basis)
@@ -195,7 +179,7 @@ def make_algebra(
         for pair, acc in table.items()
     }
     structure = {pair: entries for pair, entries in structure.items() if entries}
-    return LieAlgebraSpec(name, basis, structure, degrees, generator_count)
+    return LieAlgebraSpec(name, basis, structure)
 
 
 class ValidationReport:
@@ -216,30 +200,23 @@ class ValidationReport:
 
 
 def validate_algebra(spec: LieAlgebraSpec) -> ValidationReport:
-    """Check the Jacobi identity on every basis triple.
+    """Check the Jacobi identity [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on
+    every basis triple, over Q, through :func:`bracket`.
 
     Antisymmetry holds by construction (only i < j brackets are stored), so
-    triples i < j < k suffice.
+    triples i < j < k suffice; the first failing one is reported.
     """
-    one = Fraction(1)
-    for i in range(spec.dim):
-        for j in range(i + 1, spec.dim):
-            for k in range(j + 1, spec.dim):
-                jac: dict[int, Fraction] = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = spec.basis_bracket(b, c)
-                    for m, coeff in spec.vector_bracket({a: one}, inner).items():
-                        acc = jac.get(m, 0) + coeff
-                        if acc:
-                            jac[m] = acc
-                        else:
-                            jac.pop(m, None)
-                if jac:
-                    return ValidationReport(
-                        ok=False,
-                        failing_triple=(spec.basis[i], spec.basis[j], spec.basis[k]),
-                        defect={spec.basis[m]: c for m, c in sorted(jac.items())},
-                    )
+    ring = WeilRing(RingSignature(()))
+    named = [(b, basis_element(spec, ring, b)) for b in spec.basis]
+    for (a, x), (b, y), (c, z) in combinations(named, 3):
+        jac = (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
+               + bracket(z, bracket(x, y)))
+        if not jac.is_zero():
+            return ValidationReport(
+                ok=False,
+                failing_triple=(a, b, c),
+                defect={n: s.constant_term() for n, s in zip(spec.basis, jac.coords) if s.terms},
+            )
     return ValidationReport(ok=True)
 
 
@@ -298,10 +275,7 @@ class LieElement:
                 self.algebra, self.signature, tuple(c * scalar for c in self.coords)
             )
         if isinstance(scalar, (int, Fraction)):
-            q = Fraction(scalar)
-            return LieElement(
-                self.algebra, self.signature, tuple(c.scale(q) for c in self.coords)
-            )
+            return self.scale(scalar)
         return NotImplemented
 
     __rmul__ = __mul__

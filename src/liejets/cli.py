@@ -33,8 +33,15 @@ from .scalars import SignatureError, SignatureMismatch
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
+#: Longest error message printed.  Messages echo the offending input, so a
+#: longer one is cut here and ends in "...".
+MAX_ERROR_CHARS = 200
+
 
 def _fail(message: str, code: int) -> int:
+    message = " ".join(message.splitlines())  # an echoed name or path may break lines
+    if len(message) > MAX_ERROR_CHARS:
+        message = message[:MAX_ERROR_CHARS] + "..."
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -1,6 +1,7 @@
 """Structure-constant algebra tests: bracket, Jacobi validation, catalog, JSON."""
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -114,6 +115,40 @@ class TestValidate:
         assert not report.ok
         assert report.failing_triple == ("p", "q", "z")
         assert report.defect == {"z": Fraction(1)}
+
+    def test_scan_matches_the_oracle_on_random_specs(self):
+        # Random brackets with small integer constants on 3-5 basis elements:
+        # most are no Lie algebra.  The scan must agree with the name-level
+        # oracle on the verdict, the first failing triple in i < j < k order,
+        # and the defect.
+        rng = Random(5)
+        verdicts = []
+        for n in range(200):
+            basis = tuple(f"b{i}" for i in range(rng.randint(3, 5)))
+            table = {
+                pair: {k: Fraction(rng.randint(-2, 2)) for k in rng.sample(basis, 2)}
+                for pair in combinations(basis, 2)
+                if rng.random() < 0.6
+            }
+            spec = make_algebra(f"random-{n}", basis, {
+                pair: list(value.items()) for pair, value in table.items()
+            })
+            oriented = both_orientations(table)
+            want = next(
+                (
+                    (triple, defect)
+                    for triple in combinations(basis, 3)
+                    if (defect := oracle_jacobi(oriented, *triple))
+                ),
+                None,
+            )
+            report = validate_algebra(spec)
+            assert report.ok == (want is None)
+            if want is not None:
+                assert (report.failing_triple, report.defect) == want
+                assert list(report.defect) == [b for b in basis if b in report.defect]
+            verdicts.append(report.ok)
+        assert 0 < verdicts.count(True) < verdicts.count(False)
 
     @pytest.mark.parametrize("spec", BUILTINS, ids=lambda s: s.name)
     def test_structure_matches_name_oracle(self, spec):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import liejets.bch
+import liejets.catalog
 import liejets.checks
 import liejets.jets
 
@@ -286,3 +287,22 @@ def test_wrong_representation_image_fails_exactly_the_matrix_checks_that_see_it(
     for check in failed.values():
         assert check.counterexample["algebra"] == "h3"
         assert isinstance(check.counterexample["trial"], int)
+
+
+def test_non_jacobi_structure_constant_fails_the_scan_and_order3_associativity(
+    monkeypatch
+):
+    # [p, z] = p added to h3 wherever the catalog resolves the name
+    monkeypatch.setattr(liejets.catalog, "heisenberg3", lambda: make_algebra(
+        "h3", ("p", "q", "z"), {("p", "q"): [("z", 1)], ("p", "z"): [("p", 1)]}
+    ))
+    report = run_suite("all", trials=3, seed=0)
+    failed = {c.check: c for c in report.checks if not c.passed}
+    # of the other comparisons only order-3 associativity needs the Jacobi
+    # identity, and the matrix checks take the true h3 from builtin_rep
+    assert set(failed) == {"struct-jacobi-builtins", "thm-6.3"}
+    jacobi = failed["struct-jacobi-builtins"].counterexample
+    assert jacobi["failing_triple"] == ["p", "q", "z"]
+    assert jacobi["defect"] == {"z": "1"}
+    assert failed["thm-6.3"].counterexample["algebra"] == "h3"
+    assert isinstance(failed["thm-6.3"].counterexample["trial"], int)

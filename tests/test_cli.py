@@ -22,6 +22,19 @@ H3 = heisenberg3()
 NOT_UTF8 = b"\xff\xfe{}"
 NESTED_TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
 
+#: An error line, prefix and newline included, stays shorter than this however
+#: long the input it echoes.
+ERROR_LINE_LIMIT = 300
+
+
+def _spec_doc(*brackets, basis=("a", "b", "c"), name="x"):
+    """Spec document with brackets given as (left, right, value) triples."""
+    return {
+        "name": name,
+        "basis": basis,
+        "brackets": [{"left": a, "right": b, "value": v} for a, b, v in brackets],
+    }
+
 
 def h3_jet_doc(order, *names):
     coords = [
@@ -124,6 +137,27 @@ class TestValidate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert bound in err
 
+    @pytest.mark.parametrize("doc", [
+        _spec_doc(basis=["a", 1.5, True, None, {"k": 1}]),
+        _spec_doc(name=7),
+        _spec_doc(basis="abc"),
+        _spec_doc(("a", "b", [[1, "1"]]), basis=("a", "b", "1")),
+        _spec_doc(("a", "b", [["c", "1"]]), ("a", "b", [["a", "1"]])),
+        _spec_doc(("a", "b", [["c", "1"]]), ("b", "a", [["a", "1"]])),
+        _spec_doc(("a", "b", [["b" * 50_000, "1"]])),
+        _spec_doc(("a\nb", "c", [])),
+    ], ids=["non-string-basis", "non-string-name", "basis-as-string",
+            "non-string-value-name", "pair-twice", "pair-twice-reversed",
+            "long-name", "name-with-line-break"])
+    def test_bad_spec_is_one_short_usage_error_line(self, jet_files, capsys, doc):
+        # The first six loaded and passed, coerced or with a bracket dropped;
+        # the last two were refused, echoing 50 KB or breaking the line.
+        assert main(["validate", jet_files("spec.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err) < ERROR_LINE_LIMIT
+
     def test_unknown_name_is_neither_file_nor_builtin(self, capsys):
         assert main(["validate", "g2"]) == 2
         assert capsys.readouterr().err == (
@@ -181,11 +215,13 @@ class TestMul:
             _set(("order",), True),
             lambda doc: NOT_UTF8,
             lambda doc: NESTED_TOO_DEEP,
+            _set(("coords", 0, "coords", "p", "terms", 0, 1), "1" * 100_000),
         ],
         ids=[
             "zero-denominator", "non-integer-order", "coords-as-list", "top-level-array",
             "float-coefficient", "float-ring-order", "float-exponent", "float-jet-order",
             "boolean-coefficient", "boolean-jet-order", "not-utf8", "nested-too-deep",
+            "long-coefficient",
         ],
     )
     def test_malformed_jet_is_one_line_usage_error(self, jet_files, capsys, corrupt):
@@ -196,6 +232,7 @@ class TestMul:
         assert main(["mul", a, a]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < ERROR_LINE_LIMIT
 
 
 class TestBracket:

@@ -1,4 +1,4 @@
-"""Start-up footprint: a cold ``liejets mul`` loads only what its engine runs,
+"""Start-up footprint: a cold ``liejets`` command loads only what it runs,
 and the package still exports every public name on first access."""
 
 import json
@@ -16,7 +16,8 @@ from liejets.sampling import PLAIN_RING
 
 SRC = str(Path(liejets.__file__).resolve().parents[1])
 
-#: Modules that no ``mul`` engine runs.
+#: Modules that no ``mul`` engine, ``bracket`` or ``validate`` of a non-free
+#: built-in runs.
 NOT_FOR_MUL = ("liejets.checks", "liejets.hall", "liejets.report", "liejets.sampling",
                "dataclasses")
 
@@ -43,17 +44,17 @@ def _python(*argv) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
-def _imported_by_mul(tmp_path, via: str) -> set:
-    """Every module a cold ``python -m liejets mul --via <via>`` imports, as
-    listed by ``-X importtime``."""
+def _imported_by(tmp_path, *argv) -> set:
+    """Every module a cold ``python -m liejets <argv>`` imports, as listed by
+    ``-X importtime``; "A" and "B" in ``argv`` stand for two h3 jet files."""
     h3 = heisenberg3()
-    paths = []
-    for name, basis in (("a.json", "pqz"), ("b.json", "qzp")):
+    paths = {}
+    for name, basis in (("A", "pqz"), ("B", "qzp")):
         coords = [basis_element(h3, PLAIN_RING, b) for b in basis]
-        path = tmp_path / name
-        path.write_text(json.dumps(jet_make(h3, PLAIN_RING, 3, coords).to_json()))
-        paths.append(str(path))
-    proc = _python("-X", "importtime", "-m", "liejets", "mul", *paths, "--via", via)
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(jet_make(h3, PLAIN_RING, 3, coords).to_json()))
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    proc = _python("-X", "importtime", "-m", "liejets", *argv)
     assert proc.returncode == 0, proc.stderr
     return {
         line.rsplit("|", 1)[1].strip()
@@ -64,16 +65,24 @@ def _imported_by_mul(tmp_path, via: str) -> set:
 
 @pytest.mark.parametrize("via", ["def61", "bch"])
 def test_closed_form_and_series_mul_load_neither_checks_nor_matrices(tmp_path, via):
-    loaded = _imported_by_mul(tmp_path, via)
+    loaded = _imported_by(tmp_path, "mul", "A", "B", "--via", via)
     assert {"liejets.cli", "liejets.jets"} <= loaded
     assert loaded.isdisjoint(NOT_FOR_MUL + ("liejets.matrices",))
     assert ("liejets.bch" in loaded) == (via == "bch")
 
 
 def test_matrix_mul_loads_the_matrix_oracle_only(tmp_path):
-    loaded = _imported_by_mul(tmp_path, "matrix")
+    loaded = _imported_by(tmp_path, "mul", "A", "B", "--via", "matrix")
     assert "liejets.matrices" in loaded
     assert loaded.isdisjoint(NOT_FOR_MUL + ("liejets.bch",))
+
+
+@pytest.mark.parametrize("argv", [("validate", "h3"), ("bracket", "A", "B")],
+                         ids=["validate", "bracket"])
+def test_validate_and_bracket_load_no_oracle(tmp_path, argv):
+    loaded = _imported_by(tmp_path, *argv)
+    assert {"liejets.cli", "liejets.algebras"} <= loaded
+    assert loaded.isdisjoint(NOT_FOR_MUL + ("liejets.matrices", "liejets.bch"))
 
 
 def test_every_exported_name_resolves_in_a_fresh_interpreter():
