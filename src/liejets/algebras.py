@@ -378,7 +378,14 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     acc: list = [None] * spec.dim
     xc, yc = x.coords, y.coords
     for (i, j), entries in spec.structure.items():
-        t = xc[i] * yc[j] - xc[j] * yc[i]
+        # a product with a zero factor is not formed
+        xi, yj, xj, yi = xc[i], yc[j], xc[j], yc[i]
+        if xi.terms and yj.terms:
+            t = xi * yj - xj * yi if xj.terms and yi.terms else xi * yj
+        elif xj.terms and yi.terms:
+            t = -(xj * yi)
+        else:
+            continue
         if not t.terms:
             continue
         for k, c in entries:

@@ -37,7 +37,6 @@ from .scalars import (
     SignatureMismatch,
     WeilRing,
     WeilScalar,
-    _mono_mul,
     _reduced,
     json_int,
     rational_from_str,
@@ -132,7 +131,7 @@ class WeilMatrix:
     @classmethod
     def identity(cls, ring: WeilRing, n: int) -> "WeilMatrix":
         unit = tuple(int(i == j) for i in range(n) for j in range(n))
-        return _matrix(ring.signature, n, {(): unit} if n else {}, 1)
+        return _matrix(ring.signature, n, {0: unit} if n else {}, 1)
 
     @classmethod
     def zero(cls, ring: WeilRing, n: int) -> "WeilMatrix":
@@ -141,7 +140,7 @@ class WeilMatrix:
     @classmethod
     def from_rational(cls, ring: WeilRing, rows) -> "WeilMatrix":
         cell, den = _integer_cells(e for row in rows for e in row)
-        return _matrix(ring.signature, len(rows), {(): cell} if any(cell) else {}, den)
+        return _matrix(ring.signature, len(rows), {0: cell} if any(cell) else {}, den)
 
     @property
     def rows(self) -> tuple:
@@ -161,7 +160,7 @@ class WeilMatrix:
 
     def is_scalar_nilpotent(self) -> bool:
         """True when every entry has zero constant term."""
-        return () not in self.coeffs
+        return 0 not in self.coeffs
 
     def _check_ring(self, signature: RingSignature) -> None:
         if signature is not self.signature and signature != self.signature:
@@ -238,19 +237,14 @@ class WeilMatrix:
             rights = [(k, [[(j, c)] for j in range(n)]) for k, c in other.terms.items()]
         else:
             return NotImplemented
-        orders = self.signature.orders
+        bias, guard = self.signature.bias, self.signature.guard
         out: dict = {}
         for k1, x in self.coeffs.items():
             entries = [(i - i % n, i % n, v) for i, v in enumerate(x) if v]
             for k2, rows in rights:
-                if not k1:
-                    k = k2
-                elif not k2:
-                    k = k1
-                else:
-                    k = _mono_mul(k1, k2, orders)
-                    if k is None:
-                        continue
+                k = k1 + k2
+                if (k + bias) & guard:
+                    continue
                 acc = out.get(k)
                 if acc is None:
                     acc = out[k] = [0] * size

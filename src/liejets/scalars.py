@@ -11,7 +11,21 @@ every term.  The form is canonical: the denominator is coprime to the gcd of
 the numerators, and it is 1 for the zero scalar.  Equality is therefore
 literal comparison of signature, denominator and table, and every operation
 is exact: integer products and sums of the numerators, then a single gcd to
-reduce the result.  ``coefficients()`` gives the terms as ``Fraction`` values.
+reduce the result.  ``coefficients()`` gives the terms as ``Fraction`` values
+keyed by dense exponent vectors.
+
+A monomial is one non-negative ``int`` with the exponents packed side by
+side (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors", CASC 2007).  Generator g of order m owns a
+field of m.bit_length() + 1 bits at offset ``signature.shifts[g]``,
+generator 0 the lowest, so a signature with one generator appended keeps
+every key valid.  The sum of two exponents at most m fits its field, so a
+monomial product is one integer add.  Each field's top bit is a guard bit
+and its bias is 2^b - 1 - m for b = m.bit_length().  An exponent e exceeds
+m exactly when e + bias reaches the guard bit, so the product k1 + k2 is
+killed by truncation exactly when ``(k1 + k2 + bias) & guard`` is nonzero.
+The constant monomial is 0.  Dense exponent vectors appear only at the
+boundary: ``from_terms``, ``coefficients()``, JSON and display.
 
 A signature with no generators is the ring Q itself.  Rings with one
 generator of order n model rings of nilpotent infinitesimals of order n;
@@ -32,9 +46,9 @@ from typing import Iterable, Mapping
 
 Rational = Fraction
 
-#: Sparse monomial key: ((generator_index, exponent), ...) sorted by index,
-#: exponents >= 1.  The empty tuple is the constant monomial.
-Monomial = tuple
+#: Packed monomial key: the exponent of generator g in the bit field at
+#: ``signature.shifts[g]``; 0 is the constant monomial.
+Monomial = int
 
 __all__ = [
     "Rational",
@@ -80,12 +94,27 @@ def json_int(value) -> int:
     return value
 
 
+def _layout(orders: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+    """Field offsets, bias mask and guard mask of packed monomial keys over
+    generators of these nilpotency orders."""
+    shifts = []
+    bias = guard = shift = 0
+    for m in orders:
+        b = m.bit_length()
+        shifts.append(shift)
+        bias |= ((1 << b) - 1 - m) << shift
+        guard |= 1 << (shift + b)
+        shift += b + 1
+    return tuple(shifts), bias, guard
+
+
 class RingSignature:
     """Ordered generators of a truncated polynomial ring.
 
     Each entry is (name, order) with order m meaning t^{m+1} = 0.  ``names``,
-    ``orders`` and ``arity`` are derived once at construction and take no
-    part in equality, hashing or repr.  Instances are immutable; equality and
+    ``orders``, ``arity`` and the monomial key layout (``shifts``, ``bias``,
+    ``guard``) are derived once at construction and take no part in
+    equality, hashing or repr.  Instances are immutable; equality and
     hashing are those of the ``generators`` tuple, tested by identity first
     because scalar arithmetic compares the signatures of its operands.
     """
@@ -103,6 +132,10 @@ class RingSignature:
         set_field(self, "names", names)
         set_field(self, "orders", tuple(m for _, m in gens))
         set_field(self, "arity", len(gens))
+        shifts, bias, guard = _layout(self.orders)
+        set_field(self, "shifts", shifts)
+        set_field(self, "bias", bias)
+        set_field(self, "guard", guard)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -147,43 +180,6 @@ class RingSignature:
         return cls(gens)
 
 
-def _mono_mul(k1: Monomial, k2: Monomial, orders: tuple[int, ...]) -> Monomial | None:
-    """Product of two sparse monomials, or None if a nilpotency bound kills it."""
-    out = []
-    i = j = 0
-    n1, n2 = len(k1), len(k2)
-    while i < n1 and j < n2:
-        g1, e1 = k1[i]
-        g2, e2 = k2[j]
-        if g1 == g2:
-            e = e1 + e2
-            if e > orders[g1]:
-                return None
-            out.append((g1, e))
-            i += 1
-            j += 1
-        elif g1 < g2:
-            out.append(k1[i])
-            i += 1
-        else:
-            out.append(k2[j])
-            j += 1
-    out.extend(k1[i:])
-    out.extend(k2[j:])
-    return tuple(out)
-
-
-def _dense(key: Monomial, arity: int) -> tuple[int, ...]:
-    vec = [0] * arity
-    for g, e in key:
-        vec[g] = e
-    return tuple(vec)
-
-
-def _sparse(vec: Iterable[int]) -> Monomial:
-    return tuple((g, int(e)) for g, e in enumerate(vec) if e)
-
-
 def _reduced(signature: RingSignature, terms: dict, den: int) -> "WeilScalar":
     """Scalar from nonzero integer numerators over ``den`` > 0, with their
     common factor divided out (so the zero scalar gets denominator 1)."""
@@ -200,7 +196,7 @@ def _constant(signature: RingSignature, q) -> "WeilScalar":
     n = q.numerator
     if not n:
         return WeilScalar(signature, {})
-    return WeilScalar(signature, {(): n}, q.denominator)
+    return WeilScalar(signature, {0: n}, q.denominator)
 
 
 class WeilScalar:
@@ -226,7 +222,7 @@ class WeilScalar:
         cls, signature: RingSignature, dense_terms: Mapping[tuple, object]
     ) -> "WeilScalar":
         """Canonicalizing constructor from {dense exponent vector: coefficient}."""
-        orders = signature.orders
+        orders, shifts = signature.orders, signature.shifts
         arity = signature.arity
         out: dict = {}
         for vec, coeff in dense_terms.items():
@@ -235,16 +231,17 @@ class WeilScalar:
                 raise SignatureError(
                     f"exponent vector {vec} has length {len(vec)}, expected {arity}"
                 )
+            key = 0
             for g, e in enumerate(vec):
                 if e < 0 or e > orders[g]:
                     raise SignatureError(
                         f"exponent {e} of generator {signature.names[g]!r} "
                         f"violates bound {orders[g]}"
                     )
+                key |= e << shifts[g]
             c = Fraction(coeff)
             if not c:
                 continue
-            key = _sparse(vec)
             acc = out.get(key)
             if acc is None:
                 out[key] = c
@@ -267,13 +264,18 @@ class WeilScalar:
         return not self.terms
 
     def coefficients(self) -> dict:
-        """The term table as {monomial: nonzero Fraction coefficient}."""
-        den = self.den
-        return {k: Fraction(c, den) for k, c in self.terms.items()}
+        """The term table as {dense exponent vector: nonzero Fraction
+        coefficient}, the form :meth:`from_terms` reads."""
+        sig, den = self.signature, self.den
+        fields = [(s, (1 << m.bit_length()) - 1) for s, m in zip(sig.shifts, sig.orders)]
+        return {
+            tuple((k >> s) & mask for s, mask in fields): Fraction(c, den)
+            for k, c in self.terms.items()
+        }
 
     def constant_term(self) -> Fraction:
         """Value at all generators = 0."""
-        return Fraction(self.terms.get((), 0), self.den)
+        return Fraction(self.terms.get(0, 0), self.den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -369,18 +371,14 @@ class WeilScalar:
         a, b = self.terms, other.terms
         if not a or not b:
             return WeilScalar(self.signature, {})
-        orders = self.signature.orders
+        sig = self.signature
+        bias, guard = sig.bias, sig.guard
         out: dict = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
-                if not k1:
-                    k = k2
-                elif not k2:
-                    k = k1
-                else:
-                    k = _mono_mul(k1, k2, orders)
-                    if k is None:
-                        continue
+                k = k1 + k2
+                if (k + bias) & guard:
+                    continue
                 c = c1 * c2
                 acc = out.get(k)
                 if acc is None:
@@ -410,7 +408,7 @@ class WeilScalar:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        acc = WeilScalar(self.signature, {(): 1})
+        acc = WeilScalar(self.signature, {0: 1})
         for _ in range(n):
             acc = acc * self
         return acc
@@ -420,7 +418,7 @@ class WeilScalar:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             n = other.numerator
-            return self.den == other.denominator and self.terms == ({(): n} if n else {})
+            return self.den == other.denominator and self.terms == ({0: n} if n else {})
         if not isinstance(other, WeilScalar):
             return NotImplemented
         return (
@@ -435,10 +433,10 @@ class WeilScalar:
         names = self.signature.names
         coeffs = self.coefficients()
         parts = []
-        for key in sorted(coeffs, key=lambda k: _dense(k, self.signature.arity)):
-            c = coeffs[key]
+        for vec in sorted(coeffs):
+            c = coeffs[vec]
             mono = "*".join(
-                names[g] if e == 1 else f"{names[g]}^{e}" for g, e in key
+                names[g] if e == 1 else f"{names[g]}^{e}" for g, e in enumerate(vec) if e
             )
             if not mono:
                 parts.append(str(c))
@@ -456,10 +454,7 @@ class WeilScalar:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        arity = self.signature.arity
-        terms = sorted(
-            (list(_dense(k, arity)), str(c)) for k, c in self.coefficients().items()
-        )
+        terms = sorted((list(v), str(c)) for v, c in self.coefficients().items())
         return {"ring": self.signature.to_json(), "terms": [[v, c] for v, c in terms]}
 
     @classmethod
@@ -489,7 +484,7 @@ class WeilRing:
     def __init__(self, signature: RingSignature):
         self.signature = signature
         self.zero = WeilScalar(signature, {})
-        self.one = WeilScalar(signature, {(): 1})
+        self.one = WeilScalar(signature, {0: 1})
 
     def rational(self, value) -> WeilScalar:
         if not isinstance(value, (int, Fraction)):
@@ -505,7 +500,7 @@ class WeilRing:
             return self.one
         if power > self.signature.orders[g]:
             return self.zero
-        return WeilScalar(self.signature, {((g, power),): 1})
+        return WeilScalar(self.signature, {power << self.signature.shifts[g]: 1})
 
     def scalar(self, dense_terms: Mapping[tuple, object]) -> WeilScalar:
         return WeilScalar.from_terms(self.signature, dense_terms)
@@ -527,9 +522,9 @@ def with_last_power(scalar: WeilScalar, target: RingSignature, power: int) -> We
     """The scalar times t^power over ``target``, its signature plus one last
     generator t, for 0 <= power <= the order of t.
 
-    Valid because sparse monomial keys index generators by position, and the
-    original generators keep their positions; the canonical numerators and
-    denominator carry over unchanged.
+    Valid because the original generators keep their bit fields in the
+    extended signature, so a key moves over by adding the new generator's
+    field; the canonical numerators and denominator carry over unchanged.
     """
     own = scalar.signature.generators
     if target.arity != len(own) + 1 or target.generators[:-1] != own:
@@ -538,18 +533,15 @@ def with_last_power(scalar: WeilScalar, target: RingSignature, power: int) -> We
         )
     if not 0 <= power <= target.orders[-1]:
         raise SignatureError(f"power {power} exceeds the bounds of the last generator")
-    tail = ((len(own), power),) if power else ()
+    tail = power << target.shifts[-1]
     return WeilScalar(target, {k + tail: c for k, c in scalar.terms.items()}, scalar.den)
 
 
 def lowest_last_power(*scalars: WeilScalar) -> int | None:
     """Smallest power of the final generator among the terms of scalars over
     one ring (None when every scalar is zero)."""
-    last = scalars[0].signature.arity - 1
-    return min(
-        (k[-1][1] if k and k[-1][0] == last else 0 for s in scalars for k in s.terms),
-        default=None,
-    )
+    shift = scalars[0].signature.shifts[-1]
+    return min((k >> shift for s in scalars for k in s.terms), default=None)
 
 
 def split_last_generator(scalar: WeilScalar, base: RingSignature) -> dict[int, WeilScalar]:
@@ -563,9 +555,9 @@ def split_last_generator(scalar: WeilScalar, base: RingSignature) -> dict[int, W
     sig = scalar.signature
     if sig.arity != base.arity + 1 or sig.generators[:-1] != base.generators:
         raise SignatureError(f"{sig.generators} is not {base.generators} plus one generator")
-    last = base.arity
+    shift = sig.shifts[-1]
+    low = (1 << shift) - 1
     parts: dict[int, dict] = {}
     for key, coeff in scalar.terms.items():
-        power = key[-1][1] if key and key[-1][0] == last else 0
-        parts.setdefault(power, {})[key[:-1] if power else key] = coeff
+        parts.setdefault(key >> shift, {})[key & low] = coeff
     return {p: _reduced(base, terms, scalar.den) for p, terms in parts.items()}

@@ -11,6 +11,7 @@ import liejets.bch
 import liejets.catalog
 import liejets.checks
 import liejets.jets
+import liejets.scalars
 
 from liejets.algebras import basis_element, heisenberg3, make_algebra, sl2, zero_element
 from liejets.bch import BCH_DEGREE3_TERMS
@@ -263,6 +264,30 @@ def test_corrupted_oracle_fails_exactly_the_checks_that_guard_it(
         assert counterexample.get("symbolic") is True or isinstance(
             counterexample.get("trial"), int
         )
+
+
+def test_truncation_one_power_late_fails_exactly_the_checks_that_see_it(monkeypatch):
+    # every generator may reach one power above its order before the product
+    # test drops a monomial
+    real = liejets.scalars._layout
+    monkeypatch.setattr(
+        liejets.scalars, "_layout", lambda orders: real(tuple(m + 1 for m in orders))
+    )
+    report = run_suite("all", trials=3, seed=0)
+    failed = {c.check: c for c in report.checks if not c.passed}
+    # the series comparisons compare jets read back from d^1..d^n, so the
+    # surviving d^(n+1) terms never reach them; the matrix comparisons compare
+    # whole matrices over the d-extended ring, and Theorem 4's exponentials
+    # over Q[d_i]/(d_i^2), the nilpotency law and the square-zero e1, e2 of
+    # thm-7.3 all see the extra power
+    assert set(failed) == {
+        "def6.1-vs-matrix-n1", "def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3",
+        "struct-ring-laws", "thm-4.1", "thm-4.2", "thm-4.3", "thm-7.3",
+    }
+    assert failed["struct-ring-laws"].counterexample == {"law": "nilpotency", "generator": "d"}
+    assert failed["thm-7.3"].counterexample["symbolic"] is True
+    for check in ("def6.1-vs-matrix-n1", "thm-4.1"):
+        assert failed[check].counterexample["trial"] == 0
 
 
 def test_wrong_representation_image_fails_exactly_the_matrix_checks_that_see_it(

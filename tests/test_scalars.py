@@ -1,7 +1,9 @@
 """Ring kernel tests: exact arithmetic, canonical form, truncation, JSON."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from liejets.scalars import (
     SignatureError,
     SignatureMismatch,
     WeilScalar,
+    lowest_last_power,
     rational_from_str,
     ring_make,
     split_last_generator,
@@ -100,6 +103,65 @@ class TestMultiplication:
             D3.gen("d") * EE.gen("e1")
 
 
+class TestPackedLayout:
+    """Monomial products on packed keys against the dense truncation rule of
+    ``naive_poly_mul``, including orders on both sides of 2, 4 and 8, where
+    field widths change."""
+
+    @pytest.mark.parametrize(
+        "generators",
+        [[("t", m)] for m in range(1, 10)] + [[("a", 1), ("b", 4), ("c", 7)]],
+        ids=lambda g: ",".join(f"{n}{m}" for n, m in g),
+    )
+    def test_every_monomial_pair(self, generators):
+        ring = ring_make(generators)
+        orders = ring.signature.orders
+        monomials = {v: ring.scalar({v: 1}) for v in product(*(range(m + 1) for m in orders))}
+        for u, su in monomials.items():
+            assert su.coefficients() == {u: 1}
+            for v, sv in monomials.items():
+                assert (su * sv).coefficients() == naive_poly_mul({u: 1}, {v: 1}, orders)
+
+    def test_wide_ring_sample(self):
+        # 130 generators of orders 1..9: keys far wider than 64 bits
+        ring = ring_make([(f"t{g}", g % 9 + 1) for g in range(130)])
+        orders = ring.signature.orders
+        top = ring.gen("t129", orders[-1])
+        assert max(top.terms) >= 1 << 64
+        assert top * ring.gen("t129") == ring.zero
+        assert top * ring.gen("t128") == ring.scalar(
+            {(0,) * 128 + (1, orders[-1]): 1}
+        )
+        rng = Random(0)
+
+        def sparse_vector():
+            return tuple(rng.randint(0, m) if rng.random() < 0.1 else 0 for m in orders)
+
+        for _ in range(300):
+            u, v = sparse_vector(), sparse_vector()
+            got = (ring.scalar({u: 1}) * ring.scalar({v: 1})).coefficients()
+            assert got == naive_poly_mul({u: 1}, {v: 1}, orders)
+
+    def test_last_power_round_trip(self):
+        base = ring_make([("a", 1), ("b", 4), ("c", 7)]).signature
+        ext = base.extend("d", 3)
+        s = WeilScalar.from_terms(
+            base, {(0, 0, 0): 2, (1, 4, 0): Fraction(-1, 3), (0, 3, 7): 5}
+        )
+        total = WeilScalar(ext, {})
+        for power in range(4):
+            lifted = with_last_power(s, ext, power)
+            assert lifted.coefficients() == {
+                v + (power,): c for v, c in s.coefficients().items()
+            }
+            assert split_last_generator(lifted, base) == {power: s}
+            assert lowest_last_power(lifted, WeilScalar(ext, {})) == power
+            total = total + lifted.scale(power + 1)
+        assert split_last_generator(total, base) == {p: s.scale(p + 1) for p in range(4)}
+        assert lowest_last_power(total) == 0
+        assert lowest_last_power(WeilScalar(ext, {})) is None
+
+
 class TestConstantTerm:
     def test_constant_plus_generator(self):
         assert (D3.rational(3) + D3.gen("d")).constant_term() == 3
@@ -152,12 +214,7 @@ class TestRingLaws:
     def test_mul_against_naive_oracle(self, ring, data):
         a = data.draw(scalars_of(ring))
         b = data.draw(scalars_of(ring))
-        arity = ring.signature.arity
-        dense = lambda s: {  # noqa: E731
-            tuple(dict(k).get(g, 0) for g in range(arity)): c
-            for k, c in s.coefficients().items()
-        }
-        expected = naive_poly_mul(dense(a), dense(b), ring.signature.orders)
+        expected = naive_poly_mul(a.coefficients(), b.coefficients(), ring.signature.orders)
         assert a * b == ring.scalar(expected)
 
 
@@ -190,12 +247,9 @@ def test_canonical_idempotence():
     s = D3.scalar({(0,): 3, (1,): Fraction(1, 2), (2,): 0})
     assert len(s.terms) == 2  # the zero coefficient is never stored
     assert s == D3.scalar({(0,): 3, (1,): Fraction(1, 2)})
+    assert s.coefficients() == {(0,): 3, (1,): Fraction(1, 2)}
     # rebuilding from the canonical table changes nothing
-    dense = {
-        tuple(dict(k).get(0, 0) for _ in range(1)): c
-        for k, c in s.coefficients().items()
-    }
-    assert D3.scalar(dense) == s
+    assert D3.scalar(s.coefficients()) == s
 
 
 def test_scale_and_pow():
