@@ -62,10 +62,11 @@ class LieAlgebraSpec:
     """Lie algebra on a named basis with rational structure constants.
 
     ``structure`` maps index pairs (i, j) with i < j to tuples of
-    (k, coefficient) meaning [b_i, b_j] = sum c * b_k.  Pairs that bracket to
-    zero are absent.  ``degrees`` and ``generator_count`` are optional grading
-    metadata, set by :func:`liejets.hall.free_nilpotent`, and do not affect
-    equality.
+    (k, coefficient) meaning [b_i, b_j] = sum c * b_k, each coefficient an
+    ``int`` when it is integral and a ``Fraction`` otherwise.  Pairs that
+    bracket to zero are absent.  ``degrees`` and ``generator_count`` are
+    optional grading metadata, set by :func:`liejets.hall.free_nilpotent`,
+    and do not affect equality.
     """
 
     __slots__ = ("name", "basis", "structure", "degrees", "generator_count", "_index")
@@ -80,7 +81,12 @@ class LieAlgebraSpec:
     ):
         self.name = name
         self.basis = basis
-        self.structure = structure
+        # an integral constant is kept as an int, whose numerator and
+        # denominator the bracket reads without Fraction's property calls
+        self.structure = {
+            pair: tuple((k, c.numerator if c.denominator == 1 else c) for k, c in entries)
+            for pair, entries in structure.items()
+        }
         self.degrees = degrees
         self.generator_count = generator_count
         self._index = {b: i for i, b in enumerate(basis)}

@@ -12,6 +12,14 @@ coordinates are read back from the d-degree components, which exist and are
 unique because the extension is a free module over the base ring with basis
 1, d, ..., d^n.
 
+Only the words the truncated ring can see are evaluated.  A bracket word of
+degree k in curves that lie in d^1 lies in d^k, so it is exactly zero when
+k > n, and :func:`bch_mul` skips it.  Skipping cannot change a product or a
+verdict: every evaluated word is checked to lie in d^k, and the words "a" and
+"b" of degree 1 are always evaluated, so a curve with a d^0 part is refused
+before a skipped word could have been nonzero.  Within one product every
+subword is formed once: [A, B] is shared by [A, [A, B]] and the sum itself.
+
 The coefficient table is fixed, audited data through bracket degree 3, read
 when :func:`bch_mul` is called.  The oracles share only the curve lift and
 readback (:func:`liejets.jets.lift_curves`, :func:`liejets.jets.read_curve`),
@@ -23,6 +31,7 @@ Every d-degree is read through :mod:`liejets.scalars`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .algebras import LieElement, bracket
 from .jets import Jet, JetError, lift_curves, read_curve
@@ -42,18 +51,21 @@ BCH_DEGREE3_TERMS: tuple = (
 )
 
 
+@cache
 def _word_degree(word) -> int:
     if isinstance(word, str):
         return 1
     return _word_degree(word[0]) + _word_degree(word[1])
 
 
-def _eval_word(word, a: LieElement, b: LieElement) -> LieElement:
-    if word == "a":
-        return a
-    if word == "b":
-        return b
-    return bracket(_eval_word(word[0], a, b), _eval_word(word[1], a, b))
+def _eval_word(word, values: dict) -> LieElement:
+    """The word's value, from and into ``values``, which maps every word
+    formed so far (the leaves "a" and "b" to begin with) to its value."""
+    value = values.get(word)
+    if value is None:
+        value = bracket(_eval_word(word[0], values), _eval_word(word[1], values))
+        values[word] = value
+    return value
 
 
 def bch_mul(a: Jet, b: Jet) -> Jet:
@@ -61,11 +73,15 @@ def bch_mul(a: Jet, b: Jet) -> Jet:
     if a.order > 3 or b.order > 3:
         raise JetError("series table only covers orders up to 3")
     A, B = lift_curves(a, b)
+    values = {"a": A, "b": B}
     total = None
     for word, coeff in BCH_DEGREE3_TERMS:
-        value = _eval_word(word, A, B)
+        degree = _word_degree(word)
+        if degree > a.order:
+            continue
+        value = _eval_word(word, values)
         lowest = lowest_last_power(*value.coords)
-        if lowest is not None and lowest < _word_degree(word):
+        if lowest is not None and lowest < degree:
             raise AssertionError(
                 f"bracket word {word} produced a term of d-degree {lowest}"
             )

@@ -33,8 +33,8 @@ from .scalars import (
     WeilRing,
     WeilScalar,
     json_int,
+    join_last_generator,
     split_last_generator,
-    with_last_power,
 )
 
 __all__ = [
@@ -265,7 +265,9 @@ def jet_scale(j: Jet, scalar) -> Jet:
 def lift_curves(*jets: Jet) -> tuple[LieElement, ...]:
     """The curves d -> sum_i d^i/i! X_i of exp-coordinate jets: each jet's
     monomial coordinate i moved to d^i, over the jets' common ring extended by
-    a fresh last generator d of their common order.  All curves share one
+    a fresh last generator d of their common order.  Each basis coordinate of
+    a curve is joined from that coordinate of the n monomial coordinates in
+    one :func:`~liejets.scalars.join_last_generator`.  All curves share one
     extended signature object, so the scalar layer's same-ring fast path
     applies when they are combined.
     """
@@ -278,11 +280,10 @@ def lift_curves(*jets: Jet) -> tuple[LieElement, ...]:
     sig = first.signature.extend(name, first.order)
 
     def lift(j: Jet) -> LieElement:
-        parts = [
-            LieElement(j.algebra, sig, tuple(with_last_power(c, sig, i) for c in x.coords))
-            for i, x in enumerate(jet_convert(j, MONOMIAL).coords, 1)
-        ]
-        return sum(parts[1:], parts[0])
+        columns = zip(*(x.coords for x in jet_convert(j, MONOMIAL).coords))
+        return LieElement(j.algebra, sig, tuple(
+            join_last_generator(dict(enumerate(column, 1)), sig) for column in columns
+        ))
 
     return tuple(lift(j) for j in jets)
 

@@ -30,10 +30,11 @@ boundary: ``from_terms``, ``coefficients()``, JSON and display.
 A signature with no generators is the ring Q itself.  Rings with one
 generator of order n model rings of nilpotent infinitesimals of order n;
 several generators model products of such rings.  The oracles' curve lift
-and readback (``liejets.jets``) move scalars to and from powers of a fresh
-last generator with :func:`with_last_power` and :func:`split_last_generator`,
-and :func:`lowest_last_power` reads the lowest such power; the factorial
-rescale they also need lives in ``liejets.jets.jet_convert``.
+and readback (``liejets.jets``) join scalars into, and split them by,
+powers of a fresh last generator with :func:`join_last_generator` and
+:func:`split_last_generator`, and :func:`lowest_last_power` reads the lowest
+such power; the factorial rescale they also need lives in
+``liejets.jets.jet_convert``.
 
 All values are immutable after construction and safe to share freely.
 """
@@ -60,7 +61,7 @@ __all__ = [
     "ring_make",
     "rational_from_str",
     "json_int",
-    "with_last_power",
+    "join_last_generator",
     "lowest_last_power",
     "split_last_generator",
 ]
@@ -518,23 +519,40 @@ def ring_make(generators: Iterable[tuple[str, int]]) -> WeilRing:
     return WeilRing(RingSignature(tuple(generators)))
 
 
-def with_last_power(scalar: WeilScalar, target: RingSignature, power: int) -> WeilScalar:
-    """The scalar times t^power over ``target``, its signature plus one last
-    generator t, for 0 <= power <= the order of t.
+def join_last_generator(
+    parts: Mapping[int, WeilScalar], target: RingSignature
+) -> WeilScalar:
+    """The sum of ``parts[p] * t^p`` over ``target``, the parts' signature
+    plus one last generator t, for powers 0 <= p <= the order of t: the
+    inverse of :func:`split_last_generator`.
 
     Valid because the original generators keep their bit fields in the
-    extended signature, so a key moves over by adding the new generator's
-    field; the canonical numerators and denominator carry over unchanged.
+    extended signature, so a key moves to t^p by adding p times the new
+    generator's field, and keys of different powers never collide.  The
+    parts are brought to the lcm of their denominators, and one reduction
+    makes the sum canonical.
     """
-    own = scalar.signature.generators
-    if target.arity != len(own) + 1 or target.generators[:-1] != own:
-        raise SignatureMismatch(
-            f"{target.generators} is not {own} plus one generator"
-        )
-    if not 0 <= power <= target.orders[-1]:
-        raise SignatureError(f"power {power} exceeds the bounds of the last generator")
-    tail = power << target.shifts[-1]
-    return WeilScalar(target, {k + tail: c for k, c in scalar.terms.items()}, scalar.den)
+    if not parts:
+        return WeilScalar(target, {})
+    own, arity = target.generators[:-1], target.arity - 1
+    den = 1
+    for s in parts.values():
+        sig = s.signature
+        if sig.arity != arity or sig.generators != own:
+            raise SignatureMismatch(
+                f"{target.generators} is not {sig.generators} plus one generator"
+            )
+        if s.den != den:
+            den = lcm(den, s.den)
+    top, shift = target.orders[-1], target.shifts[-1]
+    terms: dict = {}
+    for power, s in parts.items():
+        if not 0 <= power <= top:
+            raise SignatureError(f"power {power} exceeds the bounds of the last generator")
+        tail, f = power << shift, den // s.den
+        for k, c in s.terms.items():
+            terms[k + tail] = c * f
+    return _reduced(target, terms, den)
 
 
 def lowest_last_power(*scalars: WeilScalar) -> int | None:

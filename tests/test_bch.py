@@ -111,6 +111,26 @@ class TestBchMul:
             Fraction(2, 3)
         )
 
+    @pytest.mark.parametrize("order, brackets", [(1, 0), (2, 1), (3, 4)])
+    def test_forms_only_the_brackets_the_truncation_keeps(
+        self, monkeypatch, order, brackets
+    ):
+        # words of degree above the order are skipped, and [a, b] is formed
+        # once for both the sum and [a, [a, b]]
+        calls = []
+
+        def counted(x, y):
+            calls.append(1)
+            return bracket(x, y)
+
+        monkeypatch.setattr(liejets.bch, "bracket", counted)
+        rng = Random(order)
+        spec = free_nilpotent(2, 3)
+        a = random_jet(spec, PLAIN_RING, order, rng)
+        b = random_jet(spec, PLAIN_RING, order, rng)
+        assert bch_mul(a, b) == jet_mul(a, b)
+        assert len(calls) == brackets
+
     def test_associative_on_random_inputs(self):
         rng = Random(17)
         for spec in (H3, sl2(), free_nilpotent(2, 3)):

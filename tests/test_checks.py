@@ -235,11 +235,24 @@ def test_corrupted_closed_form_fails_exactly_the_checks_that_guard_it(
     "module, name, value, failing",
     [
         # -1/2 for the 1/2 of [a, b] in the series table.  Only the series
-        # comparisons evaluate the table, and at order 1 the bracket of two
-        # curves d X, d Y lies in d^2 and is truncated away.
+        # comparisons evaluate the table, and at order 1 the word is not
+        # evaluated: the bracket of two curves d X, d Y lies in d^2.
         (liejets.bch, "BCH_DEGREE3_TERMS",
          tuple((w, -c if w == ("a", "b") else c) for w, c in BCH_DEGREE3_TERMS),
          {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3"}),
+        # 2 for the 1 of the leaf a: the one series word every order reads
+        (liejets.bch, "BCH_DEGREE3_TERMS",
+         tuple((w, 2 * c if w == "a" else c) for w, c in BCH_DEGREE3_TERMS),
+         {"def6.1-vs-bch-n1", "def6.1-vs-bch-n2", "def6.1-vs-bch-n3"}),
+        # 1/6 for the 1/12 of either degree-3 word, which only order 3 reads
+        (liejets.bch, "BCH_DEGREE3_TERMS",
+         tuple((w, Fraction(1, 6) if w == ("a", ("a", "b")) else c)
+               for w, c in BCH_DEGREE3_TERMS),
+         {"def6.1-vs-bch-n3"}),
+        (liejets.bch, "BCH_DEGREE3_TERMS",
+         tuple((w, Fraction(1, 6) if w == ("b", ("b", "a")) else c)
+               for w, c in BCH_DEGREE3_TERMS),
+         {"def6.1-vs-bch-n3"}),
         # n^2 for n! in jet_convert: 1! stays right, 2! and 3! go wrong.  Both
         # oracles lift and read back through jet_convert, and a product mixes
         # lower coordinates into degree 2 and 3 with the true factorials, so
@@ -250,7 +263,7 @@ def test_corrupted_closed_form_fails_exactly_the_checks_that_guard_it(
          {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3", "def6.1-vs-matrix-n2",
           "def6.1-vs-matrix-n3", "thm-7.2", "thm-7.3"}),
     ],
-    ids=["bch-sign", "jet-convert-factorial"],
+    ids=["bch-sign", "bch-leaf", "bch-aab", "bch-bba", "jet-convert-factorial"],
 )
 def test_corrupted_oracle_fails_exactly_the_checks_that_guard_it(
     monkeypatch, module, name, value, failing

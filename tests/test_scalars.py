@@ -13,11 +13,11 @@ from liejets.scalars import (
     SignatureError,
     SignatureMismatch,
     WeilScalar,
+    join_last_generator,
     lowest_last_power,
     rational_from_str,
     ring_make,
     split_last_generator,
-    with_last_power,
 )
 
 D3 = ring_make([("d", 3)])
@@ -150,7 +150,7 @@ class TestPackedLayout:
         )
         total = WeilScalar(ext, {})
         for power in range(4):
-            lifted = with_last_power(s, ext, power)
+            lifted = join_last_generator({power: s}, ext)
             assert lifted.coefficients() == {
                 v + (power,): c for v, c in s.coefficients().items()
             }
@@ -299,18 +299,25 @@ class TestEmbedSplit:
     def test_embed_preserves_terms(self):
         s = D2.one + D2.gen("d")
         ext = ring_make([("d", 2), ("t", 1)])
-        assert with_last_power(s, ext.signature, 0) == ext.one + ext.gen("d")
-        assert with_last_power(s, ext.signature, 1) == ext.gen("t") + ext.gen("d") * ext.gen("t")
+        assert join_last_generator({0: s}, ext.signature) == ext.one + ext.gen("d")
+        assert join_last_generator({1: s}, ext.signature) == (
+            ext.gen("t") + ext.gen("d") * ext.gen("t")
+        )
         with pytest.raises(SignatureError):
-            with_last_power(s, ext.signature, 2)
+            join_last_generator({2: s}, ext.signature)
+        with pytest.raises(SignatureError):
+            join_last_generator({-1: s}, ext.signature)
 
     def test_embed_requires_prefix(self):
         with pytest.raises(SignatureMismatch):
-            with_last_power(D2.gen("d"), EE.signature, 1)
+            join_last_generator({1: D2.gen("d")}, EE.signature)
         with pytest.raises(SignatureMismatch):
-            with_last_power(Q.one, EE.signature, 1)
+            join_last_generator({1: Q.one}, EE.signature)
         with pytest.raises(SignatureMismatch):
-            with_last_power(Q.one, Q.signature, 0)
+            join_last_generator({0: Q.one}, Q.signature)
+        mixed = {0: D2.one, 1: D1.one}
+        with pytest.raises(SignatureMismatch):
+            join_last_generator(mixed, ring_make([("d", 2), ("t", 1)]).signature)
 
     def test_split_round_trip(self):
         ext = ring_make([("d", 2), ("t", 3)])
@@ -318,9 +325,31 @@ class TestEmbedSplit:
         parts = split_last_generator(s, D2.signature)
         rebuilt = ext.zero
         for power, base in parts.items():
-            rebuilt = rebuilt + with_last_power(base, ext.signature, power)
+            rebuilt = rebuilt + join_last_generator({power: base}, ext.signature)
         assert rebuilt == s
+        assert join_last_generator(parts, ext.signature) == s
         assert split_last_generator(ext.zero, D2.signature) == {}
+
+    def test_join_is_the_inverse_of_split(self):
+        base = DE.signature
+        ext = base.extend("t", 3)
+        rng = Random(5)
+        for _ in range(40):
+            parts = {}
+            for power in rng.sample(range(4), rng.randint(1, 4)):
+                parts[power] = WeilScalar.from_terms(base, {
+                    (rng.randint(0, 2), rng.randint(0, 1)):
+                        Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
+                    for _ in range(rng.randint(1, 3))
+                })
+            joined = join_last_generator(parts, ext)
+            assert split_last_generator(joined, base) == parts
+            assert joined == sum(
+                (join_last_generator({p: s}, ext) for p, s in parts.items()),
+                WeilScalar(ext, {}),
+            )
+        assert join_last_generator({}, ext) == WeilScalar(ext, {})
+        assert join_last_generator({}, ext).is_zero()
 
     def test_split_reduces_each_part(self):
         s = D2.rational(Fraction(1, 2)) + D2.gen("d").scale(Fraction(1, 3))
