@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .scalars import (
@@ -252,25 +253,20 @@ class LieElement:
                 f"{other.signature.generators} cannot mix"
             )
 
-    def __add__(self, other):
+    def _coordinatewise(self, other, op):
+        """``op`` applied to matching coordinates: the one body of + and -."""
         if not isinstance(other, LieElement):
             return NotImplemented
         self._check_compatible(other)
         return LieElement(
-            self.algebra,
-            self.signature,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
+            self.algebra, self.signature, tuple(map(op, self.coords, other.coords))
         )
 
+    def __add__(self, other):
+        return self._coordinatewise(other, add)
+
     def __sub__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        self._check_compatible(other)
-        return LieElement(
-            self.algebra,
-            self.signature,
-            tuple(a - b for a, b in zip(self.coords, other.coords)),
-        )
+        return self._coordinatewise(other, sub)
 
     def __neg__(self):
         return LieElement(self.algebra, self.signature, tuple(-a for a in self.coords))

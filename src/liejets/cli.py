@@ -77,7 +77,7 @@ def cmd_validate(args) -> int:
                 raise _CliUsageError(
                     f"{args.spec!r} is neither a readable file nor a built-in algebra"
                 ) from None
-    except (_CliUsageError, AlgebraError, SignatureError) as exc:
+    except (AlgebraError, SignatureError) as exc:
         return _fail(str(exc), USAGE_ERROR)
     report = validate_algebra(spec)
     _emit({"algebra": spec.name, **report.to_json()})
@@ -101,12 +101,14 @@ def _load_jet(path: str) -> Jet:
         raise _CliUsageError(f"{path}: {exc}") from exc
 
 
+def _load_operands(args) -> tuple[Jet, Jet]:
+    """The jets named by ``args.a`` and ``args.b``; the first unreadable one
+    raises ``_CliUsageError``, which :func:`main` reports."""
+    return _load_jet(args.a), _load_jet(args.b)
+
+
 def cmd_mul(args) -> int:
-    try:
-        a = _load_jet(args.a)
-        b = _load_jet(args.b)
-    except _CliUsageError as exc:
-        return _fail(str(exc), USAGE_ERROR)
+    a, b = _load_operands(args)
     if args.order is not None and (a.order != args.order or b.order != args.order):
         return _fail(
             f"expected order {args.order}, got {a.order} and {b.order}", CHECK_FAILED
@@ -133,11 +135,7 @@ def cmd_mul(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    try:
-        a = _load_jet(args.a)
-        b = _load_jet(args.b)
-    except _CliUsageError as exc:
-        return _fail(str(exc), USAGE_ERROR)
+    a, b = _load_operands(args)
     try:
         result = jet_bracket(jet_convert(a, "monomial"), jet_convert(b, "monomial"))
     except (JetError, AlgebraError, SignatureMismatch) as exc:
@@ -210,7 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CliUsageError as exc:
+        return _fail(str(exc), USAGE_ERROR)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,9 @@ from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import add, mul, neg, sub
 
-from .algebras import LieAlgebraSpec, LieElement, basis_element, bracket
+from .algebras import (
+    LieAlgebraSpec, LieElement, basis_element, bracket, heisenberg3, sl2, so3,
+)
 from .jets import Jet, JetError, lift_curves, read_curve
 from .scalars import (
     RingSignature,
@@ -509,8 +511,6 @@ BUILTIN_REP_NAMES = ("h3", "sl2", "so3")
 
 def builtin_rep(name: str) -> MatrixRep:
     """Built-in faithful representations for h3, sl2, and so3."""
-    from .algebras import heisenberg3, sl2, so3
-
     if name == "h3":
         return matrix_rep(
             heisenberg3(),

@@ -11,8 +11,9 @@ every term.  The form is canonical: the denominator is coprime to the gcd of
 the numerators, and it is 1 for the zero scalar.  Equality is therefore
 literal comparison of signature, denominator and table, and every operation
 is exact: integer products and sums of the numerators, then a single gcd to
-reduce the result.  ``coefficients()`` gives the terms as ``Fraction`` values
-keyed by dense exponent vectors.
+reduce the result.  ``+`` and ``-`` share one signed merge, so a difference
+is a sum with the second operand's numerators negated.  ``coefficients()``
+gives the terms as ``Fraction`` values keyed by dense exponent vectors.
 
 A monomial is one non-negative ``int`` with the exponents packed side by
 side (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps,
@@ -200,6 +201,41 @@ def _constant(signature: RingSignature, q) -> "WeilScalar":
     return WeilScalar(signature, {0: n}, q.denominator)
 
 
+def _signed_sum(x: "WeilScalar", y: "WeilScalar", sign: int) -> "WeilScalar":
+    """x + sign * y for scalars over one ring and ``sign`` = 1 or -1: the
+    one merge behind ``+`` and ``-``.  y's terms, scaled by ``sign`` and
+    brought to the lcm of the denominators, are merged into a copy of x's,
+    and one reduction makes the result canonical."""
+    a, b = x.terms, y.terms
+    if not b:
+        return x
+    if not a and sign == 1:
+        return y
+    da, db = x.den, y.den
+    if da == db:
+        den, fb = da, sign
+        if sign == 1 and len(a) < len(b):
+            a, b = b, a  # copy the larger table, merge the smaller
+        out = dict(a)
+    else:
+        g = gcd(da, db)
+        fa, fb = db // g, da // g * sign
+        den = da * fa
+        out = {k: c * fa for k, c in a.items()}
+    for k, c in b.items():
+        c = c * fb
+        acc = out.get(k)
+        if acc is None:
+            out[k] = c
+        else:
+            acc = acc + c
+            if acc:
+                out[k] = acc
+            else:
+                del out[k]
+    return _reduced(x.signature, out, den)
+
+
 class WeilScalar:
     """Element of a truncated polynomial ring, in canonical sparse form.
 
@@ -297,34 +333,7 @@ class WeilScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self.terms, other.terms
-        if not a:
-            return other
-        if not b:
-            return self
-        da, db = self.den, other.den
-        if da == db:
-            den, fb = da, 1
-            if len(a) < len(b):
-                a, b = b, a
-            out = dict(a)
-        else:
-            g = gcd(da, db)
-            fa, fb = db // g, da // g
-            den = da * fa
-            out = {k: c * fa for k, c in a.items()}
-        for k, c in b.items():
-            c = c * fb
-            acc = out.get(k)
-            if acc is None:
-                out[k] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[k] = acc
-                else:
-                    del out[k]
-        return _reduced(self.signature, out, den)
+        return _signed_sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -336,30 +345,7 @@ class WeilScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        b = other.terms
-        if not b:
-            return self
-        da, db = self.den, other.den
-        if da == db:
-            den, fb = da, 1
-            out = dict(self.terms)
-        else:
-            g = gcd(da, db)
-            fa, fb = db // g, da // g
-            den = da * fa
-            out = {k: c * fa for k, c in self.terms.items()}
-        for k, c in b.items():
-            c = c * fb
-            acc = out.get(k)
-            if acc is None:
-                out[k] = -c
-            else:
-                acc = acc - c
-                if acc:
-                    out[k] = acc
-                else:
-                    del out[k]
-        return _reduced(self.signature, out, den)
+        return _signed_sum(self, other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)

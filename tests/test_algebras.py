@@ -1,7 +1,8 @@
 """Structure-constant algebra tests: bracket, Jacobi validation, catalog, JSON."""
 
+import operator
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -199,6 +200,44 @@ def test_scalar_extension_commutes_with_bracket():
         x = random_element(H3, ring, rng)
         y = random_element(H3, ring, rng)
         assert bracket(x * s, y) == bracket(x, y) * s
+
+
+def random_coords(spec, ring, rng: Random) -> tuple:
+    """One scalar per basis element, each a random dense table over ``ring``."""
+    vectors = list(product(*(range(m + 1) for m in ring.signature.orders)))
+    return tuple(
+        ring.scalar({
+            v: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            for v in rng.sample(vectors, rng.randint(0, len(vectors)))
+        })
+        for _ in range(spec.dim)
+    )
+
+
+@pytest.mark.parametrize("ring", [PLAIN_RING, EE], ids=["Q", "EE"])
+def test_sum_and_difference_are_coordinatewise(ring):
+    # oracle: dense Fraction sums of each coordinate's coefficient table
+    rng = Random(17)
+    for spec in BUILTINS:
+        for _ in range(10):
+            xc, yc = random_coords(spec, ring, rng), random_coords(spec, ring, rng)
+            x, y = LieElement(spec, ring.signature, xc), LieElement(spec, ring.signature, yc)
+            for got, sign in ((x + y, 1), (x - y, -1)):
+                for g, a, b in zip(got.coords, xc, yc):
+                    want = a.coefficients()
+                    for v, c in b.coefficients().items():
+                        want[v] = want.get(v, Fraction(0)) + sign * c
+                    assert g.coefficients() == {v: c for v, c in want.items() if c}
+            assert (x - x).is_zero()
+    p = basis_element(H3, PLAIN_RING, "p")
+    e = basis_element(sl2(), PLAIN_RING, "e")
+    for op in (operator.add, operator.sub):
+        with pytest.raises(AlgebraError):
+            op(p, e)
+        with pytest.raises(SignatureMismatch):
+            op(p, basis_element(H3, EE, "p"))
+        with pytest.raises(TypeError):
+            op(p, 1)
 
 
 coords3 = st.lists(

@@ -196,14 +196,27 @@ class TestSuites:
         assert failing["thm-6.3"].counterexample is not None
 
 
+def report_digest(trials: int, seed: int) -> str:
+    """sha256 of the --no-timing catalog report, interpreter version left out."""
+    doc = run_suite("all", trials=trials, seed=seed).to_json(include_timing=False)
+    del doc["versions"]["python"]
+    return hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+
+
 def test_seed0_report_matches_the_recorded_digest():
     """The --no-timing report at seed 0 is byte-identical to the one recorded
-    with the benchmark (interpreter version left out)."""
+    with the benchmark."""
     baseline = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
-    doc = run_suite("all", trials=100, seed=0).to_json(include_timing=False)
-    del doc["versions"]["python"]
-    digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
-    assert digest == json.loads(baseline.read_text())["catalog"]["digest_seed0"]
+    digest = json.loads(baseline.read_text())["catalog"]["digest_seed0"]
+    assert report_digest(100, 0) == digest
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_other_seeds_reports_match_the_recorded_digests(seed):
+    """Byte-identity beyond seed 0: the --no-timing reports at seeds 1-4 and
+    10 trials match the digests in ``report_digests.json``."""
+    recorded = json.loads((Path(__file__).parent / "report_digests.json").read_text())
+    assert report_digest(recorded["trials"], seed) == recorded["digests"][str(seed)]
 
 
 @pytest.mark.parametrize(

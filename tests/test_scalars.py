@@ -40,6 +40,14 @@ def naive_poly_mul(a: dict, b: dict, orders) -> dict:
     return {v: c for v, c in out.items() if c}
 
 
+def naive_poly_sum(a: dict, b: dict, sign: int) -> dict:
+    """Independent dense sum a + sign * b of {exponent vector: Fraction} tables."""
+    out = dict(a)
+    for v, c in b.items():
+        out[v] = out.get(v, Fraction(0)) + sign * c
+    return {v: c for v, c in out.items() if c}
+
+
 class TestRingMake:
     def test_single_generator(self):
         assert D3.signature.generators == (("d", 3),)
@@ -211,6 +219,25 @@ class TestRingLaws:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
+    def test_add_sub_against_naive_oracle(self, ring, data):
+        a = data.draw(scalars_of(ring))
+        b = data.draw(scalars_of(ring))
+        # b / 3 meets a over unequal denominators, and (a + b) - a cancels
+        # every term of a exactly
+        for x, y in ((a, b), (a, b.scale(Fraction(1, 3))), (a + b, a)):
+            cx, cy = x.coefficients(), y.coefficients()
+            for got, want in (
+                (x + y, naive_poly_sum(cx, cy, 1)),
+                (x - y, naive_poly_sum(cx, cy, -1)),
+                (y - x, naive_poly_sum(cy, cx, -1)),
+            ):
+                assert got.coefficients() == want
+                assert got == ring.scalar(want)
+        zero = a - a
+        assert zero.terms == {} and zero.den == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
     def test_mul_against_naive_oracle(self, ring, data):
         a = data.draw(scalars_of(ring))
         b = data.draw(scalars_of(ring))
@@ -295,8 +322,8 @@ class TestJson:
             )
 
 
-class TestEmbedSplit:
-    def test_embed_preserves_terms(self):
+class TestJoinSplit:
+    def test_join_places_terms_at_the_power(self):
         s = D2.one + D2.gen("d")
         ext = ring_make([("d", 2), ("t", 1)])
         assert join_last_generator({0: s}, ext.signature) == ext.one + ext.gen("d")
@@ -308,7 +335,7 @@ class TestEmbedSplit:
         with pytest.raises(SignatureError):
             join_last_generator({-1: s}, ext.signature)
 
-    def test_embed_requires_prefix(self):
+    def test_join_requires_the_base_signature_as_prefix(self):
         with pytest.raises(SignatureMismatch):
             join_last_generator({1: D2.gen("d")}, EE.signature)
         with pytest.raises(SignatureMismatch):
