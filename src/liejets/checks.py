@@ -42,8 +42,8 @@ from .jets import (
     jet_truncate,
     lift_curves,
 )
-from .matrices import MatrixRep, builtin_rep, exp_weights, log_of_exp_product
-from .matrices import theorem_4_sides
+from .matrices import BUILTIN_REP_NAMES, MatrixRep, builtin_rep, exp_weights
+from .matrices import log_of_exp_product, theorem_4_sides
 from .report import FAIL, PASS, CheckResult, VerificationReport
 from .sampling import PLAIN_RING, random_element, random_jet, random_rational
 from .sampling import symbolic_jet_family
@@ -536,7 +536,7 @@ def build_checks(
     orders = (1, 2, 3) if order is None else (order,)
     every = algebras or default_verification_algebras()
     pair = algebras or [resolve_algebra("h3"), resolve_algebra("sl2")]
-    triple = algebras or [resolve_algebra(name) for name in ("h3", "sl2", "so3")]
+    triple = algebras or [resolve_algebra(name) for name in BUILTIN_REP_NAMES]
 
     def per_order(prefix: str, check, instances: list) -> list:
         return [

@@ -80,9 +80,6 @@ class Jet:
         self.system = system
         self.coords = coords
 
-    def is_identity(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
@@ -93,14 +90,6 @@ class Jet:
             and self.system == other.system
             and self.coords == other.coords
         )
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return jet_mul(self, other)
-
-    def inverse(self) -> "Jet":
-        return jet_inverse(self)
 
     def __repr__(self):
         coords = ", ".join(str(c) for c in self.coords)

@@ -15,12 +15,15 @@ all-zero coefficient matrix is stored, and the denominator is coprime to the
 gcd of every numerator (1 for the zero matrix), so equality is literal
 comparison.  A product loops over pairs of monomials, multiplying each pair
 once and adding one small integer matrix product per pair, then reduces the
-whole result with a single gcd.
+whole result with a single gcd.  Every other matrix is built by
+:func:`_linear_combination`, a sum of scalars times integer matrices, and
+:func:`weil_exp` and :func:`weil_log` sum one series, :func:`_nilpotent_series`.
 
 A :class:`MatrixRep` sends basis elements of an algebra to rational matrices
 and is validated at load time: the image of every basis bracket must equal
 the commutator of the images.  Built-in representations ship for h3 (strictly
-upper triangular 3x3), sl2 (2x2), and so3 (3x3).
+upper triangular 3x3), sl2 (2x2), and so3 (3x3), in one table of (algebra
+builder, images).
 """
 
 from __future__ import annotations
@@ -72,6 +75,14 @@ def _integer_cells(values) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
+def _side(rows) -> int:
+    """The side of a square grid of rows."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise MatrixError("the rows of a matrix must form a square grid")
+    return n
+
+
 def _matrix(signature: RingSignature, size: int, coeffs: dict, den: int) -> "WeilMatrix":
     """Matrix from nonzero coefficient tuples over ``den`` > 0, with their
     common factor divided out (so the zero matrix gets denominator 1)."""
@@ -94,6 +105,24 @@ def _matrix(signature: RingSignature, size: int, coeffs: dict, den: int) -> "Wei
     return m
 
 
+def _linear_combination(signature: RingSignature, size: int, parts) -> "WeilMatrix":
+    """The sum of s * cells / d over ``parts``, each a (WeilScalar s, flat
+    row-major integer cells, positive denominator d) triple: every product
+    brought to the lcm of the s.den * d, then reduced once."""
+    parts = [p for p in parts if p[0].terms]
+    den = lcm(*(s.den * d for s, _, d in parts))
+    cells: dict = {}
+    for s, image, d in parts:
+        f = den // (s.den * d)
+        for k, c in s.terms.items():
+            c *= f
+            term = [c * e for e in image]
+            acc = cells.get(k)
+            cells[k] = term if acc is None else list(map(add, acc, term))
+    coeffs = {k: tuple(cell) for k, cell in cells.items() if any(cell)}
+    return _matrix(signature, size, coeffs, den)
+
+
 class WeilMatrix:
     """Square matrix over one truncated ring, in canonical polynomial form.
 
@@ -107,28 +136,16 @@ class WeilMatrix:
     __slots__ = ("signature", "size", "coeffs", "den")
 
     def __init__(self, signature: RingSignature, rows):
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise MatrixError("the rows of a matrix must form a square grid")
+        n = _side(rows)
         self.signature = signature
         for row in rows:
             for e in row:
                 self._check_ring(e.signature)
-        # Over the lcm of the entries' denominators the numerators stay
-        # coprime to the shared denominator, as in WeilScalar.from_terms.
-        den = lcm(*(e.den for row in rows for e in row))
-        cells: dict = {}
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                f = den // e.den
-                for k, c in e.terms.items():
-                    cell = cells.get(k)
-                    if cell is None:
-                        cell = cells[k] = [0] * (n * n)
-                    cell[i * n + j] = c * f
-        self.size = n
-        self.coeffs = {k: tuple(cell) for k, cell in cells.items()}
-        self.den = den
+        units = [tuple(int(c == i) for c in range(n * n)) for i in range(n * n)]
+        m = _linear_combination(signature, n, [
+            (e, units[i * n + j], 1) for i, row in enumerate(rows) for j, e in enumerate(row)
+        ])
+        self.size, self.coeffs, self.den = n, m.coeffs, m.den
 
     @classmethod
     def identity(cls, ring: WeilRing, n: int) -> "WeilMatrix":
@@ -141,8 +158,9 @@ class WeilMatrix:
 
     @classmethod
     def from_rational(cls, ring: WeilRing, rows) -> "WeilMatrix":
+        n = _side(rows)
         cell, den = _integer_cells(e for row in rows for e in row)
-        return _matrix(ring.signature, len(rows), {0: cell} if any(cell) else {}, den)
+        return _linear_combination(ring.signature, n, [(ring.one, cell, den)])
 
     @property
     def rows(self) -> tuple:
@@ -290,24 +308,27 @@ class WeilMatrix:
         return f"WeilMatrix[{self.size}]({body})"
 
 
-def _degree_cap(sig: RingSignature) -> int:
-    return sum(sig.orders)
+def _nilpotent_series(N: WeilMatrix, coefficient) -> WeilMatrix:
+    """N + coefficient(2) N^2 + coefficient(3) N^3 + ... for scalar-nilpotent N,
+    whose series start with coefficient 1.  Each power is one product with N,
+    and its coefficient is formed only when the power is nonzero."""
+    acc = power = N
+    # N^(cap + 1) = 0, so the series ends by k = max(2, cap + 1)
+    cap = sum(N.signature.orders)
+    for k in range(2, cap + 3):
+        power = power * N
+        if power.is_zero():
+            return acc
+        acc = acc + power.scale(coefficient(k))
+    raise AssertionError("nilpotent power series failed to terminate")
 
 
 def weil_exp(M: WeilMatrix) -> WeilMatrix:
     """I + M + M^2/2! + ...; finite because M is scalar-nilpotent."""
     if not M.is_scalar_nilpotent():
         raise MatrixError("weil_exp needs every entry to have zero constant term")
-    acc = WeilMatrix.identity(WeilRing(M.signature), M.size) + M
-    term = M
-    cap = _degree_cap(M.signature)
-    # M^(cap + 1) = 0, so both series end by k = max(2, cap + 1)
-    for k in range(2, cap + 3):
-        term = (term * M).scale(Fraction(1, k))
-        if term.is_zero():
-            return acc
-        acc = acc + term
-    raise AssertionError("exponential series failed to terminate")
+    series = _nilpotent_series(M, lambda k: Fraction(1, factorial(k)))
+    return WeilMatrix.identity(WeilRing(M.signature), M.size) + series
 
 
 def weil_log(M: WeilMatrix) -> WeilMatrix:
@@ -315,14 +336,7 @@ def weil_log(M: WeilMatrix) -> WeilMatrix:
     N = M - WeilMatrix.identity(WeilRing(M.signature), M.size)
     if not N.is_scalar_nilpotent():
         raise MatrixError("weil_log needs M - I to have entries with zero constant term")
-    acc = power = N
-    cap = _degree_cap(M.signature)
-    for k in range(2, cap + 3):
-        power = power * N
-        if power.is_zero():
-            return acc
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-    raise AssertionError("logarithm series failed to terminate")
+    return _nilpotent_series(N, lambda k: Fraction((-1) ** (k + 1), k))
 
 
 # -- representations -----------------------------------------------------------
@@ -331,16 +345,21 @@ def weil_log(M: WeilMatrix) -> WeilMatrix:
 class MatrixRep:
     """Rational matrix images of an algebra's basis, bracket-compatible.
 
-    The images must not change once the representation is in use: their
-    integer forms and the solver for coordinates are derived from them on
-    first use and kept.  Two representations are equal when their algebras,
-    dimensions and images are.
+    The images must not change after construction: their integer forms
+    are derived from them then, and the solver for coordinates on first use.
+    Two representations are equal when their algebras, dimensions and images
+    are.
     """
 
     def __init__(self, algebra: LieAlgebraSpec, dimension: int, images: dict):
         self.algebra = algebra
         self.dimension = dimension
         self.images = images
+        # each image as (flat row-major integer numerators, denominator)
+        self._numerators = {
+            name: _integer_cells(e for row in rows for e in row)
+            for name, rows in images.items()
+        }
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -354,14 +373,6 @@ class MatrixRep:
     def __repr__(self):
         return (f"MatrixRep(algebra={self.algebra!r}, dimension={self.dimension!r}, "
                 f"images={self.images!r})")
-
-    @cached_property
-    def _numerators(self) -> dict:
-        """Each image as (flat row-major integer numerators, denominator)."""
-        return {
-            name: _integer_cells(e for row in rows for e in row)
-            for name, rows in self.images.items()
-        }
 
     @cached_property
     def _solver(self) -> tuple[list, list]:
@@ -402,20 +413,9 @@ class MatrixRep:
         """WeilMatrix image of an element with WeilScalar coordinates, built
         from the coordinates' integer numerators."""
         images = self._numerators
-        parts = [
-            (s, images[name]) for name, s in zip(self.algebra.basis, x.coords) if s.terms
-        ]
-        den = lcm(*(s.den * d for s, (_, d) in parts))
-        cells: dict = {}
-        for s, (image, d) in parts:
-            f = den // (s.den * d)
-            for k, c in s.terms.items():
-                c *= f
-                term = [c * e for e in image]
-                acc = cells.get(k)
-                cells[k] = term if acc is None else list(map(add, acc, term))
-        coeffs = {k: tuple(cell) for k, cell in cells.items() if any(cell)}
-        return _matrix(x.signature, self.dimension, coeffs, den)
+        return _linear_combination(x.signature, self.dimension, [
+            (s, *images[name]) for name, s in zip(self.algebra.basis, x.coords)
+        ])
 
     def extract(self, M: WeilMatrix) -> LieElement:
         """Solve sum_k x_k * image(b_k) = M for the coordinates x_k.
@@ -505,40 +505,36 @@ def matrix_rep(
     return rep
 
 
+# The built-in faithful representations: name -> (algebra builder, images).
+_BUILTIN_REPS = {
+    "h3": (heisenberg3, {
+        "p": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        "q": [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+        "z": [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+    }),
+    "sl2": (sl2, {
+        "e": [[0, 1], [0, 0]],
+        "f": [[0, 0], [1, 0]],
+        "h": [[1, 0], [0, -1]],
+    }),
+    "so3": (so3, {
+        "L1": [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+        "L2": [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+        "L3": [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
+    }),
+}
+
 #: Names with a built-in representation.
-BUILTIN_REP_NAMES = ("h3", "sl2", "so3")
+BUILTIN_REP_NAMES = tuple(_BUILTIN_REPS)
 
 
 def builtin_rep(name: str) -> MatrixRep:
-    """Built-in faithful representations for h3, sl2, and so3."""
-    if name == "h3":
-        return matrix_rep(
-            heisenberg3(),
-            {
-                "p": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-                "q": [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-                "z": [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-            },
-        )
-    if name == "sl2":
-        return matrix_rep(
-            sl2(),
-            {
-                "e": [[0, 1], [0, 0]],
-                "f": [[0, 0], [1, 0]],
-                "h": [[1, 0], [0, -1]],
-            },
-        )
-    if name == "so3":
-        return matrix_rep(
-            so3(),
-            {
-                "L1": [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
-                "L2": [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
-                "L3": [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
-            },
-        )
-    raise MatrixError(f"no built-in representation for {name!r}")
+    """The built-in faithful representation of a name in BUILTIN_REP_NAMES."""
+    entry = _BUILTIN_REPS.get(name)
+    if entry is None:
+        raise MatrixError(f"no built-in representation for {name!r}")
+    algebra, images = entry
+    return matrix_rep(algebra(), images)
 
 
 # -- jet multiplication through the matrix group -------------------------------

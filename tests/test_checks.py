@@ -13,7 +13,8 @@ import liejets.checks
 import liejets.jets
 import liejets.scalars
 
-from liejets.algebras import basis_element, heisenberg3, make_algebra, sl2, zero_element
+from liejets.algebras import LieAlgebraSpec, basis_element, heisenberg3, make_algebra, sl2
+from liejets.algebras import zero_element
 from liejets.bch import BCH_DEGREE3_TERMS
 from liejets.catalog import resolve_algebra
 from liejets.checks import (
@@ -30,7 +31,7 @@ from liejets.checks import (
     verify_lemma_631,
 )
 from liejets.hall import free_nilpotent
-from liejets.jets import jet_make, jet_mul
+from liejets.jets import Jet, jet_make, jet_mul
 from liejets.matrices import MatrixRep
 from liejets.sampling import PLAIN_RING, symbolic_jet_family
 
@@ -219,17 +220,17 @@ def test_other_seeds_reports_match_the_recorded_digests(seed):
     assert report_digest(recorded["trials"], seed) == recorded["digests"][str(seed)]
 
 
-@pytest.mark.parametrize(
-    "constant, value, failing",
-    [
-        # 3/2 -> 1 in the order-3 cross term of jet_mul
-        ("_THREE_HALVES", Fraction(1),
-         {"def6.1-vs-bch-n3", "def6.1-vs-matrix-n3", "thm-6.3", "thm-7.3"}),
-        # 1/2 -> 0 drops the nested order-3 term, which the square-zero
-        # scaling of thm-7.3 cannot see
-        ("_HALF", Fraction(0), {"def6.1-vs-bch-n3", "def6.1-vs-matrix-n3", "thm-6.3"}),
-    ],
-)
+CLOSED_FORM_ROWS = [
+    # 3/2 -> 1 in the order-3 cross term of jet_mul
+    ("_THREE_HALVES", Fraction(1),
+     {"def6.1-vs-bch-n3", "def6.1-vs-matrix-n3", "thm-6.3", "thm-7.3"}),
+    # 1/2 -> 0 drops the nested order-3 term, which the square-zero
+    # scaling of thm-7.3 cannot see
+    ("_HALF", Fraction(0), {"def6.1-vs-bch-n3", "def6.1-vs-matrix-n3", "thm-6.3"}),
+]
+
+
+@pytest.mark.parametrize("constant, value, failing", CLOSED_FORM_ROWS)
 def test_corrupted_closed_form_fails_exactly_the_checks_that_guard_it(
     monkeypatch, constant, value, failing
 ):
@@ -244,38 +245,41 @@ def test_corrupted_closed_form_fails_exactly_the_checks_that_guard_it(
         )
 
 
+ORACLE_ROWS = [
+    # -1/2 for the 1/2 of [a, b] in the series table.  Only the series
+    # comparisons evaluate the table, and at order 1 the word is not
+    # evaluated: the bracket of two curves d X, d Y lies in d^2.
+    (liejets.bch, "BCH_DEGREE3_TERMS",
+     tuple((w, -c if w == ("a", "b") else c) for w, c in BCH_DEGREE3_TERMS),
+     {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3"}),
+    # 2 for the 1 of the leaf a: the one series word every order reads
+    (liejets.bch, "BCH_DEGREE3_TERMS",
+     tuple((w, 2 * c if w == "a" else c) for w, c in BCH_DEGREE3_TERMS),
+     {"def6.1-vs-bch-n1", "def6.1-vs-bch-n2", "def6.1-vs-bch-n3"}),
+    # 1/6 for the 1/12 of either degree-3 word, which only order 3 reads
+    (liejets.bch, "BCH_DEGREE3_TERMS",
+     tuple((w, Fraction(1, 6) if w == ("a", ("a", "b")) else c)
+           for w, c in BCH_DEGREE3_TERMS),
+     {"def6.1-vs-bch-n3"}),
+    (liejets.bch, "BCH_DEGREE3_TERMS",
+     tuple((w, Fraction(1, 6) if w == ("b", ("b", "a")) else c)
+           for w, c in BCH_DEGREE3_TERMS),
+     {"def6.1-vs-bch-n3"}),
+    # n^2 for n! in jet_convert: 1! stays right, 2! and 3! go wrong.  Both
+    # oracles lift and read back through jet_convert, and a product mixes
+    # lower coordinates into degree 2 and 3 with the true factorials, so
+    # the wrong rescale no longer commutes with it; thm-7.2/7.3 compare a
+    # converted group commutator with the bracket of converted jets, which
+    # scale degree k by 1/f(k) and 1/(f(i) f(k - i)) respectively.
+    (liejets.jets, "factorial", lambda n: n * n,
+     {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3", "def6.1-vs-matrix-n2",
+      "def6.1-vs-matrix-n3", "thm-7.2", "thm-7.3"}),
+]
+
+
 @pytest.mark.parametrize(
     "module, name, value, failing",
-    [
-        # -1/2 for the 1/2 of [a, b] in the series table.  Only the series
-        # comparisons evaluate the table, and at order 1 the word is not
-        # evaluated: the bracket of two curves d X, d Y lies in d^2.
-        (liejets.bch, "BCH_DEGREE3_TERMS",
-         tuple((w, -c if w == ("a", "b") else c) for w, c in BCH_DEGREE3_TERMS),
-         {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3"}),
-        # 2 for the 1 of the leaf a: the one series word every order reads
-        (liejets.bch, "BCH_DEGREE3_TERMS",
-         tuple((w, 2 * c if w == "a" else c) for w, c in BCH_DEGREE3_TERMS),
-         {"def6.1-vs-bch-n1", "def6.1-vs-bch-n2", "def6.1-vs-bch-n3"}),
-        # 1/6 for the 1/12 of either degree-3 word, which only order 3 reads
-        (liejets.bch, "BCH_DEGREE3_TERMS",
-         tuple((w, Fraction(1, 6) if w == ("a", ("a", "b")) else c)
-               for w, c in BCH_DEGREE3_TERMS),
-         {"def6.1-vs-bch-n3"}),
-        (liejets.bch, "BCH_DEGREE3_TERMS",
-         tuple((w, Fraction(1, 6) if w == ("b", ("b", "a")) else c)
-               for w, c in BCH_DEGREE3_TERMS),
-         {"def6.1-vs-bch-n3"}),
-        # n^2 for n! in jet_convert: 1! stays right, 2! and 3! go wrong.  Both
-        # oracles lift and read back through jet_convert, and a product mixes
-        # lower coordinates into degree 2 and 3 with the true factorials, so
-        # the wrong rescale no longer commutes with it; thm-7.2/7.3 compare a
-        # converted group commutator with the bracket of converted jets, which
-        # scale degree k by 1/f(k) and 1/(f(i) f(k - i)) respectively.
-        (liejets.jets, "factorial", lambda n: n * n,
-         {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3", "def6.1-vs-matrix-n2",
-          "def6.1-vs-matrix-n3", "thm-7.2", "thm-7.3"}),
-    ],
+    ORACLE_ROWS,
     ids=["bch-sign", "bch-leaf", "bch-aab", "bch-bba", "jet-convert-factorial"],
 )
 def test_corrupted_oracle_fails_exactly_the_checks_that_guard_it(
@@ -292,6 +296,17 @@ def test_corrupted_oracle_fails_exactly_the_checks_that_guard_it(
         )
 
 
+# the series comparisons compare jets read back from d^1..d^n, so the
+# surviving d^(n+1) terms never reach them; the matrix comparisons compare
+# whole matrices over the d-extended ring, and Theorem 4's exponentials
+# over Q[d_i]/(d_i^2), the nilpotency law and the square-zero e1, e2 of
+# thm-7.3 all see the extra power
+TRUNCATION_FAILS = {
+    "def6.1-vs-matrix-n1", "def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3",
+    "struct-ring-laws", "thm-4.1", "thm-4.2", "thm-4.3", "thm-7.3",
+}
+
+
 def test_truncation_one_power_late_fails_exactly_the_checks_that_see_it(monkeypatch):
     # every generator may reach one power above its order before the product
     # test drops a monomial
@@ -301,19 +316,16 @@ def test_truncation_one_power_late_fails_exactly_the_checks_that_see_it(monkeypa
     )
     report = run_suite("all", trials=3, seed=0)
     failed = {c.check: c for c in report.checks if not c.passed}
-    # the series comparisons compare jets read back from d^1..d^n, so the
-    # surviving d^(n+1) terms never reach them; the matrix comparisons compare
-    # whole matrices over the d-extended ring, and Theorem 4's exponentials
-    # over Q[d_i]/(d_i^2), the nilpotency law and the square-zero e1, e2 of
-    # thm-7.3 all see the extra power
-    assert set(failed) == {
-        "def6.1-vs-matrix-n1", "def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3",
-        "struct-ring-laws", "thm-4.1", "thm-4.2", "thm-4.3", "thm-7.3",
-    }
+    assert set(failed) == TRUNCATION_FAILS
     assert failed["struct-ring-laws"].counterexample == {"law": "nilpotency", "generator": "d"}
     assert failed["thm-7.3"].counterexample["symbolic"] is True
     for check in ("def6.1-vs-matrix-n1", "thm-4.1"):
         assert failed[check].counterexample["trial"] == 0
+
+
+# order 1 holds because the order-1 product is linear, and thm-4.* because
+# Theorem 4 holds for any matrices
+WRONG_IMAGE_FAILS = {"def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3"}
 
 
 def test_wrong_representation_image_fails_exactly_the_matrix_checks_that_see_it(
@@ -332,12 +344,15 @@ def test_wrong_representation_image_fails_exactly_the_matrix_checks_that_see_it(
     monkeypatch.setattr(liejets.checks, "builtin_rep", with_doubled_z)
     report = run_suite("all", trials=3, seed=0)
     failed = {c.check: c for c in report.checks if not c.passed}
-    # order 1 holds because the order-1 product is linear, and thm-4.* because
-    # Theorem 4 holds for any matrices
-    assert set(failed) == {"def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3"}
+    assert set(failed) == WRONG_IMAGE_FAILS
     for check in failed.values():
         assert check.counterexample["algebra"] == "h3"
         assert isinstance(check.counterexample["trial"], int)
+
+
+# of the other comparisons only order-3 associativity needs the Jacobi
+# identity, and the matrix checks take the true h3 from builtin_rep
+NON_JACOBI_FAILS = {"struct-jacobi-builtins", "thm-6.3"}
 
 
 def test_non_jacobi_structure_constant_fails_the_scan_and_order3_associativity(
@@ -349,11 +364,90 @@ def test_non_jacobi_structure_constant_fails_the_scan_and_order3_associativity(
     ))
     report = run_suite("all", trials=3, seed=0)
     failed = {c.check: c for c in report.checks if not c.passed}
-    # of the other comparisons only order-3 associativity needs the Jacobi
-    # identity, and the matrix checks take the true h3 from builtin_rep
-    assert set(failed) == {"struct-jacobi-builtins", "thm-6.3"}
+    assert set(failed) == NON_JACOBI_FAILS
     jacobi = failed["struct-jacobi-builtins"].counterexample
     assert jacobi["failing_triple"] == ["p", "q", "z"]
     assert jacobi["defect"] == {"z": "1"}
     assert failed["thm-6.3"].counterexample["algebra"] == "h3"
     assert isinstance(failed["thm-6.3"].counterexample["trial"], int)
+
+
+def _edit_product(edit):
+    """Wrap jet_mul so that its result has coordinates edit(x, y, z), for
+    operand coordinates x, y and the true product's z."""
+    def wrap(real):
+        def corrupted(a, b):
+            z = real(a, b)
+            return Jet(z.algebra, z.signature, z.order, z.system,
+                       edit(a.coords, b.coords, z.coords))
+        return corrupted
+    return wrap
+
+
+def _doubled_x_yz(spec: LieAlgebraSpec) -> LieAlgebraSpec:
+    """free-nilpotent(3,3) with [x, [y,z]] = 2 [x,[y,z]]; other specs as they are."""
+    if spec.name != "free-nilpotent(3,3)":
+        return spec
+    pair = (spec.index("x"), spec.index("[y,z]"))
+    structure = {**spec.structure, pair: ((spec.index("[x,[y,z]]"), 2),)}
+    return LieAlgebraSpec(spec.name, spec.basis, structure, spec.degrees,
+                          spec.generator_count)
+
+
+# (modules binding the name, name, wrap(real) -> replacement, failing set); the
+# replacement is installed in every listed module, so that every caller sees it
+NAME_ROWS = [
+    # z1 = x1 - y1 in the closed-form product
+    ((liejets.jets, liejets.checks), "jet_mul",
+     _edit_product(lambda x, y, z: (x[0] - y[0], *z[1:])),
+     {"def6.1-vs-bch-n1", "def6.1-vs-bch-n2", "def6.1-vs-bch-n3",
+      "def6.1-vs-matrix-n1", "def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3",
+      "thm-6.1", "thm-6.2", "thm-6.3", "thm-7.0", "thm-7.1", "thm-7.2", "thm-7.3"}),
+    # z2 = x2 + [x1, y1], y2 dropped; the order-1 checks have no z2
+    ((liejets.jets, liejets.checks), "jet_mul",
+     _edit_product(lambda x, y, z: z if len(z) < 2 else (z[0], z[1] - y[1], *z[2:])),
+     {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3", "def6.1-vs-matrix-n2",
+      "def6.1-vs-matrix-n3", "thm-6.2", "thm-6.3", "thm-7.0", "thm-7.2", "thm-7.3"}),
+    # the inverse returns its argument; the group commutator in jets inverts
+    # too, so patching checks alone would reach only thm-7.0
+    ((liejets.jets, liejets.checks), "jet_inverse", lambda real: lambda a: a,
+     {"thm-7.0", "thm-7.1", "thm-7.2", "thm-7.3"}),
+    # truncation keeps the top coordinates in place of the bottom ones
+    ((liejets.checks,), "jet_truncate",
+     lambda real: lambda j, order: Jet(j.algebra, j.signature, order, j.system,
+                                       j.coords[j.order - order:]),
+     {"struct-tower-compatibility"}),
+    # mu(2) = +1 in the necklace count
+    ((liejets.checks,), "_mobius", lambda real: lambda n: 1 if n == 2 else real(n),
+     {"struct-witt-dimensions"}),
+    # a wrong Hall structure constant of free-nilpotent(3,3)
+    ((liejets.checks,), "free_nilpotent",
+     lambda real: lambda m, c: _doubled_x_yz(real(m, c)),
+     {"lemma-6.3.1", "struct-jacobi-builtins", "thm-6.3"}),
+]
+
+
+@pytest.mark.parametrize(
+    "modules, name, wrap, failing",
+    NAME_ROWS,
+    ids=["product-z1", "product-z2", "inverse", "truncate", "mobius", "hall-constant"],
+)
+def test_corrupted_name_fails_exactly_the_checks_that_guard_it(
+    monkeypatch, modules, name, wrap, failing
+):
+    replacement = wrap(getattr(modules[0], name))
+    for module in modules:
+        monkeypatch.setattr(module, name, replacement)
+    report = run_suite("all", trials=3, seed=0)
+    assert {c.check for c in report.checks if not c.passed} == failing
+
+
+def test_kill_rows_together_fail_every_check():
+    """Every check id of the catalog is failed by at least one kill row."""
+    reached = set().union(
+        *(row[-1] for row in CLOSED_FORM_ROWS + ORACLE_ROWS + NAME_ROWS),
+        TRUNCATION_FAILS, WRONG_IMAGE_FAILS, NON_JACOBI_FAILS,
+    )
+    ids = {check_id for check_id, _ in build_checks("all")}
+    assert len(ids) == 21
+    assert reached == ids

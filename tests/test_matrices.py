@@ -219,6 +219,12 @@ def test_mismatched_shapes_and_rings_rejected():
         builtin_rep("sl2").extract(WeilMatrix.zero(ring, 3))
 
 
+def test_from_rational_refuses_a_non_square_grid():
+    # two rows of three cells would otherwise read as a 2x2 matrix
+    with pytest.raises(MatrixError):
+        WeilMatrix.from_rational(ring_make([]), [[0, 1, 0], [0, 0, 1]])
+
+
 class TestExp:
     def test_exp_of_zero(self):
         ring = ring_make([("d", 2)])
