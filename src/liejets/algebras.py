@@ -22,6 +22,7 @@ from .scalars import (
     SignatureMismatch,
     WeilRing,
     WeilScalar,
+    _signed_sum,
     rational_from_str,
 )
 
@@ -254,7 +255,8 @@ class LieElement:
             )
 
     def _coordinatewise(self, other, op):
-        """``op`` applied to matching coordinates: the one body of + and -."""
+        """``op`` applied to matching coordinates: the one body of +, - and
+        :meth:`add_scaled`."""
         if not isinstance(other, LieElement):
             return NotImplemented
         self._check_compatible(other)
@@ -283,10 +285,25 @@ class LieElement:
     __rmul__ = __mul__
 
     def scale(self, rational) -> "LieElement":
-        q = Fraction(rational)
+        """Multiply every coordinate by a plain rational, read as
+        :meth:`~liejets.scalars.WeilScalar.scale` reads it."""
+        if rational.__class__ is not int and rational.__class__ is not Fraction:
+            rational = rational_from_str(rational)
+        if rational == 1:
+            return self
         return LieElement(
-            self.algebra, self.signature, tuple(c.scale(q) for c in self.coords)
+            self.algebra, self.signature, tuple(c.scale(rational) for c in self.coords)
         )
+
+    def add_scaled(self, other, rational) -> "LieElement":
+        """self + rational * other, with the rational folded into each
+        coordinate's one merge rather than applied by a separate rescale."""
+        if not isinstance(other, LieElement):
+            raise TypeError(f"cannot add a scaled {type(other).__name__} to a LieElement")
+        if rational.__class__ is not int and rational.__class__ is not Fraction:
+            rational = rational_from_str(rational)
+        p, q = rational.numerator, rational.denominator
+        return self._coordinatewise(other, lambda x, y: _signed_sum(x, y, p, q))
 
     def __eq__(self, other):
         if not isinstance(other, LieElement):

@@ -21,11 +21,14 @@ before a skipped word could have been nonzero.  Within one product every
 subword is formed once: [A, B] is shared by [A, [A, B]] and the sum itself.
 
 The coefficient table is fixed, audited data through bracket degree 3, read
-when :func:`bch_mul` is called.  The oracles share only the curve lift and
-readback (:func:`liejets.jets.lift_curves`, :func:`liejets.jets.read_curve`),
-which rescale through :func:`liejets.jets.jet_convert` and which the
-closed-form product never calls; that independence is the point of an oracle.
-Every d-degree is read through :mod:`liejets.scalars`.
+when :func:`bch_mul` is called.  Each word's coefficient is folded into the
+one merge that adds the word to the sum (``LieElement.add_scaled``).  The
+oracles share only the curve lift and readback
+(:func:`liejets.jets.lift_curves`, :func:`liejets.jets.read_curve`), which
+apply the factorial weights inside the one pass that joins or splits each
+coordinate by powers of d, and which the closed-form product never calls;
+that independence is the point of an oracle.  Every d-degree is read through
+:mod:`liejets.scalars`.
 """
 
 from __future__ import annotations
@@ -85,6 +88,5 @@ def bch_mul(a: Jet, b: Jet) -> Jet:
             raise AssertionError(
                 f"bracket word {word} produced a term of d-degree {lowest}"
             )
-        term = value.scale(coeff)
-        total = term if total is None else total + term
+        total = value.scale(coeff) if total is None else total.add_scaled(value, coeff)
     return read_curve(total, a)

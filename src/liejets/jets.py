@@ -8,15 +8,18 @@ systems are supported:
 * ``monomial``: the jet stands for d -> d X_1 + d^2 X_2 + ... + d^n X_n
 
 ``exp`` is the canonical system: the closed-form group law below is stated in
-it, and the rescale between the two systems lives in one audited converter,
-:func:`jet_convert`.  The group law is hard-coded per order (1, 2, 3).
+it.  The factorials between the two systems come from one audited helper,
+:func:`factorial_weights`, which the converter :func:`jet_convert` and the
+oracles' curve code read.  The group law is hard-coded per order (1, 2, 3).
 
 The two oracles (:mod:`liejets.bch` and :mod:`liejets.matrices`) read a jet as
-a curve over the scalar ring extended by a fresh nilpotent d: its monomial jet
-with coordinate i moved to d^i.  They share only the lift to that curve and
-the readback from it (:func:`lift_curves`, :func:`read_curve`, both through
-:func:`jet_convert`), which the closed-form product never calls, so a fault in
-any of them shows up as a disagreement with the closed form.
+a curve over the scalar ring extended by a fresh nilpotent d: coordinate i
+divided by i! and moved to d^i.  They share only the lift to that curve and
+the readback from it (:func:`lift_curves`, :func:`read_curve`), which divide
+and multiply by the factorial weights inside the one pass that joins or
+splits each coordinate by powers of d.  The closed-form product never calls
+them, so a fault in any of them shows up as a disagreement with the closed
+form.
 
 Orders above 3 are rejected: no closed product formula is provided for them.
 """
@@ -46,6 +49,7 @@ __all__ = [
     "jet_make",
     "jet_identity",
     "jet_convert",
+    "factorial_weights",
     "jet_mul",
     "jet_inverse",
     "jet_bracket",
@@ -162,6 +166,14 @@ def _check_pair(a: Jet, b: Jet, system: str | None = None):
                 raise JetError(f"operation requires {system} coordinates, got {j.system}")
 
 
+def factorial_weights(order: int) -> tuple[int, ...]:
+    """(0!, 1!, ..., order!): entry i is the factor between exp coordinate i
+    and monomial coordinate i, indexed as the powers of d in the oracles'
+    curves.  Read at every call, so it is the one place the factorials come
+    from."""
+    return tuple(factorial(i) for i in range(order + 1))
+
+
 def jet_convert(j: Jet, target: str) -> Jet:
     """Exact factorial rescale between coordinate systems.
 
@@ -171,12 +183,13 @@ def jet_convert(j: Jet, target: str) -> Jet:
         raise JetError(f"unknown coordinate system {target!r}")
     if j.system == target:
         return j
+    weights = factorial_weights(j.order)
     if target == MONOMIAL:
         coords = tuple(
-            c.scale(Fraction(1, factorial(i + 1))) for i, c in enumerate(j.coords)
+            c.scale(Fraction(1, weights[i])) for i, c in enumerate(j.coords, 1)
         )
     else:
-        coords = tuple(c.scale(factorial(i + 1)) for i, c in enumerate(j.coords))
+        coords = tuple(c.scale(weights[i]) for i, c in enumerate(j.coords, 1))
     return Jet(j.algebra, j.signature, j.order, target, coords)
 
 
@@ -252,11 +265,11 @@ def jet_scale(j: Jet, scalar) -> Jet:
 
 
 def lift_curves(*jets: Jet) -> tuple[LieElement, ...]:
-    """The curves d -> sum_i d^i/i! X_i of exp-coordinate jets: each jet's
-    monomial coordinate i moved to d^i, over the jets' common ring extended by
-    a fresh last generator d of their common order.  Each basis coordinate of
-    a curve is joined from that coordinate of the n monomial coordinates in
-    one :func:`~liejets.scalars.join_last_generator`.  All curves share one
+    """The curves d -> sum_i d^i/i! X_i of exp-coordinate jets, over the
+    jets' common ring extended by a fresh last generator d of their common
+    order.  Each basis coordinate of a curve is joined from that coordinate
+    of the n jet coordinates, each divided by its factorial weight, in one
+    :func:`~liejets.scalars.join_last_generator`.  All curves share one
     extended signature object, so the scalar layer's same-ring fast path
     applies when they are combined.
     """
@@ -267,11 +280,13 @@ def lift_curves(*jets: Jet) -> tuple[LieElement, ...]:
     while name in first.signature.names:
         name += "_"
     sig = first.signature.extend(name, first.order)
+    weights = factorial_weights(first.order)
 
     def lift(j: Jet) -> LieElement:
-        columns = zip(*(x.coords for x in jet_convert(j, MONOMIAL).coords))
+        columns = zip(*(x.coords for x in j.coords))
         return LieElement(j.algebra, sig, tuple(
-            join_last_generator(dict(enumerate(column, 1)), sig) for column in columns
+            join_last_generator(dict(enumerate(column, 1)), sig, weights)
+            for column in columns
         ))
 
     return tuple(lift(j) for j in jets)
@@ -281,13 +296,15 @@ def read_curve(x: LieElement, like: Jet) -> Jet:
     """The exp-coordinate jet whose curve is ``x``, over ``like``'s ring and
     order: the inverse of :func:`lift_curves`.
 
-    Splits every coordinate by powers of d, the last generator, into a
-    monomial jet and converts it with :func:`jet_convert`.  The parts exist
-    and are unique because the extended ring is a free module over the base
-    ring with basis 1, d, ..., d^n.
+    Splits every coordinate by powers of d, the last generator, multiplying
+    the part at d^i by i! in the same pass; exp coordinate i collects the
+    parts at d^i, and no power above n is read.  The parts exist and are
+    unique because the extended ring is a free module over the base ring
+    with basis 1, d, ..., d^n.
     """
     sig = like.signature
-    parts = [split_last_generator(c, sig) for c in x.coords]
+    weights = factorial_weights(like.order)
+    parts = [split_last_generator(c, sig, weights) for c in x.coords]
     if any(0 in p for p in parts):
         raise AssertionError("curve has a nonzero degree-0 component")
     zero = WeilScalar(sig, {})
@@ -295,4 +312,4 @@ def read_curve(x: LieElement, like: Jet) -> Jet:
         LieElement(like.algebra, sig, tuple(p.get(i, zero) for p in parts))
         for i in range(1, like.order + 1)
     )
-    return jet_convert(Jet(like.algebra, sig, like.order, MONOMIAL, coords), EXP)
+    return Jet(like.algebra, sig, like.order, EXP, coords)

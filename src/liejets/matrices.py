@@ -280,9 +280,10 @@ class WeilMatrix:
         return NotImplemented
 
     def scale(self, rational) -> "WeilMatrix":
-        """Multiply every entry by a plain rational."""
-        if not isinstance(rational, (int, Fraction)):
-            rational = Fraction(rational)
+        """Multiply every entry by a plain rational, read as
+        :meth:`~liejets.scalars.WeilScalar.scale` reads it."""
+        if rational.__class__ is not int and rational.__class__ is not Fraction:
+            rational = rational_from_str(rational)
         p, q = rational.numerator, rational.denominator
         if not p:
             return _matrix(self.signature, self.size, {}, 1)

@@ -11,8 +11,9 @@ every term.  The form is canonical: the denominator is coprime to the gcd of
 the numerators, and it is 1 for the zero scalar.  Equality is therefore
 literal comparison of signature, denominator and table, and every operation
 is exact: integer products and sums of the numerators, then a single gcd to
-reduce the result.  ``+`` and ``-`` share one signed merge, so a difference
-is a sum with the second operand's numerators negated.  ``coefficients()``
+reduce the result.  ``+`` and ``-`` share one merge, x + (p/q) y, so a
+difference is a sum with the second operand's numerators negated, and a
+sum with a rational weight costs no separate rescale.  ``coefficients()``
 gives the terms as ``Fraction`` values keyed by dense exponent vectors.
 
 A monomial is one non-negative ``int`` with the exponents packed side by
@@ -33,9 +34,9 @@ generator of order n model rings of nilpotent infinitesimals of order n;
 several generators model products of such rings.  The oracles' curve lift
 and readback (``liejets.jets``) join scalars into, and split them by,
 powers of a fresh last generator with :func:`join_last_generator` and
-:func:`split_last_generator`, and :func:`lowest_last_power` reads the lowest
-such power; the factorial rescale they also need lives in
-``liejets.jets.jet_convert``.
+:func:`split_last_generator`, which divide and multiply the part at t^p by
+a given integer weight (the jets' p!) in the same pass, and
+:func:`lowest_last_power` reads the lowest such power.
 
 All values are immutable after construction and safe to share freely.
 """
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -201,25 +202,26 @@ def _constant(signature: RingSignature, q) -> "WeilScalar":
     return WeilScalar(signature, {0: n}, q.denominator)
 
 
-def _signed_sum(x: "WeilScalar", y: "WeilScalar", sign: int) -> "WeilScalar":
-    """x + sign * y for scalars over one ring and ``sign`` = 1 or -1: the
-    one merge behind ``+`` and ``-``.  y's terms, scaled by ``sign`` and
-    brought to the lcm of the denominators, are merged into a copy of x's,
-    and one reduction makes the result canonical."""
+def _signed_sum(x: "WeilScalar", y: "WeilScalar", p: int, q: int) -> "WeilScalar":
+    """x + (p/q) * y for scalars over one ring, integers p and q > 0: the one
+    merge behind ``+`` (p/q = 1), ``-`` (p/q = -1) and the series oracle's
+    weighted sum (``LieElement.add_scaled``).  y's terms, scaled by p and
+    brought with x's to the lcm of ``x.den`` and ``q * y.den``, are merged
+    into a copy of x's, and one reduction makes the result canonical."""
     a, b = x.terms, y.terms
-    if not b:
+    if not b or not p:
         return x
-    if not a and sign == 1:
+    if not a and p == 1 and q == 1:
         return y
-    da, db = x.den, y.den
+    da, db = x.den, y.den * q
     if da == db:
-        den, fb = da, sign
-        if sign == 1 and len(a) < len(b):
+        den, fb = da, p
+        if p == 1 and len(a) < len(b):
             a, b = b, a  # copy the larger table, merge the smaller
         out = dict(a)
     else:
         g = gcd(da, db)
-        fa, fb = db // g, da // g * sign
+        fa, fb = db // g, da // g * p
         den = da * fa
         out = {k: c * fa for k, c in a.items()}
     for k, c in b.items():
@@ -333,7 +335,7 @@ class WeilScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return _signed_sum(self, other, 1)
+        return _signed_sum(self, other, 1, 1)
 
     __radd__ = __add__
 
@@ -345,7 +347,7 @@ class WeilScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return _signed_sum(self, other, -1)
+        return _signed_sum(self, other, -1, 1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -381,9 +383,10 @@ class WeilScalar:
     __rmul__ = __mul__
 
     def scale(self, rational) -> "WeilScalar":
-        """Multiply every coefficient by a plain rational."""
-        if not isinstance(rational, (int, Fraction)):
-            rational = Fraction(rational)
+        """Multiply every coefficient by a plain rational: an ``int``, a
+        ``Fraction`` or a "p/q" string, but never a float or a bool."""
+        if rational.__class__ is not int and rational.__class__ is not Fraction:
+            rational = rational_from_str(rational)
         p, q = rational.numerator, rational.denominator
         if not p:
             return WeilScalar(self.signature, {})
@@ -474,8 +477,10 @@ class WeilRing:
         self.one = WeilScalar(signature, {0: 1})
 
     def rational(self, value) -> WeilScalar:
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
+        """The constant scalar ``value``, read as :meth:`WeilScalar.scale`
+        reads its rational."""
+        if value.__class__ is not int and value.__class__ is not Fraction:
+            value = rational_from_str(value)
         return _constant(self.signature, value)
 
     def gen(self, name: str, power: int = 1) -> WeilScalar:
@@ -506,38 +511,44 @@ def ring_make(generators: Iterable[tuple[str, int]]) -> WeilRing:
 
 
 def join_last_generator(
-    parts: Mapping[int, WeilScalar], target: RingSignature
+    parts: Mapping[int, WeilScalar], target: RingSignature, weights: Sequence[int]
 ) -> WeilScalar:
-    """The sum of ``parts[p] * t^p`` over ``target``, the parts' signature
-    plus one last generator t, for powers 0 <= p <= the order of t: the
-    inverse of :func:`split_last_generator`.
+    """The sum of ``parts[p] / weights[p] * t^p`` over ``target``, the
+    parts' signature plus one last generator t, for powers 0 <= p <= the
+    order of t and positive integer weights: the inverse of
+    :func:`split_last_generator` with the same weights.
 
     Valid because the original generators keep their bit fields in the
     extended signature, so a key moves to t^p by adding p times the new
-    generator's field, and keys of different powers never collide.  The
-    parts are brought to the lcm of their denominators, and one reduction
-    makes the sum canonical.
+    generator's field, and keys of different powers never collide.  Part p
+    counts over the denominator ``weights[p]`` times its own; all parts are
+    brought to the lcm of those in one pass, and one reduction makes the sum
+    canonical.
     """
-    if not parts:
-        return WeilScalar(target, {})
     own, arity = target.generators[:-1], target.arity - 1
+    # a target without generators has no t: every part fails the ring check
+    top, shift = (target.orders[-1], target.shifts[-1]) if target.arity else (-1, 0)
+    base = None
     den = 1
-    for s in parts.values():
-        sig = s.signature
-        if sig.arity != arity or sig.generators != own:
-            raise SignatureMismatch(
-                f"{target.generators} is not {sig.generators} plus one generator"
-            )
-        if s.den != den:
-            den = lcm(den, s.den)
-    top, shift = target.orders[-1], target.shifts[-1]
-    terms: dict = {}
     for power, s in parts.items():
+        if s.signature is not base:
+            base = s.signature
+            if base.arity != arity or base.generators != own:
+                raise SignatureMismatch(
+                    f"{target.generators} is not {base.generators} plus one generator"
+                )
         if not 0 <= power <= top:
             raise SignatureError(f"power {power} exceeds the bounds of the last generator")
-        tail, f = power << shift, den // s.den
-        for k, c in s.terms.items():
-            terms[k + tail] = c * f
+        if s.terms:
+            d = s.den * weights[power]
+            if d != den:
+                den = lcm(den, d)
+    terms: dict = {}
+    for power, s in parts.items():
+        if s.terms:
+            tail, f = power << shift, den // (s.den * weights[power])
+            for k, c in s.terms.items():
+                terms[k + tail] = c * f
     return _reduced(target, terms, den)
 
 
@@ -548,20 +559,34 @@ def lowest_last_power(*scalars: WeilScalar) -> int | None:
     return min((k >> shift for s in scalars for k in s.terms), default=None)
 
 
-def split_last_generator(scalar: WeilScalar, base: RingSignature) -> dict[int, WeilScalar]:
+def split_last_generator(
+    scalar: WeilScalar, base: RingSignature, weights: Sequence[int]
+) -> dict[int, WeilScalar]:
     """Decompose by powers of the final generator of a scalar whose ring is
-    ``base`` plus one generator.
+    ``base`` plus one generator, multiplying the coefficient of t^p by
+    ``weights[p]``: the inverse of :func:`join_last_generator` with the same
+    weights.
 
-    Returns {power: coefficient scalar} over ``base``; absent powers have zero
-    coefficient.  Each part is reduced on its own, since its numerators can
-    share a factor with the shared denominator.
+    Returns {power: weighted coefficient scalar} over ``base`` for the
+    powers below ``len(weights)``; absent powers have zero coefficient.  One
+    weight per power up to the order of t splits the whole scalar.  The
+    weights are applied in the same pass that splits the terms, and each
+    part is reduced on its own, since its numerators can share a factor with
+    the shared denominator.
     """
     sig = scalar.signature
     if sig.arity != base.arity + 1 or sig.generators[:-1] != base.generators:
         raise SignatureError(f"{sig.generators} is not {base.generators} plus one generator")
     shift = sig.shifts[-1]
     low = (1 << shift) - 1
+    count = len(weights)
     parts: dict[int, dict] = {}
     for key, coeff in scalar.terms.items():
-        parts.setdefault(key >> shift, {})[key & low] = coeff
+        power = key >> shift
+        if power >= count:
+            continue
+        part = parts.get(power)
+        if part is None:
+            part = parts[power] = {}
+        part[key & low] = coeff * weights[power]
     return {p: _reduced(base, terms, scalar.den) for p, terms in parts.items()}

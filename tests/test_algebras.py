@@ -26,7 +26,7 @@ from liejets.algebras import (
 )
 from liejets.hall import free_nilpotent
 from liejets.sampling import PLAIN_RING, random_element
-from liejets.scalars import SignatureMismatch, ring_make
+from liejets.scalars import SignatureError, SignatureMismatch, ring_make
 
 H3 = heisenberg3()
 EE = ring_make([("e1", 1), ("e2", 1)])
@@ -238,6 +238,34 @@ def test_sum_and_difference_are_coordinatewise(ring):
             op(p, basis_element(H3, EE, "p"))
         with pytest.raises(TypeError):
             op(p, 1)
+
+
+@pytest.mark.parametrize("ring", [PLAIN_RING, EE], ids=["Q", "EE"])
+def test_add_scaled_is_scale_then_add(ring):
+    rng = Random(23)
+    for spec in BUILTINS:
+        for _ in range(6):
+            x = LieElement(spec, ring.signature, random_coords(spec, ring, rng))
+            y = LieElement(spec, ring.signature, random_coords(spec, ring, rng))
+            for c in (Fraction(1), Fraction(-1), Fraction(1, 12), Fraction(-5, 6), 3, 0):
+                assert x.add_scaled(y, c) == x + y.scale(c)
+            assert x.add_scaled(x, -1).is_zero()
+    p = basis_element(H3, PLAIN_RING, "p")
+    with pytest.raises(AlgebraError):
+        p.add_scaled(basis_element(sl2(), PLAIN_RING, "e"), 1)
+    with pytest.raises(TypeError):
+        p.add_scaled(1, 1)
+
+
+def test_scale_reads_only_exact_rationals():
+    p = basis_element(H3, PLAIN_RING, "p")
+    assert p.scale(1) is p and p.scale(Fraction(1)) is p
+    assert p.scale("1/2") == element(H3, PLAIN_RING, {"p": Fraction(1, 2)})
+    for value in (0.1, 1.0, True):
+        with pytest.raises(SignatureError):
+            p.scale(value)
+        with pytest.raises(SignatureError):
+            p.add_scaled(p, value)
 
 
 coords3 = st.lists(

@@ -265,12 +265,13 @@ ORACLE_ROWS = [
      tuple((w, Fraction(1, 6) if w == ("b", ("b", "a")) else c)
            for w, c in BCH_DEGREE3_TERMS),
      {"def6.1-vs-bch-n3"}),
-    # n^2 for n! in jet_convert: 1! stays right, 2! and 3! go wrong.  Both
-    # oracles lift and read back through jet_convert, and a product mixes
-    # lower coordinates into degree 2 and 3 with the true factorials, so
-    # the wrong rescale no longer commutes with it; thm-7.2/7.3 compare a
-    # converted group commutator with the bracket of converted jets, which
-    # scale degree k by 1/f(k) and 1/(f(i) f(k - i)) respectively.
+    # n^2 for n! in jets.factorial_weights: 1! stays right, 2! and 3! go
+    # wrong.  Both oracles' lift divides, and their readback multiplies, by
+    # these weights, and a product mixes lower coordinates into degree 2
+    # and 3 with the true factorials, so the wrong weights no longer commute
+    # with it; thm-7.2/7.3 compare a jet_convert-ed group commutator with
+    # the bracket of converted jets, which scale degree k by 1/f(k) and
+    # 1/(f(i) f(k - i)) respectively.
     (liejets.jets, "factorial", lambda n: n * n,
      {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3", "def6.1-vs-matrix-n2",
       "def6.1-vs-matrix-n3", "thm-7.2", "thm-7.3"}),

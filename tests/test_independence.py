@@ -15,8 +15,12 @@ from liejets.sampling import PLAIN_RING, random_jet, symbolic_jet_family
 
 H3 = heisenberg3()
 ORACLE_MODULES = {"liejets.bch", "liejets.matrices"}
-# the lift to a curve and the readback from it, which only the oracles use
-CURVE_CODE = {("liejets.jets", name) for name in ("lift_curves", "read_curve", "jet_convert")}
+# the lift to a curve and the readback from it, and the factorial weights they
+# apply, which only the oracles use
+CURVE_CODE = {
+    ("liejets.jets", name)
+    for name in ("lift_curves", "read_curve", "jet_convert", "factorial_weights")
+}
 
 
 def reached(fn, *args) -> set:

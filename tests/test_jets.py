@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liejets.algebras import basis_element, element, zero_element
+from liejets.algebras import LieElement, basis_element, bracket, element, zero_element
 from liejets.algebras import heisenberg3, sl2, so3, abelian
 from liejets.bch import bch_mul
 from liejets.hall import free_nilpotent
@@ -24,9 +24,16 @@ from liejets.jets import (
     jet_mul,
     jet_scale,
     jet_truncate,
+    lift_curves,
+    read_curve,
 )
-from liejets.sampling import PLAIN_RING, random_jet
-from liejets.scalars import ring_make
+from liejets.sampling import PLAIN_RING, random_jet, symbolic_jet_family
+from liejets.scalars import (
+    WeilScalar,
+    join_last_generator,
+    ring_make,
+    split_last_generator,
+)
 
 H3 = heisenberg3()
 EE = ring_make([("e1", 1), ("e2", 1)])
@@ -68,6 +75,78 @@ class TestConvert:
     def test_unknown_system_rejected(self):
         with pytest.raises(JetError):
             jet_convert(h3_jet(1, "p"), "taylor")
+
+
+# -- the oracles' curve lift and readback against a two-step reference ---------
+
+# weight 1 at every power of d: join and split move terms only
+UNWEIGHTED = (1, 1, 1, 1)
+D2 = ring_make([("d", 2)])
+
+
+def reference_lift(j: Jet, sig) -> LieElement:
+    """The curve of ``j`` in two steps: the monomial jet, then each basis
+    coordinate's n monomial coordinates moved to d^1..d^n."""
+    columns = zip(*(x.coords for x in jet_convert(j, MONOMIAL).coords))
+    return LieElement(j.algebra, sig, tuple(
+        join_last_generator(dict(enumerate(column, 1)), sig, UNWEIGHTED)
+        for column in columns
+    ))
+
+
+def reference_read(x: LieElement, like: Jet) -> Jet:
+    """The exp jet of curve ``x`` in two steps: the monomial jet of its
+    d^1..d^n parts, then converted."""
+    sig = like.signature
+    parts = [split_last_generator(c, sig, UNWEIGHTED) for c in x.coords]
+    zero = WeilScalar(sig, {})
+    coords = tuple(
+        LieElement(like.algebra, sig, tuple(p.get(i, zero) for p in parts))
+        for i in range(1, like.order + 1)
+    )
+    return jet_convert(Jet(like.algebra, sig, like.order, MONOMIAL, coords), EXP)
+
+
+def d_ring_jet(algebra, order, rng) -> Jet:
+    """Jet over Q[d]/(d^3) whose every coordinate mixes 1, d and d^2, so the
+    lift must name its fresh generator d_."""
+    coords = tuple(
+        LieElement(algebra, D2.signature, tuple(
+            D2.scalar({(e,): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for e in range(3)})
+            for _ in range(algebra.dim)
+        ))
+        for _ in range(order)
+    )
+    return jet_make(algebra, D2, order, coords)
+
+
+def curve_pairs(order: int) -> list:
+    """Seeded plain and d-ring pairs on every built-in algebra, and one
+    generic symbolic pair over free-nilpotent(2,3)."""
+    rng = Random(40 + order)
+    pairs = []
+    for spec in BUILTINS:
+        pairs.append((random_jet(spec, PLAIN_RING, order, rng),
+                      random_jet(spec, PLAIN_RING, order, rng)))
+        pairs.append((d_ring_jet(spec, order, rng), d_ring_jet(spec, order, rng)))
+    _, generic = symbolic_jet_family(free_nilpotent(2, 3), order, ("a", "b"))
+    pairs.append((generic["a"], generic["b"]))
+    return pairs
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_lift_and_readback_match_the_two_step_reference(order):
+    for a, b in curve_pairs(order):
+        A, B = lift_curves(a, b)
+        sig = A.signature
+        assert sig.generators[:-1] == a.signature.generators
+        assert sig.names[-1] not in a.signature.names and sig.orders[-1] == order
+        assert A == reference_lift(a, sig) and B == reference_lift(b, sig)
+        assert read_curve(A, a) == reference_read(A, a) == a
+        # a curve with mixed denominators in every degree the order keeps
+        mixed = A.add_scaled(B, Fraction(-2, 3)).add_scaled(bracket(A, B), Fraction(1, 2))
+        assert read_curve(mixed, a) == reference_read(mixed, a)
 
 
 class TestMul:

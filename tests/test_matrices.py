@@ -22,7 +22,7 @@ from liejets.matrices import (
     MatrixRep,
 )
 from liejets.sampling import PLAIN_RING, random_element, random_jet
-from liejets.scalars import SignatureMismatch, WeilRing, ring_make
+from liejets.scalars import SignatureError, SignatureMismatch, WeilRing, ring_make
 
 H3 = heisenberg3()
 
@@ -223,6 +223,15 @@ def test_from_rational_refuses_a_non_square_grid():
     # two rows of three cells would otherwise read as a 2x2 matrix
     with pytest.raises(MatrixError):
         WeilMatrix.from_rational(ring_make([]), [[0, 1, 0], [0, 0, 1]])
+
+
+def test_scale_reads_only_exact_rationals():
+    A = WeilMatrix.from_rational(PLAIN_RING, [[0, 1], [2, 0]])
+    assert A.scale(1) is A
+    assert A.scale("1/2") == WeilMatrix.from_rational(PLAIN_RING, [[0, Fraction(1, 2)], [1, 0]])
+    for value in (0.1, 1.0, True):
+        with pytest.raises(SignatureError):
+            A.scale(value)
 
 
 class TestExp:

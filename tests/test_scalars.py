@@ -13,6 +13,7 @@ from liejets.scalars import (
     SignatureError,
     SignatureMismatch,
     WeilScalar,
+    _signed_sum,
     join_last_generator,
     lowest_last_power,
     rational_from_str,
@@ -26,6 +27,8 @@ D2 = ring_make([("d", 2)])
 EE = ring_make([("e1", 1), ("e2", 1)])
 DE = ring_make([("d", 2), ("e", 1)])
 Q = ring_make([])
+# weight 1 at every power of the last generator: join and split move terms only
+UNWEIGHTED = (1, 1, 1, 1)
 
 
 def naive_poly_mul(a: dict, b: dict, orders) -> dict:
@@ -158,14 +161,16 @@ class TestPackedLayout:
         )
         total = WeilScalar(ext, {})
         for power in range(4):
-            lifted = join_last_generator({power: s}, ext)
+            lifted = join_last_generator({power: s}, ext, UNWEIGHTED)
             assert lifted.coefficients() == {
                 v + (power,): c for v, c in s.coefficients().items()
             }
-            assert split_last_generator(lifted, base) == {power: s}
+            assert split_last_generator(lifted, base, UNWEIGHTED) == {power: s}
             assert lowest_last_power(lifted, WeilScalar(ext, {})) == power
             total = total + lifted.scale(power + 1)
-        assert split_last_generator(total, base) == {p: s.scale(p + 1) for p in range(4)}
+        assert split_last_generator(total, base, UNWEIGHTED) == {
+            p: s.scale(p + 1) for p in range(4)
+        }
         assert lowest_last_power(total) == 0
         assert lowest_last_power(WeilScalar(ext, {})) is None
 
@@ -238,6 +243,27 @@ class TestRingLaws:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
+    def test_weighted_merge_is_scale_then_add(self, ring, data):
+        a = data.draw(scalars_of(ring))
+        b = data.draw(scalars_of(ring))
+        p = data.draw(st.integers(-6, 6))
+        q = data.draw(st.integers(1, 6))
+        # b over a denominator unlike a's, and b / 7 that no q cancels
+        for x, y in ((a, b), (a, b.scale(Fraction(1, 7))), (b, a)):
+            got = _signed_sum(x, y, p, q)
+            assert got == x + y.scale(Fraction(p, q))
+            assert got.coefficients() == naive_poly_sum(
+                x.coefficients(), y.scale(Fraction(p, q)).coefficients(), 1
+            )
+            assert all(got.terms.values()) and gcd(got.den, *got.terms.values()) == 1
+        # a sum that cancels to zero comes back in canonical form
+        if p:
+            zero = _signed_sum(a.scale(Fraction(-p, q)), a, p, q)
+            assert zero.terms == {} and zero.den == 1
+        assert _signed_sum(a, b, 0, q) is a
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
     def test_mul_against_naive_oracle(self, ring, data):
         a = data.draw(scalars_of(ring))
         b = data.draw(scalars_of(ring))
@@ -286,6 +312,25 @@ def test_scale_and_pow():
     assert d**0 == D3.one
 
 
+class TestScaleRefusesInexactRationals:
+    """A float or a bool is not an exact rational, as for ``*`` and the loaders."""
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, 0.0, True, False])
+    def test_scale_and_rational(self, value):
+        with pytest.raises(SignatureError):
+            D3.gen("d").scale(value)
+        with pytest.raises(SignatureError):
+            D3.rational(value)
+
+    def test_strings_and_exact_values_still_read(self):
+        d = D3.gen("d")
+        assert d.scale("1/2") == d.scale(Fraction(1, 2)) == D3.scalar({(1,): Fraction(1, 2)})
+        assert d.scale(1) is d
+        assert D3.rational("-7/3") == D3.rational(Fraction(-7, 3))
+        with pytest.raises(TypeError):
+            d * 0.1
+
+
 class TestRationalStrings:
     @pytest.mark.parametrize(
         "text,value",
@@ -326,36 +371,36 @@ class TestJoinSplit:
     def test_join_places_terms_at_the_power(self):
         s = D2.one + D2.gen("d")
         ext = ring_make([("d", 2), ("t", 1)])
-        assert join_last_generator({0: s}, ext.signature) == ext.one + ext.gen("d")
-        assert join_last_generator({1: s}, ext.signature) == (
+        assert join_last_generator({0: s}, ext.signature, UNWEIGHTED) == ext.one + ext.gen("d")
+        assert join_last_generator({1: s}, ext.signature, UNWEIGHTED) == (
             ext.gen("t") + ext.gen("d") * ext.gen("t")
         )
         with pytest.raises(SignatureError):
-            join_last_generator({2: s}, ext.signature)
+            join_last_generator({2: s}, ext.signature, UNWEIGHTED)
         with pytest.raises(SignatureError):
-            join_last_generator({-1: s}, ext.signature)
+            join_last_generator({-1: s}, ext.signature, UNWEIGHTED)
 
     def test_join_requires_the_base_signature_as_prefix(self):
         with pytest.raises(SignatureMismatch):
-            join_last_generator({1: D2.gen("d")}, EE.signature)
+            join_last_generator({1: D2.gen("d")}, EE.signature, UNWEIGHTED)
         with pytest.raises(SignatureMismatch):
-            join_last_generator({1: Q.one}, EE.signature)
+            join_last_generator({1: Q.one}, EE.signature, UNWEIGHTED)
         with pytest.raises(SignatureMismatch):
-            join_last_generator({0: Q.one}, Q.signature)
+            join_last_generator({0: Q.one}, Q.signature, UNWEIGHTED)
         mixed = {0: D2.one, 1: D1.one}
         with pytest.raises(SignatureMismatch):
-            join_last_generator(mixed, ring_make([("d", 2), ("t", 1)]).signature)
+            join_last_generator(mixed, ring_make([("d", 2), ("t", 1)]).signature, UNWEIGHTED)
 
     def test_split_round_trip(self):
         ext = ring_make([("d", 2), ("t", 3)])
         s = (ext.one + ext.gen("d")) * (ext.one + ext.gen("t") + ext.gen("t", 2))
-        parts = split_last_generator(s, D2.signature)
+        parts = split_last_generator(s, D2.signature, UNWEIGHTED)
         rebuilt = ext.zero
         for power, base in parts.items():
-            rebuilt = rebuilt + join_last_generator({power: base}, ext.signature)
+            rebuilt = rebuilt + join_last_generator({power: base}, ext.signature, UNWEIGHTED)
         assert rebuilt == s
-        assert join_last_generator(parts, ext.signature) == s
-        assert split_last_generator(ext.zero, D2.signature) == {}
+        assert join_last_generator(parts, ext.signature, UNWEIGHTED) == s
+        assert split_last_generator(ext.zero, D2.signature, UNWEIGHTED) == {}
 
     def test_join_is_the_inverse_of_split(self):
         base = DE.signature
@@ -369,22 +414,58 @@ class TestJoinSplit:
                         Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
                     for _ in range(rng.randint(1, 3))
                 })
-            joined = join_last_generator(parts, ext)
-            assert split_last_generator(joined, base) == parts
+            joined = join_last_generator(parts, ext, UNWEIGHTED)
+            assert split_last_generator(joined, base, UNWEIGHTED) == parts
             assert joined == sum(
-                (join_last_generator({p: s}, ext) for p, s in parts.items()),
+                (join_last_generator({p: s}, ext, UNWEIGHTED) for p, s in parts.items()),
                 WeilScalar(ext, {}),
             )
-        assert join_last_generator({}, ext) == WeilScalar(ext, {})
-        assert join_last_generator({}, ext).is_zero()
+        assert join_last_generator({}, ext, UNWEIGHTED) == WeilScalar(ext, {})
+        assert join_last_generator({}, ext, UNWEIGHTED).is_zero()
+
+    def test_weighted_join_and_split_are_inverse(self):
+        base = DE.signature
+        ext = base.extend("t", 3)
+        rng = Random(11)
+        for weights in ((1, 1, 2, 6), (5, 3, 4, 9), (1, 7, 1, 12)):
+            for _ in range(20):
+                parts = {}
+                for power in rng.sample(range(4), rng.randint(1, 4)):
+                    parts[power] = WeilScalar.from_terms(base, {
+                        (rng.randint(0, 2), rng.randint(0, 1)):
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                        for _ in range(rng.randint(1, 3))
+                    })
+                joined = join_last_generator(parts, ext, weights)
+                # part p divided by weights[p], then moved to t^p
+                assert joined == join_last_generator(
+                    {p: s.scale(Fraction(1, weights[p])) for p, s in parts.items()},
+                    ext, UNWEIGHTED,
+                )
+                split = split_last_generator(joined, base, weights)
+                assert split == {p: s for p, s in parts.items() if s.terms}
+                assert split_last_generator(joined, base, UNWEIGHTED) == {
+                    p: s.scale(Fraction(1, weights[p])) for p, s in parts.items() if s.terms
+                }
+                for scalar in (joined, *split.values()):
+                    assert gcd(scalar.den, *scalar.terms.values()) == 1
+
+    def test_split_reads_only_the_weighted_powers(self):
+        ext = ring_make([("d", 2), ("t", 3)])
+        s = (ext.one + ext.gen("d")) * (ext.one + ext.gen("t") + ext.gen("t", 3))
+        whole = split_last_generator(s, D2.signature, UNWEIGHTED)
+        assert sorted(whole) == [0, 1, 3]
+        assert split_last_generator(s, D2.signature, (1, 2)) == {
+            0: whole[0], 1: whole[1].scale(2)
+        }
 
     def test_split_reduces_each_part(self):
         s = D2.rational(Fraction(1, 2)) + D2.gen("d").scale(Fraction(1, 3))
-        parts = split_last_generator(s, Q.signature)
+        parts = split_last_generator(s, Q.signature, UNWEIGHTED)
         assert parts == {0: Q.rational(Fraction(1, 2)), 1: Q.rational(Fraction(1, 3))}
 
     def test_split_requires_a_generator(self):
         with pytest.raises(SignatureError):
-            split_last_generator(Q.one, Q.signature)
+            split_last_generator(Q.one, Q.signature, UNWEIGHTED)
         with pytest.raises(SignatureError):
-            split_last_generator(EE.one, Q.signature)
+            split_last_generator(EE.one, Q.signature, UNWEIGHTED)
