@@ -36,7 +36,12 @@ and readback (``liejets.jets``) join scalars into, and split them by,
 powers of a fresh last generator with :func:`join_last_generator` and
 :func:`split_last_generator`, which divide and multiply the part at t^p by
 a given integer weight (the jets' p!) in the same pass, and
-:func:`lowest_last_power` reads the lowest such power.
+:func:`lowest_last_power` reads the lowest such power.  Extending a ring
+by that generator (:meth:`RingSignature.extend`) costs one field's layout,
+placed above the parent's fields, whatever the ring's size, and the
+extended signature records its ``parent``: the join and the split accept
+the parent by one identity test, and compare generator tuples only for an
+equal ring built separately.
 
 All values are immutable after construction and safe to share freely.
 """
@@ -111,34 +116,48 @@ def _layout(orders: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
     return tuple(shifts), bias, guard
 
 
+def _entry(name, order) -> tuple[str, int]:
+    """One generator entry, checked: the name a ``str`` and the order an
+    ``int`` of at least 1, never a float, bool or string read as one."""
+    if not isinstance(name, str):
+        raise SignatureError(f"generator name must be a string, got {name!r}")
+    try:
+        order = json_int(order)
+    except TypeError as exc:
+        raise SignatureError(f"nilpotency order of {name!r}: {exc}") from exc
+    if order < 1:
+        raise SignatureError(f"nilpotency order of {name!r} must be >= 1, got {order}")
+    return name, order
+
+
 class RingSignature:
     """Ordered generators of a truncated polynomial ring.
 
-    Each entry is (name, order) with order m meaning t^{m+1} = 0.  ``names``,
+    Each entry is (name, order) with order m meaning t^{m+1} = 0; the name
+    must be a ``str`` and the order an ``int`` of at least 1, and anything
+    else raises ``SignatureError`` rather than being coerced.  ``names``,
     ``orders``, ``arity`` and the monomial key layout (``shifts``, ``bias``,
-    ``guard``) are derived once at construction and take no part in
-    equality, hashing or repr.  Instances are immutable; equality and
-    hashing are those of the ``generators`` tuple, tested by identity first
-    because scalar arithmetic compares the signatures of its operands.
+    ``guard``) are derived once at construction.  ``parent`` is the
+    signature this one was made from by :meth:`extend`, or None for one
+    built directly.  None of these take part in equality, hashing or repr.
+    Instances are immutable; equality and hashing are those of the
+    ``generators`` tuple, tested by identity first because scalar arithmetic
+    compares the signatures of its operands.
     """
 
     def __init__(self, generators: tuple[tuple[str, int], ...]):
-        gens = tuple((str(n), int(m)) for n, m in generators)
+        gens = tuple(_entry(n, m) for n, m in generators)
         names = tuple(n for n, _ in gens)
         if len(set(names)) != len(names):
             raise SignatureError(f"duplicate generator name in {list(names)}")
-        for n, m in gens:
-            if m < 1:
-                raise SignatureError(f"nilpotency order of {n!r} must be >= 1, got {m}")
-        set_field = object.__setattr__
-        set_field(self, "generators", gens)
-        set_field(self, "names", names)
-        set_field(self, "orders", tuple(m for _, m in gens))
-        set_field(self, "arity", len(gens))
-        shifts, bias, guard = _layout(self.orders)
-        set_field(self, "shifts", shifts)
-        set_field(self, "bias", bias)
-        set_field(self, "guard", guard)
+        orders = tuple(m for _, m in gens)
+        self._fill(gens, names, orders, *_layout(orders), None)
+
+    def _fill(self, generators, names, orders, shifts, bias, guard, parent):
+        self.__dict__.update(
+            generators=generators, names=names, orders=orders, arity=len(generators),
+            shifts=shifts, bias=bias, guard=guard, parent=parent,
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -166,8 +185,24 @@ class RingSignature:
         raise KeyError(name)
 
     def extend(self, name: str, order: int) -> "RingSignature":
-        """Signature with one more generator appended at the end."""
-        return RingSignature(self.generators + ((name, order),))
+        """Signature with one more generator appended at the end, equal to the
+        one built from ``generators + ((name, order),)``.  The parent's fields
+        keep their offsets, so only the new field is laid out, above the
+        parent's total width ``guard.bit_length()``; the rest is tuple
+        concatenation and integer ORs, with no pass over the parent's
+        generators.  The result records ``self`` as its ``parent``."""
+        name, order = _entry(name, order)
+        if name in self.names:
+            raise SignatureError(f"duplicate generator name in {list(self.names) + [name]}")
+        (shift,), bias, guard = _layout((order,))
+        offset = self.guard.bit_length()
+        sig = object.__new__(RingSignature)
+        sig._fill(
+            self.generators + ((name, order),), self.names + (name,), self.orders + (order,),
+            self.shifts + (shift + offset,), self.bias | bias << offset,
+            self.guard | guard << offset, self,
+        )
+        return sig
 
     def to_json(self) -> list:
         return [[n, m] for n, m in self.generators]
@@ -175,11 +210,9 @@ class RingSignature:
     @classmethod
     def from_json(cls, doc: Iterable) -> "RingSignature":
         try:
-            gens = tuple((str(n), json_int(m)) for n, m in doc)
+            gens = tuple((n, m) for n, m in doc)
         except (TypeError, ValueError) as exc:
-            raise SignatureError(
-                f"ring must be a list of [name, order] pairs with integer orders: {exc}"
-            ) from exc
+            raise SignatureError(f"ring must be a list of [name, order] pairs: {exc}") from exc
         return cls(gens)
 
 
@@ -327,6 +360,8 @@ class WeilScalar:
                 )
             return other
         if isinstance(other, (int, Fraction)):
+            if other.__class__ is bool:
+                raise SignatureError(f"a bool is not a scalar: {other!r}")
             return _constant(self.signature, other)
         return None
 
@@ -525,7 +560,6 @@ def join_last_generator(
     brought to the lcm of those in one pass, and one reduction makes the sum
     canonical.
     """
-    own, arity = target.generators[:-1], target.arity - 1
     # a target without generators has no t: every part fails the ring check
     top, shift = (target.orders[-1], target.shifts[-1]) if target.arity else (-1, 0)
     base = None
@@ -533,7 +567,9 @@ def join_last_generator(
     for power, s in parts.items():
         if s.signature is not base:
             base = s.signature
-            if base.arity != arity or base.generators != own:
+            if base is not target.parent and (
+                base.arity != target.arity - 1 or base.generators != target.generators[:-1]
+            ):
                 raise SignatureMismatch(
                     f"{target.generators} is not {base.generators} plus one generator"
                 )
@@ -575,7 +611,9 @@ def split_last_generator(
     the shared denominator.
     """
     sig = scalar.signature
-    if sig.arity != base.arity + 1 or sig.generators[:-1] != base.generators:
+    if sig.parent is not base and (
+        sig.arity != base.arity + 1 or sig.generators[:-1] != base.generators
+    ):
         raise SignatureError(f"{sig.generators} is not {base.generators} plus one generator")
     shift = sig.shifts[-1]
     low = (1 << shift) - 1

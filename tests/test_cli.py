@@ -56,13 +56,13 @@ def _set(path, value):
     return corrupt
 
 
-def _over_t(order, exponent):
-    """Corruption that moves the first coordinate onto the ring [["t", order]]
+def _over_t(order, exponent, name="t"):
+    """Corruption that moves the first coordinate onto the ring [[name, order]]
     with the single term t^exponent."""
     def corrupt(doc):
         element = doc["coords"][0]
-        element["ring"] = [["t", order]]
-        element["coords"]["p"] = {"ring": [["t", order]], "terms": [[[exponent], "1"]]}
+        element["ring"] = [[name, order]]
+        element["coords"]["p"] = {"ring": [[name, order]], "terms": [[[exponent], "1"]]}
         return doc
 
     return corrupt
@@ -210,6 +210,7 @@ class TestMul:
             _set(("coords", 0, "coords", "p", "terms", 0, 1), 0.1),
             _over_t(1.7, 1),
             _over_t(1, 1.9),
+            _over_t(1, 1, name=1),
             _set(("order",), 1.0),
             _set(("coords", 0, "coords", "p", "terms", 0, 1), True),
             _set(("order",), True),
@@ -219,7 +220,8 @@ class TestMul:
         ],
         ids=[
             "zero-denominator", "non-integer-order", "coords-as-list", "top-level-array",
-            "float-coefficient", "float-ring-order", "float-exponent", "float-jet-order",
+            "float-coefficient", "float-ring-order", "float-exponent", "non-string-ring-name",
+            "float-jet-order",
             "boolean-coefficient", "boolean-jet-order", "not-utf8", "nested-too-deep",
             "long-coefficient",
         ],

@@ -140,6 +140,9 @@ def test_lift_and_readback_match_the_two_step_reference(order):
     for a, b in curve_pairs(order):
         A, B = lift_curves(a, b)
         sig = A.signature
+        # one extended signature, made from the jets' own, under every scalar
+        assert sig.parent is a.signature
+        assert all(c.signature is sig for x in (A, B) for c in x.coords)
         assert sig.generators[:-1] == a.signature.generators
         assert sig.names[-1] not in a.signature.names and sig.orders[-1] == order
         assert A == reference_lift(a, sig) and B == reference_lift(b, sig)

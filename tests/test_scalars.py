@@ -71,6 +71,76 @@ class TestRingMake:
         with pytest.raises(SignatureError):
             ring_make([("d", 0)])
 
+    @pytest.mark.parametrize(
+        "entry", [("d", 2.9), ("d", 2.0), ("d", True), ("d", "2"), ("d", None), (1, 2), (None, 1)],
+        ids=["float-order", "integral-float-order", "bool-order", "string-order",
+             "null-order", "int-name", "null-name"],
+    )
+    def test_entries_are_checked_not_coerced(self, entry):
+        with pytest.raises(SignatureError):
+            RingSignature((entry,))
+        with pytest.raises(SignatureError):
+            RingSignature.from_json([list(entry)])
+        with pytest.raises(SignatureError):
+            D2.signature.extend(*entry)
+
+
+def seeded_signatures():
+    """Signatures of arity 0-130 with orders 1-7, each with a fresh name and
+    order to extend it by."""
+    rng = Random(13)
+    for arity in (*range(12), 31, 64, 127, 130):
+        gens = tuple((f"t{i}", rng.randint(1, 7)) for i in range(arity))
+        yield RingSignature(gens), f"t{arity}", rng.randint(1, 7)
+
+
+class TestExtend:
+    FIELDS = ("generators", "names", "orders", "arity", "shifts", "bias", "guard")
+
+    @pytest.mark.parametrize("base,name,order", seeded_signatures())
+    def test_extend_equals_a_fresh_construction(self, base, name, order):
+        ext = base.extend(name, order)
+        fresh = RingSignature(base.generators + ((name, order),))
+        for field in self.FIELDS:
+            assert getattr(ext, field) == getattr(fresh, field), field
+        assert ext == fresh and hash(ext) == hash(fresh)
+        assert ext.parent is base and fresh.parent is None
+        assert ext.extend("u", 2) == fresh.extend("u", 2)
+
+    @pytest.mark.parametrize(
+        "name,order", [("e", 1), ("d", 1), ("d", 0), ("d", -1), ("d", 1.5)]
+    )
+    def test_extend_refuses_what_the_constructor_refuses(self, name, order):
+        base = DE.signature
+        with pytest.raises(SignatureError) as built:
+            RingSignature(base.generators + ((name, order),))
+        with pytest.raises(SignatureError) as extended:
+            base.extend(name, order)
+        assert str(extended.value) == str(built.value)
+
+
+class TestBoolIsNoScalar:
+    """``True`` is an int to Python, but not a scalar, as for ``scale``."""
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda s, b: s + b, lambda s, b: b + s, lambda s, b: s - b,
+            lambda s, b: b - s, lambda s, b: s * b, lambda s, b: b * s,
+        ],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+    )
+    def test_operators_refuse_bools(self, op, value):
+        with pytest.raises(SignatureError):
+            op(D3.gen("d"), value)
+
+    def test_ints_still_combine(self):
+        d = D3.gen("d")
+        assert d * 1 == 1 * d == d
+        assert d + 1 == 1 + d == D3.one + d
+        assert 1 - d == D3.one - d
+
 
 class TestAddition:
     def test_cancellation(self):
@@ -458,6 +528,25 @@ class TestJoinSplit:
         assert split_last_generator(s, D2.signature, (1, 2)) == {
             0: whole[0], 1: whole[1].scale(2)
         }
+
+    def test_join_and_split_accept_an_equal_base_built_separately(self):
+        base = DE.signature
+        ext = base.extend("t", 2)
+        twin = RingSignature(base.generators)
+        s = WeilScalar.from_terms(twin, {(1, 0): 3, (2, 1): Fraction(1, 2)})
+        joined = join_last_generator({0: s, 2: s}, ext, UNWEIGHTED)
+        assert joined == join_last_generator(
+            {0: WeilScalar(base, s.terms, s.den), 2: WeilScalar(base, s.terms, s.den)},
+            ext, UNWEIGHTED,
+        )
+        assert split_last_generator(joined, twin, UNWEIGHTED) == {0: s, 2: s}
+        assert split_last_generator(joined, base, UNWEIGHTED) == {0: s, 2: s}
+        with pytest.raises(SignatureMismatch):
+            join_last_generator({0: EE.one}, ext, UNWEIGHTED)
+        with pytest.raises(SignatureError):
+            split_last_generator(joined, EE.signature, UNWEIGHTED)
+        with pytest.raises(SignatureError):
+            split_last_generator(joined, ext, UNWEIGHTED)
 
     def test_split_reduces_each_part(self):
         s = D2.rational(Fraction(1, 2)) + D2.gen("d").scale(Fraction(1, 3))
