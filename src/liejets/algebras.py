@@ -170,7 +170,7 @@ def make_algebra(
         i, j = index[left], index[right]
         sign = 1
         if i == j:
-            if any(Fraction(c) for _, c in entries):
+            if any(rational_from_str(c, AlgebraError) for _, c in entries):
                 raise AlgebraError(f"[{left}, {left}] must be zero")
             continue
         if i > j:
@@ -179,7 +179,7 @@ def make_algebra(
         for b, c in entries:
             if b not in index:
                 raise AlgebraError(f"bracket value names unknown basis element {b!r}")
-            c = Fraction(c) * sign
+            c = rational_from_str(c, AlgebraError) * sign
             k = index[b]
             acc[k] = acc.get(k, Fraction(0)) + c
     structure = {
@@ -287,8 +287,7 @@ class LieElement:
     def scale(self, rational) -> "LieElement":
         """Multiply every coordinate by a plain rational, read as
         :meth:`~liejets.scalars.WeilScalar.scale` reads it."""
-        if rational.__class__ is not int and rational.__class__ is not Fraction:
-            rational = rational_from_str(rational)
+        rational = rational_from_str(rational)
         if rational == 1:
             return self
         return LieElement(
@@ -300,8 +299,7 @@ class LieElement:
         coordinate's one merge rather than applied by a separate rescale."""
         if not isinstance(other, LieElement):
             raise TypeError(f"cannot add a scaled {type(other).__name__} to a LieElement")
-        if rational.__class__ is not int and rational.__class__ is not Fraction:
-            rational = rational_from_str(rational)
+        rational = rational_from_str(rational)
         p, q = rational.numerator, rational.denominator
         return self._coordinatewise(other, lambda x, y: _signed_sum(x, y, p, q))
 
@@ -385,7 +383,7 @@ def element(
                 )
             vec[algebra.index(name)] = c
         else:
-            vec[algebra.index(name)] = ring.rational(rational_from_str(c))
+            vec[algebra.index(name)] = ring.rational(c)
     return LieElement(algebra, ring.signature, tuple(vec))
 
 

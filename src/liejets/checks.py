@@ -9,11 +9,13 @@ two ways and stops at the first failure:
   a polynomial identity in the coefficients and therefore covers all inputs;
 * randomized: on seeded trials from each input family (one algebra,
   representation or ring), where exact arithmetic makes any single
-  discrepancy decisive.
+  discrepancy decisive; a family of fixed inputs (a Hall basis, an algebra
+  to scan) runs as one trial at seed 0.
 
-Each check function pairs a law with its inputs and shapes its report entry;
-``build_checks`` lists the checks per suite and ``run_suite`` runs them into a
-deterministic report ordered by check id.
+Every verdict comes from :func:`run_law`.  Each check function pairs a law
+with its inputs and shapes its report entry; ``build_checks`` lists the
+checks per suite and ``run_suite`` runs them into a deterministic report
+ordered by check id.
 """
 
 from __future__ import annotations
@@ -396,53 +398,56 @@ def _mobius(n: int) -> int:
     return {1: 1, 2: -1, 3: -1}[n]
 
 
-def _witt_dimension(generators: int, degree: int) -> int:
-    """Number of basis elements of one degree, by the necklace-count formula."""
-    total = sum(
-        _mobius(e) * generators ** (degree // e)
-        for e in range(1, degree + 1)
-        if degree % e == 0
-    )
-    assert total % degree == 0
-    return total // degree
+def _fixed(label: dict, *inputs) -> tuple:
+    """A family whose one draw is ``inputs``, whatever the rng."""
+    return label, lambda rng: inputs
+
+
+def _by_degree(spec: LieAlgebraSpec, cls: int) -> list:
+    return [spec.degrees.count(d) for d in range(1, cls + 1)]
+
+
+def witt_dimensions_hold(spec: LieAlgebraSpec, generators: int, cls: int) -> dict | None:
+    """The Hall basis of free-nilpotent(generators, cls) has, in each degree,
+    as many elements as the necklace-count formula gives."""
+    got = _by_degree(spec, cls)
+    want = [Fraction(sum(_mobius(e) * generators ** (d // e)
+                         for e in range(1, d + 1) if d % e == 0), d)
+            for d in range(1, cls + 1)]
+    # a necklace total that its degree does not divide is a fractional want
+    return None if got == want else {"got": got, "want": [str(w) for w in want]}
 
 
 def struct_witt_dimensions() -> CheckResult:
     """Hall basis sizes per degree match the necklace-count formula."""
-    detail: dict = {}
-    for m in range(1, 4):
-        for c in range(1, 4):
-            spec = free_nilpotent(m, c)
-            got = [spec.degrees.count(d) for d in range(1, c + 1)]
-            want = [_witt_dimension(m, d) for d in range(1, c + 1)]
-            detail[spec.name] = {"dim": spec.dim, "by_degree": got}
-            if got != want:
-                return CheckResult(
-                    "struct-witt-dimensions",
-                    FAIL,
-                    detail,
-                    counterexample={"algebra": spec.name, "got": got, "want": want},
-                )
-    return CheckResult("struct-witt-dimensions", PASS, detail)
+    cases = [(free_nilpotent(m, c), m, c) for m in range(1, 4) for c in range(1, 4)]
+    families = [_fixed({"algebra": spec.name}, spec, m, c) for spec, m, c in cases]
+    out = run_law(witt_dimensions_hold, families, 1, 0)
+    detail = {spec.name: {"dim": spec.dim, "by_degree": _by_degree(spec, c)}
+              for spec, _, c in cases}
+    return out.result("struct-witt-dimensions", detail)
+
+
+def jacobi_holds(spec: LieAlgebraSpec) -> dict | None:
+    """The Jacobi identity on every basis triple of ``spec``."""
+    doc = validate_algebra(spec).to_json()
+    return None if doc.pop("status") == PASS else doc
 
 
 def struct_jacobi_builtins() -> CheckResult:
     """Every cataloged algebra satisfies the Jacobi identity on basis triples."""
-    detail: dict = {}
     specs = default_verification_algebras() + [free_nilpotent(3, 3)]
-    for spec in specs:
-        report = validate_algebra(spec)
-        detail[spec.name] = PASS if report.ok else FAIL
-        if not report.ok:
-            return CheckResult(
-                "struct-jacobi-builtins", FAIL, detail,
-                counterexample=report.to_json(),
-            )
-    return CheckResult("struct-jacobi-builtins", PASS, detail)
+    families = [_fixed({"algebra": spec.name}, spec) for spec in specs]
+    out = run_law(jacobi_holds, families, 1, 0)
+    return out.result("struct-jacobi-builtins", out.instances)
 
 
 def ring_laws_hold(a, b, c) -> dict | None:
-    """Ring axioms and canonical storage on three scalars of one ring."""
+    """Nilpotency, ring axioms and canonical storage on three scalars of one ring."""
+    ring = WeilRing(a.signature)
+    for name, m in a.signature.generators:
+        if ring.gen(name) ** (m + 1) != ring.zero:
+            return {"law": "nilpotency", "generator": name}
     laws = {
         "add-assoc": (a + b) + c == a + (b + c),
         "add-comm": a + b == b + a,
@@ -479,13 +484,6 @@ def struct_ring_laws(trials: int = 100, seed: int = 0) -> CheckResult:
         ring_make((("d", 2), ("e", 1))),
     ]
     detail = {"rings": [repr(r) for r in rings], "trials": trials}
-    for ring in rings:
-        for name, m in ring.signature.generators:
-            if ring.gen(name) ** (m + 1) != ring.zero:
-                return CheckResult(
-                    "struct-ring-laws", FAIL, detail,
-                    counterexample={"law": "nilpotency", "generator": name},
-                )
     families = [({"ring": repr(r)}, partial(_scalars, r)) for r in rings]
     out = run_law(ring_laws_hold, families, trials, seed)
     return out.result("struct-ring-laws", detail)
@@ -586,7 +584,8 @@ def run_checks(checks: list, seed: int) -> VerificationReport:
         start = time.perf_counter()
         result = thunk()
         result.seconds = time.perf_counter() - start
-        assert result.check == check_id
+        if result.check != check_id:
+            raise RuntimeError(f"check {check_id!r} reported itself as {result.check!r}")
         results.append(result)
     results.sort(key=lambda r: r.check)
     versions = {"liejets": __version__, "python": platform.python_version()}

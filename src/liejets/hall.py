@@ -168,7 +168,8 @@ def free_nilpotent(generator_count: int, nilpotency_class: int) -> LieAlgebraSpe
     expansions = {w: expand_tree(t, cap) for w, t in zip(basis.words, basis.trees)}
     for w, expansion in expansions.items():
         lead = min(expansion, key=lambda u: (len(u), u))
-        assert lead == w and expansion[w] == 1, f"basis word {w} is not triangular"
+        if lead != w or expansion[w] != 1:
+            raise AlgebraError(f"basis word {w} is not triangular")
     word_index = {w: k for k, w in enumerate(basis.words)}
 
     structure: dict = {}

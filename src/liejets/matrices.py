@@ -70,7 +70,7 @@ class MatrixError(ValueError):
 
 def _integer_cells(values) -> tuple[tuple[int, ...], int]:
     """Rationals as integer numerators over their least common denominator."""
-    values = [Fraction(v) for v in values]
+    values = [rational_from_str(v, MatrixError) for v in values]
     den = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
@@ -282,8 +282,7 @@ class WeilMatrix:
     def scale(self, rational) -> "WeilMatrix":
         """Multiply every entry by a plain rational, read as
         :meth:`~liejets.scalars.WeilScalar.scale` reads it."""
-        if rational.__class__ is not int and rational.__class__ is not Fraction:
-            rational = rational_from_str(rational)
+        rational = rational_from_str(rational)
         p, q = rational.numerator, rational.denominator
         if not p:
             return _matrix(self.signature, self.size, {}, 1)
@@ -484,7 +483,8 @@ def matrix_rep(
     if missing:
         raise MatrixError(f"missing images for basis elements {sorted(missing)}")
     mats = {
-        name: tuple(tuple(Fraction(e) for e in row) for row in images[name])
+        name: tuple(tuple(rational_from_str(e, MatrixError) for e in row)
+               for row in images[name])
         for name in algebra.basis
     }
     sizes = {len(m) for m in mats.values()} | {

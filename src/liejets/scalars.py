@@ -82,16 +82,19 @@ class SignatureMismatch(ValueError):
     """Raised when two scalars from different rings meet in one operation."""
 
 
-def rational_from_str(text: str | int) -> Fraction:
-    """Parse a rational from "p/q" or "p" form (also accepts ints); raise
-    ``SignatureError`` for anything that is not a rational, floats and
-    booleans included, since neither is an exact rational input."""
+def rational_from_str(text, error: type = SignatureError) -> int | Fraction:
+    """An exact rational: an ``int`` or ``Fraction`` unchanged, anything else
+    parsed from "p/q" or "p" form.  Raise ``error`` (the calling module's own
+    error type) for anything that is not a rational, floats and booleans
+    included, since neither is an exact rational input."""
+    if text.__class__ is int or text.__class__ is Fraction:
+        return text
     if isinstance(text, (bool, float)):
-        raise SignatureError(f"invalid rational {text!r}; write it as \"p/q\"")
+        raise error(f"invalid rational {text!r}; write it as \"p/q\"")
     try:
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SignatureError(f"invalid rational {text!r}") from exc
+        raise error(f"invalid rational {text!r}") from exc
 
 
 def json_int(value) -> int:
@@ -293,25 +296,24 @@ class WeilScalar:
     def from_terms(
         cls, signature: RingSignature, dense_terms: Mapping[tuple, object]
     ) -> "WeilScalar":
-        """Canonicalizing constructor from {dense exponent vector: coefficient}."""
+        """Canonicalizing constructor from {int exponent vector: exact rational}."""
         orders, shifts = signature.orders, signature.shifts
         arity = signature.arity
         out: dict = {}
         for vec, coeff in dense_terms.items():
-            vec = tuple(int(e) for e in vec)
             if len(vec) != arity:
                 raise SignatureError(
                     f"exponent vector {vec} has length {len(vec)}, expected {arity}"
                 )
             key = 0
             for g, e in enumerate(vec):
-                if e < 0 or e > orders[g]:
+                if e.__class__ is not int or e < 0 or e > orders[g]:
                     raise SignatureError(
-                        f"exponent {e} of generator {signature.names[g]!r} "
-                        f"violates bound {orders[g]}"
+                        f"exponent {e!r} of generator {signature.names[g]!r} "
+                        f"is not an int in 0..{orders[g]}"
                     )
                 key |= e << shifts[g]
-            c = Fraction(coeff)
+            c = rational_from_str(coeff)
             if not c:
                 continue
             acc = out.get(key)
@@ -420,8 +422,7 @@ class WeilScalar:
     def scale(self, rational) -> "WeilScalar":
         """Multiply every coefficient by a plain rational: an ``int``, a
         ``Fraction`` or a "p/q" string, but never a float or a bool."""
-        if rational.__class__ is not int and rational.__class__ is not Fraction:
-            rational = rational_from_str(rational)
+        rational = rational_from_str(rational)
         p, q = rational.numerator, rational.denominator
         if not p:
             return WeilScalar(self.signature, {})
@@ -431,7 +432,7 @@ class WeilScalar:
         return _reduced(self.signature, terms, self.den * q)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if n.__class__ is not int or n < 0:
             return NotImplemented
         acc = WeilScalar(self.signature, {0: 1})
         for _ in range(n):
@@ -441,16 +442,16 @@ class WeilScalar:
     # -- comparison and display -----------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, WeilScalar):
+            return (
+                self.signature == other.signature
+                and self.den == other.den
+                and self.terms == other.terms
+            )
+        if isinstance(other, (int, Fraction)) and other.__class__ is not bool:
             n = other.numerator
             return self.den == other.denominator and self.terms == ({0: n} if n else {})
-        if not isinstance(other, WeilScalar):
-            return NotImplemented
-        return (
-            self.signature == other.signature
-            and self.den == other.den
-            and self.terms == other.terms
-        )
+        return NotImplemented
 
     def __str__(self):
         if not self.terms:
@@ -514,15 +515,13 @@ class WeilRing:
     def rational(self, value) -> WeilScalar:
         """The constant scalar ``value``, read as :meth:`WeilScalar.scale`
         reads its rational."""
-        if value.__class__ is not int and value.__class__ is not Fraction:
-            value = rational_from_str(value)
-        return _constant(self.signature, value)
+        return _constant(self.signature, rational_from_str(value))
 
     def gen(self, name: str, power: int = 1) -> WeilScalar:
         """The monomial name**power (zero if the power exceeds the order)."""
         g = self.signature.index(name)
-        if power < 0:
-            raise SignatureError("generator powers must be non-negative")
+        if power.__class__ is not int or power < 0:
+            raise SignatureError(f"a generator power is an int >= 0, got {power!r}")
         if power == 0:
             return self.one
         if power > self.signature.orders[g]:

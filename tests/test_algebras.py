@@ -302,6 +302,17 @@ class TestMakeAlgebra:
         with pytest.raises(AlgebraError):
             make_algebra("bad", ("a", "a"), {})
 
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, None])
+    def test_constants_are_exact_rationals(self, value):
+        with pytest.raises(AlgebraError):
+            make_algebra("bad", ("a", "b"), {("a", "b"): [("b", value)]})
+        with pytest.raises(AlgebraError):
+            make_algebra("bad", ("a", "b"), {("a", "a"): [("b", value)]})
+
+    def test_string_constants_read_exactly(self):
+        spec = make_algebra("half", ("a", "b"), {("a", "b"): [("b", "1/2")]})
+        assert spec.structure == {(0, 1): ((1, Fraction(1, 2)),)}
+
 
 class TestJson:
     def test_spec_documented_shape(self):

@@ -128,8 +128,23 @@ class TestStructural:
         assert result.detail["free-nilpotent(2,3)"] == {"dim": 5, "by_degree": [2, 1, 2]}
         assert result.detail["free-nilpotent(3,3)"] == {"dim": 14, "by_degree": [3, 3, 8]}
 
+    def test_witt_necklace_total_its_degree_does_not_divide_is_evidence(self, monkeypatch):
+        # mu(3) = +1 makes the degree-3 count of one generator (1 + 1) / 3
+        real = liejets.checks._mobius
+        monkeypatch.setattr(liejets.checks, "_mobius", lambda n: 1 if n == 3 else real(n))
+        result = struct_witt_dimensions()
+        assert not result.passed
+        assert result.counterexample == {
+            "algebra": "free-nilpotent(1,3)", "trial": 0,
+            "got": [1, 0, 0], "want": ["1", "0", "2/3"],
+        }
+        assert len(result.detail) == 9
+
     def test_jacobi(self):
-        assert struct_jacobi_builtins().passed
+        result = struct_jacobi_builtins()
+        assert result.passed
+        assert set(result.detail.values()) == {"pass"}
+        assert "free-nilpotent(3,3)" in result.detail
 
     def test_ring_laws(self):
         assert struct_ring_laws(trials=30, seed=0).passed
@@ -220,6 +235,18 @@ def test_other_seeds_reports_match_the_recorded_digests(seed):
     assert report_digest(recorded["trials"], seed) == recorded["digests"][str(seed)]
 
 
+def failures(report) -> dict:
+    """The report's failing checks by id, each checked to carry a
+    ``run_law`` counterexample: symbolic, or from one trial of one family."""
+    failed = {c.check: c for c in report.checks if not c.passed}
+    for check in failed.values():
+        counterexample = check.counterexample
+        assert counterexample.get("symbolic") is True or isinstance(
+            counterexample.get("trial"), int
+        ), check.check
+    return failed
+
+
 CLOSED_FORM_ROWS = [
     # 3/2 -> 1 in the order-3 cross term of jet_mul
     ("_THREE_HALVES", Fraction(1),
@@ -235,14 +262,7 @@ def test_corrupted_closed_form_fails_exactly_the_checks_that_guard_it(
     monkeypatch, constant, value, failing
 ):
     monkeypatch.setattr(liejets.jets, constant, value)
-    report = run_suite("all", trials=3, seed=0)
-    failed = {c.check: c for c in report.checks if not c.passed}
-    assert set(failed) == failing
-    for check in failed.values():
-        counterexample = check.counterexample
-        assert counterexample.get("symbolic") is True or isinstance(
-            counterexample.get("trial"), int
-        )
+    assert set(failures(run_suite("all", trials=3, seed=0))) == failing
 
 
 ORACLE_ROWS = [
@@ -287,14 +307,7 @@ def test_corrupted_oracle_fails_exactly_the_checks_that_guard_it(
     monkeypatch, module, name, value, failing
 ):
     monkeypatch.setattr(module, name, value)
-    report = run_suite("all", trials=3, seed=0)
-    failed = {c.check: c for c in report.checks if not c.passed}
-    assert set(failed) == failing
-    for check in failed.values():
-        counterexample = check.counterexample
-        assert counterexample.get("symbolic") is True or isinstance(
-            counterexample.get("trial"), int
-        )
+    assert set(failures(run_suite("all", trials=3, seed=0))) == failing
 
 
 # the series comparisons compare jets read back from d^1..d^n, so the
@@ -315,10 +328,11 @@ def test_truncation_one_power_late_fails_exactly_the_checks_that_see_it(monkeypa
     monkeypatch.setattr(
         liejets.scalars, "_layout", lambda orders: real(tuple(m + 1 for m in orders))
     )
-    report = run_suite("all", trials=3, seed=0)
-    failed = {c.check: c for c in report.checks if not c.passed}
+    failed = failures(run_suite("all", trials=3, seed=0))
     assert set(failed) == TRUNCATION_FAILS
-    assert failed["struct-ring-laws"].counterexample == {"law": "nilpotency", "generator": "d"}
+    assert failed["struct-ring-laws"].counterexample == {
+        "ring": "WeilRing(d^4=0)", "trial": 0, "law": "nilpotency", "generator": "d",
+    }
     assert failed["thm-7.3"].counterexample["symbolic"] is True
     for check in ("def6.1-vs-matrix-n1", "thm-4.1"):
         assert failed[check].counterexample["trial"] == 0
@@ -343,8 +357,7 @@ def test_wrong_representation_image_fails_exactly_the_matrix_checks_that_see_it(
         return MatrixRep(rep.algebra, rep.dimension, {**rep.images, "z": doubled})
 
     monkeypatch.setattr(liejets.checks, "builtin_rep", with_doubled_z)
-    report = run_suite("all", trials=3, seed=0)
-    failed = {c.check: c for c in report.checks if not c.passed}
+    failed = failures(run_suite("all", trials=3, seed=0))
     assert set(failed) == WRONG_IMAGE_FAILS
     for check in failed.values():
         assert check.counterexample["algebra"] == "h3"
@@ -363,8 +376,7 @@ def test_non_jacobi_structure_constant_fails_the_scan_and_order3_associativity(
     monkeypatch.setattr(liejets.catalog, "heisenberg3", lambda: make_algebra(
         "h3", ("p", "q", "z"), {("p", "q"): [("z", 1)], ("p", "z"): [("p", 1)]}
     ))
-    report = run_suite("all", trials=3, seed=0)
-    failed = {c.check: c for c in report.checks if not c.passed}
+    failed = failures(run_suite("all", trials=3, seed=0))
     assert set(failed) == NON_JACOBI_FAILS
     jacobi = failed["struct-jacobi-builtins"].counterexample
     assert jacobi["failing_triple"] == ["p", "q", "z"]
@@ -421,6 +433,10 @@ NAME_ROWS = [
     # mu(2) = +1 in the necklace count
     ((liejets.checks,), "_mobius", lambda real: lambda n: 1 if n == 2 else real(n),
      {"struct-witt-dimensions"}),
+    # mu(3) = +1: the degree-3 necklace total of one generator is 2, which 3
+    # does not divide
+    ((liejets.checks,), "_mobius", lambda real: lambda n: 1 if n == 3 else real(n),
+     {"struct-witt-dimensions"}),
     # a wrong Hall structure constant of free-nilpotent(3,3)
     ((liejets.checks,), "free_nilpotent",
      lambda real: lambda m, c: _doubled_x_yz(real(m, c)),
@@ -431,7 +447,8 @@ NAME_ROWS = [
 @pytest.mark.parametrize(
     "modules, name, wrap, failing",
     NAME_ROWS,
-    ids=["product-z1", "product-z2", "inverse", "truncate", "mobius", "hall-constant"],
+    ids=["product-z1", "product-z2", "inverse", "truncate", "mobius", "mobius-3",
+         "hall-constant"],
 )
 def test_corrupted_name_fails_exactly_the_checks_that_guard_it(
     monkeypatch, modules, name, wrap, failing
@@ -439,8 +456,7 @@ def test_corrupted_name_fails_exactly_the_checks_that_guard_it(
     replacement = wrap(getattr(modules[0], name))
     for module in modules:
         monkeypatch.setattr(module, name, replacement)
-    report = run_suite("all", trials=3, seed=0)
-    assert {c.check for c in report.checks if not c.passed} == failing
+    assert set(failures(run_suite("all", trials=3, seed=0))) == failing
 
 
 def test_kill_rows_together_fail_every_check():

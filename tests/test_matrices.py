@@ -225,6 +225,12 @@ def test_from_rational_refuses_a_non_square_grid():
         WeilMatrix.from_rational(ring_make([]), [[0, 1, 0], [0, 0, 1]])
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, True])
+def test_from_rational_reads_only_exact_rationals(value):
+    with pytest.raises(MatrixError):
+        WeilMatrix.from_rational(PLAIN_RING, [[0, value], [0, 0]])
+
+
 def test_scale_reads_only_exact_rationals():
     A = WeilMatrix.from_rational(PLAIN_RING, [[0, 1], [2, 0]])
     assert A.scale(1) is A
@@ -344,6 +350,16 @@ class TestRep:
                     "z": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],  # [p,q] != image(z)
                 },
             )
+
+    @pytest.mark.parametrize("value", [1.0, True])
+    def test_inexact_image_entry_refused(self, value):
+        # 1.0 and True would otherwise read as the 1 of h3's true images
+        with pytest.raises(MatrixError):
+            matrix_rep(H3, {
+                "p": [[0, value, 0], [0, 0, 0], [0, 0, 0]],
+                "q": [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                "z": [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+            })
 
     def test_missing_image_detected(self):
         with pytest.raises(MatrixError):

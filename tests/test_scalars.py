@@ -141,6 +141,20 @@ class TestBoolIsNoScalar:
         assert d + 1 == 1 + d == D3.one + d
         assert 1 - d == D3.one - d
 
+    def test_a_bool_equals_no_scalar(self):
+        assert not D3.one == True  # noqa: E712
+        assert not D3.zero == False  # noqa: E712
+        assert D3.one != True  # noqa: E712
+        assert D3.one == 1 and D3.zero == 0
+
+    @pytest.mark.parametrize("power", [True, False, 1.0, 1.5, "1"])
+    def test_powers_are_ints(self, power):
+        with pytest.raises(SignatureError):
+            D3.gen("d", power)
+        if power.__class__ is bool:
+            with pytest.raises(TypeError):
+                D3.gen("d") ** power
+
 
 class TestAddition:
     def test_cancellation(self):
@@ -392,6 +406,16 @@ class TestScaleRefusesInexactRationals:
         with pytest.raises(SignatureError):
             D3.rational(value)
 
+    @pytest.mark.parametrize(
+        "terms",
+        [{(1.9,): 1}, {(1.0,): 1}, {("1",): 1}, {(True,): 1}, {(1,): 0.5}, {(1,): True}],
+        ids=["float-exponent", "integral-float-exponent", "string-exponent",
+             "bool-exponent", "float-coefficient", "bool-coefficient"],
+    )
+    def test_scalar_from_terms(self, terms):
+        with pytest.raises(SignatureError):
+            D3.scalar(terms)
+
     def test_strings_and_exact_values_still_read(self):
         d = D3.gen("d")
         assert d.scale("1/2") == d.scale(Fraction(1, 2)) == D3.scalar({(1,): Fraction(1, 2)})
@@ -408,6 +432,15 @@ class TestRationalStrings:
     )
     def test_parse(self, text, value):
         assert rational_from_str(text) == value
+
+    @pytest.mark.parametrize("value", [3, Fraction(1, 3)])
+    def test_exact_values_pass_through_unchanged(self, value):
+        assert rational_from_str(value) is value
+
+    @pytest.mark.parametrize("value", [True, 0.5, None, [1]])
+    def test_inexact_values_refused(self, value):
+        with pytest.raises(SignatureError):
+            rational_from_str(value)
 
     def test_str_forms(self):
         assert str(Fraction(1, 2)) == "1/2"
