@@ -66,12 +66,11 @@ class LieAlgebraSpec:
     ``structure`` maps index pairs (i, j) with i < j to tuples of
     (k, coefficient) meaning [b_i, b_j] = sum c * b_k, each coefficient an
     ``int`` when it is integral and a ``Fraction`` otherwise.  Pairs that
-    bracket to zero are absent.  ``degrees`` and ``generator_count`` are
-    optional grading metadata, set by :func:`liejets.hall.free_nilpotent`,
-    and do not affect equality.
+    bracket to zero are absent.  ``degrees`` is optional grading metadata,
+    set by :func:`liejets.hall.free_nilpotent`, and does not affect equality.
     """
 
-    __slots__ = ("name", "basis", "structure", "degrees", "generator_count", "_index")
+    __slots__ = ("name", "basis", "structure", "degrees", "_index")
 
     def __init__(
         self,
@@ -79,7 +78,6 @@ class LieAlgebraSpec:
         basis: tuple[str, ...],
         structure: dict,
         degrees: tuple[int, ...] | None = None,
-        generator_count: int | None = None,
     ):
         self.name = name
         self.basis = basis
@@ -90,7 +88,6 @@ class LieAlgebraSpec:
             for pair, entries in structure.items()
         }
         self.degrees = degrees
-        self.generator_count = generator_count
         self._index = {b: i for i, b in enumerate(basis)}
 
     @property
@@ -141,7 +138,7 @@ class LieAlgebraSpec:
             brackets: dict = {}
             for entry in doc.get("brackets", []):
                 pair = (_name(entry["left"]), _name(entry["right"]))
-                if pair in brackets or pair[::-1] in brackets:
+                if pair in brackets:
                     raise AlgebraError(f"bracket [{pair[0]}, {pair[1]}] is given twice")
                 brackets[pair] = [
                     (_name(b), rational_from_str(c)) for b, c in entry["value"]
@@ -156,15 +153,23 @@ def make_algebra(
     basis: Iterable[str],
     brackets: Mapping[tuple[str, str], Iterable[tuple[str, object]]],
 ) -> LieAlgebraSpec:
-    """Build a spec from named brackets, normalizing order and signs."""
-    basis = tuple(str(b) for b in basis)
+    """Build a spec from named brackets, normalizing order and signs.  Each
+    unordered pair of basis elements is bracketed at most once."""
+    basis = tuple(_name(b) for b in basis)
     if len(basis) > MAX_DIMENSION:
         raise AlgebraError(f"algebra dimension {len(basis)} exceeds {MAX_DIMENSION}")
     if len(set(basis)) != len(basis):
         raise AlgebraError(f"duplicate basis names in {basis}")
     index = {b: i for i, b in enumerate(basis)}
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (left, right), entries in brackets.items():
+    for key, entries in brackets.items():
+        try:
+            (left, right), entries = key, [(b, c) for b, c in entries]
+        except (TypeError, ValueError) as exc:
+            raise AlgebraError(
+                f"bracket {key!r} must map a (left, right) pair to (name, rational) "
+                f"pairs: {exc}"
+            ) from exc
         if left not in index or right not in index:
             raise AlgebraError(f"bracket ({left}, {right}) names unknown basis elements")
         i, j = index[left], index[right]
@@ -175,9 +180,11 @@ def make_algebra(
             continue
         if i > j:
             i, j, sign = j, i, -1
-        acc = table.setdefault((i, j), {})
+        if (i, j) in table:
+            raise AlgebraError(f"bracket [{left}, {right}] is given twice")
+        acc = table[i, j] = {}
         for b, c in entries:
-            if b not in index:
+            if _name(b) not in index:
                 raise AlgebraError(f"bracket value names unknown basis element {b!r}")
             c = rational_from_str(c, AlgebraError) * sign
             k = index[b]
@@ -345,6 +352,8 @@ class LieElement:
             raise AlgebraError(
                 f"element belongs to {doc.get('algebra')!r}, expected {algebra.name!r}"
             )
+        if "ring" not in doc:
+            raise AlgebraError("an element needs its 'ring'")
         sig = RingSignature.from_json(doc["ring"])
         zero = WeilScalar(sig, {})
         coords = [zero] * algebra.dim
@@ -450,6 +459,8 @@ def so3() -> LieAlgebraSpec:
 
 def abelian(n: int) -> LieAlgebraSpec:
     """Abelian algebra of dimension n (all brackets vanish)."""
-    if not 1 <= n <= MAX_DIMENSION:
-        raise AlgebraError(f"abelian algebra needs dimension 1..{MAX_DIMENSION}, got {n}")
+    if n.__class__ is not int or not 1 <= n <= MAX_DIMENSION:
+        raise AlgebraError(
+            f"abelian algebra needs an int dimension 1..{MAX_DIMENSION}, got {n!r}"
+        )
     return make_algebra(f"abelian({n})", tuple(f"a{i + 1}" for i in range(n)), {})

@@ -1,8 +1,7 @@
 """Name-based lookup for the built-in algebra catalog, and the suite names.
 
-Canonical names: ``h3``, ``sl2``, ``so3``, ``abelian(N)``, and
-``free-nilpotent(M,C)``.  Bare ``free-nilpotent`` / ``abelian`` pick up the
-explicit ``generators`` / ``nilpotency_class`` arguments (CLI flags).  The
+Names: ``h3``, ``sl2``, ``so3``, ``abelian(N)``, and ``free-nilpotent(M,C)``;
+a family's name carries its parameters, so a name alone fixes the algebra.  The
 Hall-basis builder is imported only when a free-nilpotent name is resolved,
 so that resolving the other names loads no more than ``liejets.algebras``.
 """
@@ -36,11 +35,9 @@ _ABELIAN = re.compile(r"abelian\((\d+)\)$")
 _FREE = re.compile(r"free-nilpotent\((\d+),(\d+)\)$")
 
 
-def resolve_algebra(
-    name: str,
-    generators: int | None = None,
-    nilpotency_class: int | None = None,
-) -> LieAlgebraSpec:
+def resolve_algebra(name: str) -> LieAlgebraSpec:
+    # The builders are looked up at call time, so that a test replacing one
+    # (say ``heisenberg3``) in this module reaches every name it resolves.
     key = name.strip().lower().replace("_", "-")
     if key == "h3":
         return heisenberg3()
@@ -48,15 +45,6 @@ def resolve_algebra(
         return sl2()
     if key == "so3":
         return so3()
-    if key == "abelian":
-        return abelian(generators if generators is not None else 3)
-    if key == "free-nilpotent":
-        from .hall import free_nilpotent
-
-        return free_nilpotent(
-            generators if generators is not None else 2,
-            nilpotency_class if nilpotency_class is not None else 3,
-        )
     m = _ABELIAN.match(key)
     if m:
         return abelian(int(m.group(1)))
@@ -65,7 +53,10 @@ def resolve_algebra(
         from .hall import free_nilpotent
 
         return free_nilpotent(int(m.group(1)), int(m.group(2)))
-    raise UnknownAlgebraError(f"unknown algebra {name!r}")
+    raise UnknownAlgebraError(
+        f"unknown algebra {name!r}; the built-in names are h3, sl2, so3, "
+        "abelian(N) and free-nilpotent(M,C)"
+    )
 
 
 def default_verification_algebras() -> list[LieAlgebraSpec]:

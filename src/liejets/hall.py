@@ -115,13 +115,14 @@ def _tree_name(tree: Tree, letters: tuple[str, ...]) -> str:
 
 
 def hall_basis(generator_count: int, nilpotency_class: int) -> HallBasis:
-    if not 1 <= generator_count <= 3:
+    # a bool or float would pass the range test and leak into the algebra's name
+    if generator_count.__class__ is not int or not 1 <= generator_count <= 3:
         raise AlgebraError(
-            f"generator count must be between 1 and 3, got {generator_count}"
+            f"generator count must be between 1 and 3, got {generator_count!r}"
         )
-    if not 1 <= nilpotency_class <= 3:
+    if nilpotency_class.__class__ is not int or not 1 <= nilpotency_class <= 3:
         raise AlgebraError(
-            f"nilpotency class must be between 1 and 3, got {nilpotency_class}"
+            f"nilpotency class must be between 1 and 3, got {nilpotency_class!r}"
         )
     letters = GENERATOR_LETTERS[:generator_count]
     words = tuple(lyndon_words(generator_count, nilpotency_class))
@@ -185,11 +186,9 @@ def free_nilpotent(generator_count: int, nilpotency_class: int) -> LieAlgebraSpe
             if entries:
                 structure[(i, j)] = entries
 
-    spec = LieAlgebraSpec(
+    return LieAlgebraSpec(
         name=f"free-nilpotent({generator_count},{nilpotency_class})",
         basis=basis.names,
         structure=structure,
         degrees=basis.degrees,
-        generator_count=generator_count,
     )
-    return spec

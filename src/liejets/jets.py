@@ -130,8 +130,8 @@ def jet_make(
 ) -> Jet:
     """Validated jet constructor.  ``ring`` may be None when the coords carry
     their signature already."""
-    if not 1 <= order <= MAX_ORDER:
-        raise JetError(f"jet order must be 1..{MAX_ORDER}, got {order}")
+    if order.__class__ is not int or not 1 <= order <= MAX_ORDER:
+        raise JetError(f"jet order must be an int 1..{MAX_ORDER}, got {order!r}")
     if system not in (EXP, MONOMIAL):
         raise JetError(f"unknown coordinate system {system!r}")
     coords = tuple(coords)
@@ -253,8 +253,8 @@ def jet_group_commutator(a: Jet, b: Jet) -> Jet:
 
 def jet_truncate(j: Jet, order: int) -> Jet:
     """Drop coordinates above ``order`` (tower projection)."""
-    if not 1 <= order <= j.order:
-        raise JetError(f"cannot truncate order {j.order} jet to order {order}")
+    if order.__class__ is not int or not 1 <= order <= j.order:
+        raise JetError(f"cannot truncate order {j.order} jet to order {order!r}")
     return Jet(j.algebra, j.signature, order, j.system, j.coords[:order])
 
 

@@ -20,16 +20,16 @@ whole result with a single gcd.  Every other matrix is built by
 :func:`weil_exp` and :func:`weil_log` sum one series, :func:`_nilpotent_series`.
 
 A :class:`MatrixRep` sends basis elements of an algebra to rational matrices
-and is validated at load time: the image of every basis bracket must equal
-the commutator of the images.  Built-in representations ship for h3 (strictly
-upper triangular 3x3), sl2 (2x2), and so3 (3x3), in one table of (algebra
-builder, images).
+and is validated at load time: the images must be linearly independent, so
+that coordinates can be read back, and the image of every basis bracket must
+equal the commutator of the images.  Built-in representations ship for h3
+(strictly upper triangular 3x3), sl2 (2x2), and so3 (3x3), in one table of
+(algebra builder, images).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import add, mul, neg, sub
 
@@ -76,11 +76,13 @@ def _integer_cells(values) -> tuple[tuple[int, ...], int]:
 
 
 def _side(rows) -> int:
-    """The side of a square grid of rows."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    """The side n of a square grid: a list or tuple of n rows, each a list or
+    tuple of n entries."""
+    if not isinstance(rows, (list, tuple)) or any(
+        not isinstance(row, (list, tuple)) or len(row) != len(rows) for row in rows
+    ):
         raise MatrixError("the rows of a matrix must form a square grid")
-    return n
+    return len(rows)
 
 
 def _matrix(signature: RingSignature, size: int, coeffs: dict, den: int) -> "WeilMatrix":
@@ -345,10 +347,10 @@ def weil_log(M: WeilMatrix) -> WeilMatrix:
 class MatrixRep:
     """Rational matrix images of an algebra's basis, bracket-compatible.
 
-    The images must not change after construction: their integer forms
-    are derived from them then, and the solver for coordinates on first use.
-    Two representations are equal when their algebras, dimensions and images
-    are.
+    The images must not change after construction: their integer forms and
+    the solver for coordinates are derived from them then, and the solver
+    refuses linearly dependent images.  Two representations are equal when
+    their algebras, dimensions and images are.
     """
 
     def __init__(self, algebra: LieAlgebraSpec, dimension: int, images: dict):
@@ -360,6 +362,7 @@ class MatrixRep:
             name: _integer_cells(e for row in rows for e in row)
             for name, rows in images.items()
         }
+        self._solver = self._solve()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -374,8 +377,7 @@ class MatrixRep:
         return (f"MatrixRep(algebra={self.algebra!r}, dimension={self.dimension!r}, "
                 f"images={self.images!r})")
 
-    @cached_property
-    def _solver(self) -> tuple[list, list]:
+    def _solve(self) -> tuple[list, list]:
         """Integer forms of the rational maps that recover coordinates.
 
         Gauss-Jordan elimination of [A | I], where the columns of A are the
@@ -466,36 +468,33 @@ class MatrixRep:
             raise MatrixError("a representation needs its 'dimension'")
         try:
             dimension = json_int(doc["dimension"])
-            images = {
-                name: [[rational_from_str(e) for e in row] for row in rows]
-                for name, rows in doc["images"].items()
-            }
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise MatrixError(f"malformed representation: {exc}") from exc
-        return matrix_rep(algebra, images, dimension)
+        rep = matrix_rep(algebra, doc["images"])
+        n = rep.dimension
+        if dimension != n:
+            raise MatrixError(f"declared dimension {dimension} but images are {n}x{n}")
+        return rep
 
 
-def matrix_rep(
-    algebra: LieAlgebraSpec, images: dict, dimension: int | None = None
-) -> MatrixRep:
-    """Validated constructor: checks shapes and bracket compatibility."""
+def matrix_rep(algebra: LieAlgebraSpec, images: dict) -> MatrixRep:
+    """Validated constructor: checks names, shapes, linear independence and
+    bracket compatibility.  The dimension is the images' common size."""
+    extra = [name for name in images if name not in algebra.basis]
+    if extra:
+        raise MatrixError(f"images for names outside the basis of {algebra.name}: {extra}")
     missing = set(algebra.basis) - set(images)
     if missing:
         raise MatrixError(f"missing images for basis elements {sorted(missing)}")
-    mats = {
-        name: tuple(tuple(rational_from_str(e, MatrixError) for e in row)
-               for row in images[name])
-        for name in algebra.basis
-    }
-    sizes = {len(m) for m in mats.values()} | {
-        len(row) for m in mats.values() for row in m
-    }
+    sizes = {_side(images[name]) for name in algebra.basis}
     if len(sizes) != 1:
         raise MatrixError(f"images must all be square of one size, got sizes {sizes}")
-    n = sizes.pop()
-    if dimension is not None and dimension != n:
-        raise MatrixError(f"declared dimension {dimension} but images are {n}x{n}")
-    rep = MatrixRep(algebra=algebra, dimension=n, images=mats)
+    mats = {
+        name: tuple(tuple(rational_from_str(e, MatrixError) for e in row)
+                    for row in images[name])
+        for name in algebra.basis
+    }
+    rep = MatrixRep(algebra=algebra, dimension=sizes.pop(), images=mats)
     q = ring_make(())
     for i, bi in enumerate(algebra.basis):
         for bj in algebra.basis[i + 1:]:
@@ -566,8 +565,8 @@ def matrix_mul(a: Jet, b: Jet, rep: MatrixRep) -> Jet:
 
 def exp_weights(n: int) -> tuple[WeilScalar, ...]:
     """s^i/i! for i = 1..n over Q[d_1..d_n]/(d_i^2), with s = d_1 + ... + d_n."""
-    if n not in (1, 2, 3):
-        raise MatrixError(f"order must be 1, 2, or 3, got {n}")
+    if n.__class__ is not int or n not in (1, 2, 3):
+        raise MatrixError(f"order must be the int 1, 2, or 3, got {n!r}")
     ring = ring_make(tuple((f"d{i}", 1) for i in range(1, n + 1)))
     s = sum((ring.gen(f"d{i}") for i in range(1, n + 1)), ring.zero)
     return tuple((s**i).scale(Fraction(1, factorial(i))) for i in range(1, n + 1))

@@ -185,7 +185,7 @@ class RingSignature:
         for i, (n, _) in enumerate(self.generators):
             if n == name:
                 return i
-        raise KeyError(name)
+        raise SignatureError(f"{name!r} is not a generator of {self.generators}")
 
     def extend(self, name: str, order: int) -> "RingSignature":
         """Signature with one more generator appended at the end, equal to the
@@ -301,9 +301,9 @@ class WeilScalar:
         arity = signature.arity
         out: dict = {}
         for vec, coeff in dense_terms.items():
-            if len(vec) != arity:
+            if not isinstance(vec, tuple) or len(vec) != arity:
                 raise SignatureError(
-                    f"exponent vector {vec} has length {len(vec)}, expected {arity}"
+                    f"exponent vector {vec!r} is not a tuple of {arity} exponents"
                 )
             key = 0
             for g, e in enumerate(vec):
@@ -314,17 +314,9 @@ class WeilScalar:
                     )
                 key |= e << shifts[g]
             c = rational_from_str(coeff)
-            if not c:
-                continue
-            acc = out.get(key)
-            if acc is None:
+            # distinct vectors in range pack to distinct keys: no merge needed
+            if c:
                 out[key] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
         # Over the lcm of the reduced denominators the numerators are already
         # coprime to the shared denominator.
         den = lcm(*(c.denominator for c in out.values()))

@@ -24,6 +24,7 @@ from liejets.algebras import (
     validate_algebra,
     zero_element,
 )
+from liejets.catalog import resolve_algebra
 from liejets.hall import free_nilpotent
 from liejets.sampling import PLAIN_RING, random_element
 from liejets.scalars import SignatureError, SignatureMismatch, ring_make
@@ -309,6 +310,22 @@ class TestMakeAlgebra:
         with pytest.raises(AlgebraError):
             make_algebra("bad", ("a", "b"), {("a", "a"): [("b", value)]})
 
+    @pytest.mark.parametrize(
+        "basis, brackets",
+        [
+            ((1.5, True), {}),
+            (("a", "b"), {("a", "b"): 5}),
+            (("a", "b"), {("a", "b"): [("b",)]}),
+            (("a", "b"), {("a", "b"): [(["b"], 1)]}),
+            (("a", "b"), {("a", "b"): [("b", 1)], ("b", "a"): [("b", 1)]}),
+        ],
+        ids=["non-string-basis", "value-not-pairs", "short-pair", "list-name",
+             "pair-given-twice"],
+    )
+    def test_malformed_input_refused(self, basis, brackets):
+        with pytest.raises(AlgebraError):
+            make_algebra("bad", basis, brackets)
+
     def test_string_constants_read_exactly(self):
         spec = make_algebra("half", ("a", "b"), {("a", "b"): [("b", "1/2")]})
         assert spec.structure == {(0, 1): ((1, Fraction(1, 2)),)}
@@ -353,9 +370,31 @@ def test_abelian_requires_positive_dimension():
         abelian(0)
 
 
+@pytest.mark.parametrize(
+    "build", [lambda: abelian(True), lambda: abelian(2.0), lambda: free_nilpotent(True, 3),
+              lambda: free_nilpotent(2, 3.0)],
+    ids=["abelian-bool", "abelian-float", "free-bool", "free-float"],
+)
+def test_family_parameters_must_be_ints(build):
+    # a bool or float would otherwise pass the range test and name the algebra
+    with pytest.raises(AlgebraError):
+        build()
+
+
 def test_dimensions_above_the_limit_are_refused():
     assert abelian(MAX_DIMENSION).dim == MAX_DIMENSION
     with pytest.raises(AlgebraError):
         abelian(MAX_DIMENSION + 1)
     with pytest.raises(AlgebraError):
         make_algebra("big", [f"b{i}" for i in range(MAX_DIMENSION + 1)], {})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [heisenberg3(), sl2(), so3(), *(abelian(n) for n in range(1, 5)),
+     *(free_nilpotent(m, c) for m in (1, 2, 3) for c in (1, 2, 3))],
+    ids=lambda spec: spec.name,
+)
+def test_resolve_algebra_reads_back_each_name(spec):
+    # a name alone fixes the algebra: the family names carry their parameters
+    assert resolve_algebra(spec.name) == spec

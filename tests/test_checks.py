@@ -403,8 +403,7 @@ def _doubled_x_yz(spec: LieAlgebraSpec) -> LieAlgebraSpec:
         return spec
     pair = (spec.index("x"), spec.index("[y,z]"))
     structure = {**spec.structure, pair: ((spec.index("[x,[y,z]]"), 2),)}
-    return LieAlgebraSpec(spec.name, spec.basis, structure, spec.degrees,
-                          spec.generator_count)
+    return LieAlgebraSpec(spec.name, spec.basis, structure, spec.degrees)
 
 
 # (modules binding the name, name, wrap(real) -> replacement, failing set); the

@@ -1,17 +1,19 @@
 """Command line tests: exit codes, JSON output, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from liejets.algebras import MAX_DIMENSION, basis_element, heisenberg3, zero_element
-from liejets.cli import main
+from liejets.cli import build_parser, main
 from liejets.jets import jet_make
 from liejets.sampling import PLAIN_RING
 
@@ -66,6 +68,12 @@ def _over_t(order, exponent, name="t"):
         return doc
 
     return corrupt
+
+
+def _drop_ring(doc):
+    """Corruption that deletes the ring of the first coordinate."""
+    del doc["coords"][0]["ring"]
+    return doc
 
 
 @pytest.fixture
@@ -190,10 +198,6 @@ class TestMul:
         b = jet_files("b.json", h3_jet_doc(2, "q", "0"))
         assert main(["mul", a, b]) == 1
 
-    def test_explicit_order_flag_enforced(self, jet_files):
-        a = jet_files("a.json", h3_jet_doc(2, "p", "0"))
-        assert main(["mul", a, a, "--order", "3"]) == 1
-
     def test_unknown_algebra_is_usage_error(self, jet_files):
         doc = h3_jet_doc(1, "p")
         doc["algebra"] = "g2"
@@ -217,13 +221,14 @@ class TestMul:
             lambda doc: NOT_UTF8,
             lambda doc: NESTED_TOO_DEEP,
             _set(("coords", 0, "coords", "p", "terms", 0, 1), "1" * 100_000),
+            _drop_ring,
         ],
         ids=[
             "zero-denominator", "non-integer-order", "coords-as-list", "top-level-array",
             "float-coefficient", "float-ring-order", "float-exponent", "non-string-ring-name",
             "float-jet-order",
             "boolean-coefficient", "boolean-jet-order", "not-utf8", "nested-too-deep",
-            "long-coefficient",
+            "long-coefficient", "element-without-ring",
         ],
     )
     def test_malformed_jet_is_one_line_usage_error(self, jet_files, capsys, corrupt):
@@ -235,6 +240,11 @@ class TestMul:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < ERROR_LINE_LIMIT
+
+    def test_element_without_ring_names_the_key(self, jet_files, capsys):
+        a = jet_files("a.json", _drop_ring(h3_jet_doc(1, "p")))
+        assert main(["mul", a, a]) == 2
+        assert "needs its 'ring'" in capsys.readouterr().err
 
 
 class TestBracket:
@@ -273,8 +283,7 @@ class TestVerify:
 
     def test_free_nilpotent_flags(self, capsys):
         code = main(
-            ["verify", "--suite", "s6", "--algebra", "free-nilpotent",
-             "--generators", "3", "--class", "3", "--trials", "3"]
+            ["verify", "--suite", "s6", "--algebra", "free-nilpotent(3,3)", "--trials", "3"]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -295,8 +304,15 @@ class TestVerify:
     def test_unknown_algebra_is_usage_error(self):
         assert main(["verify", "--algebra", "e8"]) == 2
 
+    @pytest.mark.parametrize("name", ["abelian", "free-nilpotent"])
+    def test_family_name_without_parameters_is_one_line_usage_error(self, capsys, name):
+        assert main(["verify", "--suite", "s6", "--trials", "1", "--algebra", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown algebra")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
-        ["--algebra", "abelian", "--generators", str(MAX_DIMENSION + 1)],
         ["--algebra", f"abelian({MAX_DIMENSION + 1})"],
     ])
     def test_oversized_algebra_is_one_line_usage_error(self, capsys, argv):
@@ -335,6 +351,18 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+def test_readme_commands_parse():
+    # every `liejets ...` line of the README's command block, so the docs
+    # cannot drift from the flags; an unknown flag exits 2
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands = [line.split("#")[0] for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("liejets ")]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
 
 
 # -- fuzzing the JSON loaders through the command line --------------------------

@@ -150,6 +150,5 @@ def test_range_errors():
 
 def test_generator_metadata():
     spec = free_nilpotent(2, 3)
-    assert spec.generator_count == 2
     assert spec.name == "free-nilpotent(2,3)"
     assert spec.basis[:2] == ("x", "y")

@@ -344,9 +344,16 @@ class TestConstruction:
         with pytest.raises(JetError):
             jet_make(H3, PLAIN_RING, 1, (p,), "cartesian")
 
+    @pytest.mark.parametrize("order", [True, 1.0])
+    def test_order_must_be_an_int(self, order):
+        with pytest.raises(JetError):
+            jet_make(H3, PLAIN_RING, order, (basis_element(H3, PLAIN_RING, "p"),))
+
     def test_truncate_range(self):
         with pytest.raises(JetError):
             jet_truncate(h3_jet(2, "p", "0"), 3)
+        with pytest.raises(JetError):
+            jet_truncate(h3_jet(2, "p", "0"), True)
 
 
 orders = st.sampled_from([1, 2, 3])

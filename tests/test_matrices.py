@@ -341,15 +341,43 @@ class TestRep:
         assert rep.dimension in (2, 3)
 
     def test_bracket_incompatibility_detected(self):
-        with pytest.raises(MatrixError):
+        with pytest.raises(MatrixError, match="bracket compatibility"):
             matrix_rep(
                 H3,
                 {
                     "p": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
                     "q": [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-                    "z": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],  # [p,q] != image(z)
+                    "z": [[0, 0, 2], [0, 0, 0], [0, 0, 0]],  # [p,q] != image(z)
                 },
             )
+
+    @pytest.mark.parametrize(
+        "images",
+        [
+            {b: [[0]] for b in "pqz"},
+            {"p": [[0, 1], [0, 0]], "q": [[0, 0], [0, 0]], "z": [[0, 0], [0, 0]]},
+        ],
+        ids=["zero", "p-only"],
+    )
+    def test_unfaithful_rep_refused(self, images):
+        # bracket-compatible, but coordinates could not be read back from it,
+        # and the matrix checks would pass over it without checking anything
+        with pytest.raises(MatrixError, match="linearly dependent"):
+            matrix_rep(H3, images)
+
+    @pytest.mark.parametrize(
+        "images",
+        [
+            {**builtin_rep("h3").images, "p": 7},
+            {**builtin_rep("h3").images, "p": [7, 0, 0]},
+            {**builtin_rep("h3").images, "p": ["010", "000", "000"]},
+            {**builtin_rep("h3").images, "w": [[0, 0, 0]] * 3},
+        ],
+        ids=["number", "flat-list", "string-rows", "outside-the-basis"],
+    )
+    def test_malformed_images_refused(self, images):
+        with pytest.raises(MatrixError):
+            matrix_rep(H3, images)
 
     @pytest.mark.parametrize("value", [1.0, True])
     def test_inexact_image_entry_refused(self, value):
@@ -393,15 +421,10 @@ class TestRep:
             rep.extract(M)
 
     def test_extract_rejects_dependent_images(self):
-        from liejets.algebras import abelian
-
-        # commuting, bracket-compatible, but linearly dependent images
-        rep = matrix_rep(
-            abelian(2), {"a1": [[0, 1], [0, 0]], "a2": [[0, 1], [0, 0]]}
-        )
-        ring = ring_make([])
-        with pytest.raises(MatrixError):
-            rep.extract(WeilMatrix.from_rational(ring, [[0, 1], [0, 0]]))
+        # commuting, bracket-compatible, but linearly dependent images: refused
+        # at load, before any extraction could go wrong
+        with pytest.raises(MatrixError, match="linearly dependent"):
+            matrix_rep(abelian(2), {"a1": [[0, 1], [0, 0]], "a2": [[0, 1], [0, 0]]})
 
     def test_json_round_trip(self):
         rep = builtin_rep("sl2")
@@ -445,8 +468,10 @@ class TestRep:
              "images": {**builtin_rep("sl2").to_json()["images"], "h": 7}},
             {"algebra": "sl2", "dimension": 2,
              "images": {**builtin_rep("sl2").to_json()["images"], "h": [[0.5, 0], [0, 1]]}},
+            {"algebra": "sl2", "dimension": 3, "images": builtin_rep("sl2").to_json()["images"]},
         ],
-        ids=["array", "images-array", "no-dimension", "image-not-rows", "float-entry"],
+        ids=["array", "images-array", "no-dimension", "image-not-rows", "float-entry",
+             "wrong-dimension"],
     )
     def test_json_malformed_document_rejected(self, doc):
         with pytest.raises(MatrixError):
@@ -488,6 +513,11 @@ class TestTheorem4:
     def test_order_out_of_range(self):
         with pytest.raises(MatrixError):
             verify_theorem_4(4, [builtin_rep("sl2")])
+
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_weights_need_an_int_order(self, n):
+        with pytest.raises(MatrixError):
+            exp_weights(n)
 
     def test_failing_evidence_is_the_string_grid_of_the_inputs(self):
         # the order-2 identity in the order-3 ring misses the s^3 terms, so it

@@ -156,6 +156,11 @@ class TestBoolIsNoScalar:
                 D3.gen("d") ** power
 
 
+def test_unknown_generator_refused():
+    with pytest.raises(SignatureError):
+        D3.gen("e")
+
+
 class TestAddition:
     def test_cancellation(self):
         d = D3.gen("d")
@@ -408,9 +413,10 @@ class TestScaleRefusesInexactRationals:
 
     @pytest.mark.parametrize(
         "terms",
-        [{(1.9,): 1}, {(1.0,): 1}, {("1",): 1}, {(True,): 1}, {(1,): 0.5}, {(1,): True}],
+        [{(1.9,): 1}, {(1.0,): 1}, {("1",): 1}, {(True,): 1}, {(1,): 0.5}, {(1,): True},
+         {1: 1}],
         ids=["float-exponent", "integral-float-exponent", "string-exponent",
-             "bool-exponent", "float-coefficient", "bool-coefficient"],
+             "bool-exponent", "float-coefficient", "bool-coefficient", "int-vector"],
     )
     def test_scalar_from_terms(self, terms):
         with pytest.raises(SignatureError):
