@@ -314,6 +314,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [
         ["--algebra", f"abelian({MAX_DIMENSION + 1})"],
+        ["--algebra", "free-nilpotent(4,3)"],
     ])
     def test_oversized_algebra_is_one_line_usage_error(self, capsys, argv):
         assert main(["verify", "--suite", "s6", "--trials", "1", *argv]) == 2
