@@ -21,7 +21,7 @@ _MODULE_EXPORTS = {
     "scalars": ("Rational", "RingSignature", "SignatureError", "SignatureMismatch",
                 "WeilRing", "WeilScalar", "ring_make"),
     "algebras": ("AlgebraError", "LieAlgebraSpec", "LieElement", "abelian",
-                 "basis_element", "bracket", "element", "heisenberg3", "sl2", "so3",
+                 "basis_element", "bracket", "heisenberg3", "sl2", "so3",
                  "validate_algebra", "zero_element"),
     "hall": ("HallBasis", "free_nilpotent", "hall_basis"),
     "jets": ("EXP", "MONOMIAL", "Jet", "JetError", "jet_bracket", "jet_convert",

@@ -36,7 +36,6 @@ __all__ = [
     "validate_algebra",
     "zero_element",
     "basis_element",
-    "element",
     "heisenberg3",
     "sl2",
     "so3",
@@ -113,20 +112,6 @@ class LieAlgebraSpec:
 
     def __repr__(self):
         return f"LieAlgebraSpec({self.name!r}, dim={self.dim})"
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        brackets = []
-        for (i, j), entries in sorted(self.structure.items()):
-            brackets.append(
-                {
-                    "left": self.basis[i],
-                    "right": self.basis[j],
-                    "value": [[self.basis[k], str(c)] for k, c in entries],
-                }
-            )
-        return {"name": self.name, "basis": list(self.basis), "brackets": brackets}
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "LieAlgebraSpec":
@@ -376,24 +361,6 @@ def basis_element(algebra: LieAlgebraSpec, ring: WeilRing, name: str) -> LieElem
     coords = [ring.zero] * algebra.dim
     coords[algebra.index(name)] = ring.one
     return LieElement(algebra, ring.signature, tuple(coords))
-
-
-def element(
-    algebra: LieAlgebraSpec, ring: WeilRing, coords: Mapping[str, object]
-) -> LieElement:
-    """Element from {basis name: coefficient}; coefficients may be ints,
-    Fractions, strings, or WeilScalars of the same ring."""
-    vec = [ring.zero] * algebra.dim
-    for name, c in coords.items():
-        if isinstance(c, WeilScalar):
-            if c.signature != ring.signature:
-                raise SignatureMismatch(
-                    f"coefficient for {name!r} lives in a different ring"
-                )
-            vec[algebra.index(name)] = c
-        else:
-            vec[algebra.index(name)] = ring.rational(c)
-    return LieElement(algebra, ring.signature, tuple(vec))
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:

@@ -100,8 +100,6 @@ def expand_tree(tree: Tree, cap: int) -> dict:
 class HallBasis:
     """Lyndon-word Hall basis of a free nilpotent Lie algebra."""
 
-    generator_count: int
-    nilpotency_class: int
     words: tuple[tuple[int, ...], ...]
     trees: tuple[Tree, ...]
     names: tuple[str, ...]
@@ -129,7 +127,7 @@ def hall_basis(generator_count: int, nilpotency_class: int) -> HallBasis:
     trees = tuple(standard_bracketing(w) for w in words)
     names = tuple(_tree_name(t, letters) for t in trees)
     degrees = tuple(len(w) for w in words)
-    return HallBasis(generator_count, nilpotency_class, words, trees, names, degrees)
+    return HallBasis(words, trees, names, degrees)
 
 
 def _rewrite_to_basis(tensor: dict, expansions: dict) -> dict:

@@ -175,22 +175,18 @@ def factorial_weights(order: int) -> tuple[int, ...]:
 
 
 def jet_convert(j: Jet, target: str) -> Jet:
-    """Exact factorial rescale between coordinate systems.
-
-    monomial X_i = exp X_i / i!, so the round trip is the identity.
+    """The jet in ``target`` coordinates: ``j`` itself when it is in them
+    already, and otherwise the exact factorial rescale from exp to monomial
+    coordinates, monomial X_i = exp X_i / i!.  No caller converts monomial
+    coordinates back to exp, so that is refused with the unknown systems.
     """
-    if target not in (EXP, MONOMIAL):
-        raise JetError(f"unknown coordinate system {target!r}")
     if j.system == target:
         return j
+    if target != MONOMIAL:
+        raise JetError(f"cannot convert {j.system} coordinates to {target!r}")
     weights = factorial_weights(j.order)
-    if target == MONOMIAL:
-        coords = tuple(
-            c.scale(Fraction(1, weights[i])) for i, c in enumerate(j.coords, 1)
-        )
-    else:
-        coords = tuple(c.scale(weights[i]) for i, c in enumerate(j.coords, 1))
-    return Jet(j.algebra, j.signature, j.order, target, coords)
+    coords = tuple(c.scale(Fraction(1, weights[i])) for i, c in enumerate(j.coords, 1))
+    return Jet(j.algebra, j.signature, j.order, MONOMIAL, coords)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:

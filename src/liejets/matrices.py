@@ -43,7 +43,6 @@ from .scalars import (
     WeilRing,
     WeilScalar,
     _reduced,
-    json_int,
     rational_from_str,
     ring_make,
 )
@@ -154,16 +153,6 @@ class WeilMatrix:
         unit = tuple(int(i == j) for i in range(n) for j in range(n))
         return _matrix(ring.signature, n, {0: unit} if n else {}, 1)
 
-    @classmethod
-    def zero(cls, ring: WeilRing, n: int) -> "WeilMatrix":
-        return _matrix(ring.signature, n, {}, 1)
-
-    @classmethod
-    def from_rational(cls, ring: WeilRing, rows) -> "WeilMatrix":
-        n = _side(rows)
-        cell, den = _integer_cells(e for row in rows for e in row)
-        return _linear_combination(ring.signature, n, [(ring.one, cell, den)])
-
     @property
     def rows(self) -> tuple:
         """The entries as a grid of ``WeilScalar`` values."""
@@ -232,12 +221,6 @@ class WeilMatrix:
             return NotImplemented
         return self._combine(other, sub)
 
-    def __neg__(self):
-        return _matrix(
-            self.signature, self.size,
-            {k: tuple(map(neg, cell)) for k, cell in self.coeffs.items()}, self.den,
-        )
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -275,11 +258,6 @@ class WeilMatrix:
                         acc[r + j] += v * w
         coeffs = {k: tuple(cell) for k, cell in out.items() if any(cell)}
         return _matrix(self.signature, n, coeffs, self.den * other.den)
-
-    def __rmul__(self, other):
-        if isinstance(other, (WeilScalar, int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
 
     def scale(self, rational) -> "WeilMatrix":
         """Multiply every entry by a plain rational, read as
@@ -349,8 +327,7 @@ class MatrixRep:
 
     The images must not change after construction: their integer forms and
     the solver for coordinates are derived from them then, and the solver
-    refuses linearly dependent images.  Two representations are equal when
-    their algebras, dimensions and images are.
+    refuses linearly dependent images.
     """
 
     def __init__(self, algebra: LieAlgebraSpec, dimension: int, images: dict):
@@ -363,15 +340,6 @@ class MatrixRep:
             for name, rows in images.items()
         }
         self._solver = self._solve()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.dimension, self.images) == (
-            other.algebra, other.dimension, other.images
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return (f"MatrixRep(algebra={self.algebra!r}, dimension={self.dimension!r}, "
@@ -443,38 +411,6 @@ class MatrixRep:
                     terms[k] = c
             coords.append(_reduced(M.signature, terms, d * M.den))
         return LieElement(self.algebra, M.signature, tuple(coords))
-
-    def to_json(self) -> dict:
-        return {
-            "algebra": self.algebra.name,
-            "dimension": self.dimension,
-            "images": {
-                b: [[str(e) for e in row] for row in self.images[b]]
-                for b in self.algebra.basis
-            },
-        }
-
-    @classmethod
-    def from_json(cls, doc, algebra: LieAlgebraSpec) -> "MatrixRep":
-        if not isinstance(doc, dict):
-            raise MatrixError("a representation must be a JSON object")
-        if doc.get("algebra") != algebra.name:
-            raise MatrixError(
-                f"representation is for {doc.get('algebra')!r}, expected {algebra.name!r}"
-            )
-        if not isinstance(doc.get("images"), dict):
-            raise MatrixError("'images' must be an object mapping basis names to matrices")
-        if "dimension" not in doc:
-            raise MatrixError("a representation needs its 'dimension'")
-        try:
-            dimension = json_int(doc["dimension"])
-        except TypeError as exc:
-            raise MatrixError(f"malformed representation: {exc}") from exc
-        rep = matrix_rep(algebra, doc["images"])
-        n = rep.dimension
-        if dimension != n:
-            raise MatrixError(f"declared dimension {dimension} but images are {n}x{n}")
-        return rep
 
 
 def matrix_rep(algebra: LieAlgebraSpec, images: dict) -> MatrixRep:

@@ -324,10 +324,7 @@ class WeilScalar:
             signature, {k: c.numerator * (den // c.denominator) for k, c in out.items()}, den
         )
 
-    # -- predicates and readback ------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    # -- readback ------------------------------------------------------
 
     def coefficients(self) -> dict:
         """The term table as {dense exponent vector: nonzero Fraction
@@ -377,9 +374,6 @@ class WeilScalar:
             if other is None:
                 return NotImplemented
         return _signed_sum(self, other, -1, 1)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if other.__class__ is not WeilScalar or other.signature is not self.signature:
@@ -522,9 +516,6 @@ class WeilRing:
 
     def scalar(self, dense_terms: Mapping[tuple, object]) -> WeilScalar:
         return WeilScalar.from_terms(self.signature, dense_terms)
-
-    def __eq__(self, other):
-        return isinstance(other, WeilRing) and self.signature == other.signature
 
     def __repr__(self):
         gens = ", ".join(f"{n}^{m + 1}=0" for n, m in self.signature.generators)

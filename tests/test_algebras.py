@@ -16,7 +16,6 @@ from liejets.algebras import (
     abelian,
     basis_element,
     bracket,
-    element,
     heisenberg3,
     make_algebra,
     sl2,
@@ -27,12 +26,20 @@ from liejets.algebras import (
 from liejets.catalog import resolve_algebra
 from liejets.hall import free_nilpotent
 from liejets.sampling import PLAIN_RING, random_element
-from liejets.scalars import SignatureError, SignatureMismatch, ring_make
+from liejets.scalars import SignatureError, SignatureMismatch, WeilScalar, ring_make
 
 H3 = heisenberg3()
 EE = ring_make([("e1", 1), ("e2", 1)])
 
 BUILTINS = [heisenberg3(), sl2(), so3(), abelian(4), free_nilpotent(2, 3)]
+
+
+def h3_element(ring, *coords):
+    """Element of h3 with coordinates (p, q, z), each a rational or a
+    scalar of ``ring``."""
+    return LieElement(H3, ring.signature, tuple(
+        c if isinstance(c, WeilScalar) else ring.rational(c) for c in coords
+    ))
 
 
 # -- independent name-level bracket oracle ------------------------------------
@@ -261,7 +268,7 @@ def test_add_scaled_is_scale_then_add(ring):
 def test_scale_reads_only_exact_rationals():
     p = basis_element(H3, PLAIN_RING, "p")
     assert p.scale(1) is p and p.scale(Fraction(1)) is p
-    assert p.scale("1/2") == element(H3, PLAIN_RING, {"p": Fraction(1, 2)})
+    assert p.scale("1/2") == h3_element(PLAIN_RING, Fraction(1, 2), 0, 0)
     for value in (0.1, 1.0, True):
         with pytest.raises(SignatureError):
             p.scale(value)
@@ -277,8 +284,8 @@ coords3 = st.lists(
 @settings(max_examples=50, deadline=None)
 @given(xc=coords3, yc=coords3)
 def test_bracket_bilinear_in_rational_coords(xc, yc):
-    x = element(H3, PLAIN_RING, dict(zip(H3.basis, xc)))
-    y = element(H3, PLAIN_RING, dict(zip(H3.basis, yc)))
+    x = h3_element(PLAIN_RING, *xc)
+    y = h3_element(PLAIN_RING, *yc)
     two_x = x.scale(2)
     assert bracket(two_x, y) == bracket(x, y).scale(2)
     assert bracket(x + y, y) == bracket(x, y)  # [y, y] = 0
@@ -331,20 +338,34 @@ class TestMakeAlgebra:
         assert spec.structure == {(0, 1): ((1, Fraction(1, 2)),)}
 
 
+def spec_doc(spec: LieAlgebraSpec) -> dict:
+    """The JSON document of ``spec``, in the shape README's JSON formats give."""
+    return {
+        "name": spec.name,
+        "basis": list(spec.basis),
+        "brackets": [
+            {"left": spec.basis[i], "right": spec.basis[j],
+             "value": [[spec.basis[k], str(c)] for k, c in entries]}
+            for (i, j), entries in sorted(spec.structure.items())
+        ],
+    }
+
+
 class TestJson:
     def test_spec_documented_shape(self):
-        assert H3.to_json() == {
+        # README's h3 document, verbatim
+        assert LieAlgebraSpec.from_json({
             "name": "h3",
             "basis": ["p", "q", "z"],
             "brackets": [{"left": "p", "right": "q", "value": [["z", "1"]]}],
-        }
+        }) == H3
 
     @pytest.mark.parametrize("spec", BUILTINS, ids=lambda s: s.name)
     def test_spec_round_trip(self, spec):
-        assert LieAlgebraSpec.from_json(spec.to_json()) == spec
+        assert LieAlgebraSpec.from_json(spec_doc(spec)) == spec
 
     def test_element_round_trip_omits_zeros(self):
-        x = element(H3, EE, {"p": EE.gen("e1"), "z": Fraction(1, 2)})
+        x = h3_element(EE, EE.gen("e1"), 0, Fraction(1, 2))
         doc = x.to_json()
         assert set(doc["coords"]) == {"p", "z"}
         assert LieElement.from_json(doc, H3) == x

@@ -93,7 +93,7 @@ class TestValidate:
         assert doc == {"algebra": "h3", "status": "pass"}
 
     def test_spec_file_passes(self, jet_files, capsys):
-        path = jet_files("h3.json", H3.to_json())
+        path = jet_files("h3.json", _spec_doc(("p", "q", [["z", "1"]]), basis=("p", "q", "z")))
         assert main(["validate", path]) == 0
 
     def test_corrupted_spec_fails_with_triple(self, jet_files, capsys):

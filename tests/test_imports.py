@@ -28,7 +28,7 @@ EXPORTED = (
     "Rational", "RingSignature", "SignatureError", "SignatureMismatch",
     "VerificationReport", "WeilMatrix", "WeilRing", "WeilScalar", "abelian", "algebras",
     "basis_element", "bch", "bch_mul", "bracket", "builtin_rep", "catalog",
-    "check_def61_vs_bch", "check_def61_vs_matrix", "checks", "element", "free_nilpotent",
+    "check_def61_vs_bch", "check_def61_vs_matrix", "checks", "free_nilpotent",
     "hall", "hall_basis", "heisenberg3", "jet_bracket", "jet_convert",
     "jet_group_commutator", "jet_identity", "jet_inverse", "jet_make", "jet_mul",
     "jet_scale", "jet_truncate", "jets", "matrices", "matrix_mul", "matrix_rep", "report",

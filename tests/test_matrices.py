@@ -19,12 +19,20 @@ from liejets.matrices import (
     matrix_rep,
     weil_exp,
     weil_log,
-    MatrixRep,
 )
 from liejets.sampling import PLAIN_RING, random_element, random_jet
 from liejets.scalars import SignatureError, SignatureMismatch, WeilRing, ring_make
 
 H3 = heisenberg3()
+
+
+def rational_matrix(ring, rows):
+    """The matrix over ``ring`` with these rational entries."""
+    return WeilMatrix(ring.signature, tuple(tuple(ring.rational(e) for e in row) for row in rows))
+
+
+def zero_matrix(ring, n):
+    return rational_matrix(ring, [[0] * n] * n)
 
 
 def rmat_mul(a, b):
@@ -83,7 +91,7 @@ def grid_identity(ring, n):
 
 
 def grid_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
+    return all(not x.terms for row in a for x in row)
 
 
 def grid_exp(a, ring):
@@ -169,19 +177,17 @@ class TestAgainstEntrywiseReference:
             s = random_grid(ring, 1, rng)[0][0]
             q = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
             A, B = WeilMatrix(ring.signature, a), WeilMatrix(ring.signature, b)
-            Z, I = WeilMatrix.zero(ring, n), WeilMatrix.identity(ring, n)
+            Z, I = zero_matrix(ring, n), WeilMatrix.identity(ring, n)
             assert_canonical(A)
             self.check(A * B, grid_mul(a, b))
             self.check(B * A, grid_mul(b, a))
             self.check(A + B, grid_add(a, b))
             self.check(A - B, grid_add(a, b, -1))
             self.check(A - A, zero)
-            self.check(-A, grid_scale(a, -1))
             self.check(A.scale(q), grid_scale(a, q))
             self.check(A * q, grid_scale(a, q))
             self.check(A * 3, grid_scale(a, 3))
             self.check(A * s, grid_scale(a, s))
-            self.check(s * A, grid_scale(a, s))
             self.check(A * Z, zero)
             self.check(Z * A, zero)
             self.check(A + Z, a)
@@ -198,7 +204,7 @@ class TestAgainstEntrywiseReference:
             self.check(weil_exp(A), grid_exp(a, ring))
             u = grid_add(grid_identity(ring, n), a)
             self.check(weil_log(WeilMatrix(ring.signature, u)), grid_log(u, ring))
-        self.check(weil_exp(WeilMatrix.zero(ring, n)), grid_identity(ring, n))
+        self.check(weil_exp(zero_matrix(ring, n)), grid_identity(ring, n))
         self.check(weil_log(WeilMatrix.identity(ring, n)), grid_scale(grid_identity(ring, n), 0))
 
 
@@ -206,6 +212,9 @@ def test_mismatched_shapes_and_rings_rejected():
     ring, other = ring_make([("d", 2)]), ring_make([("e", 1)])
     with pytest.raises(MatrixError):
         WeilMatrix(ring.signature, ((ring.one, ring.zero),))
+    with pytest.raises(MatrixError):
+        # two rows of three cells would otherwise read as a 2x2 matrix
+        WeilMatrix(ring.signature, ((ring.zero, ring.one, ring.zero),) * 2)
     with pytest.raises(SignatureMismatch):
         WeilMatrix(ring.signature, ((other.one,),))
     A = WeilMatrix.identity(ring, 2)
@@ -216,25 +225,13 @@ def test_mismatched_shapes_and_rings_rejected():
     with pytest.raises(SignatureMismatch):
         A * other.gen("e")
     with pytest.raises(MatrixError):
-        builtin_rep("sl2").extract(WeilMatrix.zero(ring, 3))
-
-
-def test_from_rational_refuses_a_non_square_grid():
-    # two rows of three cells would otherwise read as a 2x2 matrix
-    with pytest.raises(MatrixError):
-        WeilMatrix.from_rational(ring_make([]), [[0, 1, 0], [0, 0, 1]])
-
-
-@pytest.mark.parametrize("value", [0.1, 1.0, True])
-def test_from_rational_reads_only_exact_rationals(value):
-    with pytest.raises(MatrixError):
-        WeilMatrix.from_rational(PLAIN_RING, [[0, value], [0, 0]])
+        builtin_rep("sl2").extract(zero_matrix(ring, 3))
 
 
 def test_scale_reads_only_exact_rationals():
-    A = WeilMatrix.from_rational(PLAIN_RING, [[0, 1], [2, 0]])
+    A = rational_matrix(PLAIN_RING, [[0, 1], [2, 0]])
     assert A.scale(1) is A
-    assert A.scale("1/2") == WeilMatrix.from_rational(PLAIN_RING, [[0, Fraction(1, 2)], [1, 0]])
+    assert A.scale("1/2") == rational_matrix(PLAIN_RING, [[0, Fraction(1, 2)], [1, 0]])
     for value in (0.1, 1.0, True):
         with pytest.raises(SignatureError):
             A.scale(value)
@@ -243,12 +240,12 @@ def test_scale_reads_only_exact_rationals():
 class TestExp:
     def test_exp_of_zero(self):
         ring = ring_make([("d", 2)])
-        assert weil_exp(WeilMatrix.zero(ring, 3)) == WeilMatrix.identity(ring, 3)
+        assert weil_exp(zero_matrix(ring, 3)) == WeilMatrix.identity(ring, 3)
 
     def test_series_truncates_at_first_power(self):
         ring = ring_make([("d", 1)])
         d = ring.gen("d")
-        N = WeilMatrix.from_rational(ring, [[0, 1], [0, 0]])
+        N = rational_matrix(ring, [[0, 1], [0, 0]])
         M = N * d
         assert weil_exp(M) == WeilMatrix.identity(ring, 2) + M
 
@@ -262,11 +259,11 @@ class TestExp:
         d = ring.gen("d")
         expected = (
             WeilMatrix.identity(ring, 2)
-            + WeilMatrix.from_rational(ring, H) * d
-            + WeilMatrix.from_rational(ring, H2) * (d * d).scale(Fraction(1, 2))
-            + WeilMatrix.from_rational(ring, H3_) * (d * d * d).scale(Fraction(1, 6))
+            + rational_matrix(ring, H) * d
+            + rational_matrix(ring, H2) * (d * d).scale(Fraction(1, 2))
+            + rational_matrix(ring, H3_) * (d * d * d).scale(Fraction(1, 6))
         )
-        assert weil_exp(WeilMatrix.from_rational(ring, H) * d) == expected
+        assert weil_exp(rational_matrix(ring, H) * d) == expected
 
     def test_rejects_nonzero_constant_term(self):
         ring = ring_make([("d", 2)])
@@ -277,7 +274,7 @@ class TestExp:
 class TestLog:
     def test_log_of_identity(self):
         ring = ring_make([("d", 2)])
-        assert weil_log(WeilMatrix.identity(ring, 3)) == WeilMatrix.zero(ring, 3)
+        assert weil_log(WeilMatrix.identity(ring, 3)) == zero_matrix(ring, 3)
 
     def test_log_exp_round_trip(self):
         ring = ring_make([("d", 2), ("e", 1)])
@@ -297,7 +294,7 @@ class TestLog:
         # log(I + dN + 1/2 d^2 N^2) recovers dN when N^2 is nonzero
         ring = ring_make([("d", 2)])
         d = ring.gen("d")
-        N = WeilMatrix.from_rational(ring, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        N = rational_matrix(ring, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         assert not (N * N).is_zero()
         M = WeilMatrix.identity(ring, 3) + N * d + (N * N) * (d * d).scale(
             Fraction(1, 2)
@@ -307,7 +304,7 @@ class TestLog:
     def test_rejects_non_unipotent(self):
         ring = ring_make([("d", 2)])
         with pytest.raises(MatrixError):
-            weil_log(WeilMatrix.zero(ring, 2))
+            weil_log(zero_matrix(ring, 2))
 
 
 def test_exp_inverse_property():
@@ -315,7 +312,7 @@ def test_exp_inverse_property():
     rng = Random(8)
     for _ in range(10):
         M = random_nilpotent_matrix(ring, 3, rng)
-        assert weil_exp(M) * weil_exp(-M) == WeilMatrix.identity(ring, 3)
+        assert weil_exp(M) * weil_exp(M.scale(-1)) == WeilMatrix.identity(ring, 3)
 
 
 def test_order1_homomorphism():
@@ -324,10 +321,10 @@ def test_order1_homomorphism():
     d = ring.gen("d")
     rng = Random(9)
     for _ in range(10):
-        A = WeilMatrix.from_rational(
+        A = rational_matrix(
             ring, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         )
-        B = WeilMatrix.from_rational(
+        B = rational_matrix(
             ring, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         )
         assert weil_exp(A * d) * weil_exp(B * d) == weil_exp((A + B) * d)
@@ -416,7 +413,7 @@ class TestRep:
     def test_extract_rejects_outside_span(self):
         rep = builtin_rep("h3")
         ring = ring_make([])
-        M = WeilMatrix.from_rational(ring, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        M = rational_matrix(ring, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
         with pytest.raises(MatrixError):
             rep.extract(M)
 
@@ -426,56 +423,13 @@ class TestRep:
         with pytest.raises(MatrixError, match="linearly dependent"):
             matrix_rep(abelian(2), {"a1": [[0, 1], [0, 0]], "a2": [[0, 1], [0, 0]]})
 
-    def test_json_round_trip(self):
-        rep = builtin_rep("sl2")
-        doc = rep.to_json()
-        assert doc["dimension"] == 2
-        assert doc["images"]["h"] == [["1", "0"], ["0", "-1"]]
-        again = MatrixRep.from_json(doc, rep.algebra)
-        assert again.images == rep.images
-
-    def test_json_wrong_algebra_rejected(self):
-        rep = builtin_rep("sl2")
-        with pytest.raises(MatrixError):
-            MatrixRep.from_json(rep.to_json(), H3)
-
     @pytest.mark.parametrize("name", ["h3", "sl2", "so3"])
     def test_json_round_trip_through_text(self, name):
+        # the images with "p/q" string entries, as JSON text carries them
         rep = builtin_rep(name)
-        assert MatrixRep.from_json(json.loads(json.dumps(rep.to_json())), rep.algebra) == rep
-
-    @pytest.mark.parametrize(
-        "rep, dimension",
-        [
-            # int() would read 2.9 as 2 and true as 1, both matching the images
-            (builtin_rep("sl2"), 2.9),
-            (matrix_rep(abelian(1), {"a1": [[1]]}), True),
-            (builtin_rep("sl2"), "2"),
-        ],
-    )
-    def test_json_dimension_must_be_an_integer(self, rep, dimension):
-        doc = {**rep.to_json(), "dimension": dimension}
-        with pytest.raises(MatrixError):
-            MatrixRep.from_json(doc, rep.algebra)
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            ["sl2"],
-            {"algebra": "sl2", "dimension": 2, "images": [["1", "0"]]},
-            {"algebra": "sl2", "images": builtin_rep("sl2").to_json()["images"]},
-            {"algebra": "sl2", "dimension": 2,
-             "images": {**builtin_rep("sl2").to_json()["images"], "h": 7}},
-            {"algebra": "sl2", "dimension": 2,
-             "images": {**builtin_rep("sl2").to_json()["images"], "h": [[0.5, 0], [0, 1]]}},
-            {"algebra": "sl2", "dimension": 3, "images": builtin_rep("sl2").to_json()["images"]},
-        ],
-        ids=["array", "images-array", "no-dimension", "image-not-rows", "float-entry",
-             "wrong-dimension"],
-    )
-    def test_json_malformed_document_rejected(self, doc):
-        with pytest.raises(MatrixError):
-            MatrixRep.from_json(doc, builtin_rep("sl2").algebra)
+        text = json.dumps({b: [[str(e) for e in row] for row in rows]
+                           for b, rows in rep.images.items()})
+        assert matrix_rep(rep.algebra, json.loads(text)).images == rep.images
 
 
 class TestTheorem4:
@@ -502,9 +456,9 @@ class TestTheorem4:
             ),
         )
         rep = builtin_rep("h3")
-        P = WeilMatrix.from_rational(ring, rep.images["p"])
-        Q = WeilMatrix.from_rational(ring, rep.images["q"])
-        Z = WeilMatrix.from_rational(ring, rep.images["z"])
+        P = rational_matrix(ring, rep.images["p"])
+        Q = rational_matrix(ring, rep.images["q"])
+        Z = rational_matrix(ring, rep.images["z"])
         lhs = weil_exp(P * s) * weil_exp(Q * s)
         rhs = weil_exp((P + Q) * s + Z * s2.scale(Fraction(1, 2)))
         assert lhs == frozen
@@ -526,13 +480,13 @@ class TestTheorem4:
         ring = WeilRing(weights[0].signature)
         one_plus_half_d1 = ring.one + ring.gen("d1").scale(Fraction(1, 2))
         xs = [
-            WeilMatrix.from_rational(ring, [[0, 1, -3], [0, 0, Fraction(1, 2)], [0, 0, 0]]),
-            WeilMatrix.from_rational(ring, [[0, Fraction(2, 3), 0], [0, 0, 0], [0, 0, 0]])
+            rational_matrix(ring, [[0, 1, -3], [0, 0, Fraction(1, 2)], [0, 0, 0]]),
+            rational_matrix(ring, [[0, Fraction(2, 3), 0], [0, 0, 0], [0, 0, 0]])
             * one_plus_half_d1,
         ]
         ys = [
-            WeilMatrix.from_rational(ring, [[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
-            WeilMatrix.from_rational(ring, [[0, 0, 0], [0, 0, Fraction(-1, 5)], [0, 0, 0]]),
+            rational_matrix(ring, [[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+            rational_matrix(ring, [[0, 0, 0], [0, 0, Fraction(-1, 5)], [0, 0, 0]]),
         ]
         assert exp_product_holds(weights, xs, ys) == {
             "X": [
@@ -555,10 +509,24 @@ class TestDef61VsMatrix:
         assert result.check == f"def6.1-vs-matrix-n{order}"
 
 
+#: h3 with p -> 2 E12, q -> E23, z -> 2 E13: the solver reads the p and z
+#: coordinates over denominator 2 (the built-in images all give 1), so a
+#: readback that drops the solver's denominator doubles them.
+SCALED_H3_IMAGES = {
+    "p": [[0, 2, 0], [0, 0, 0], [0, 0, 0]],
+    "q": [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+    "z": [[0, 0, 2], [0, 0, 0], [0, 0, 0]],
+}
+
+
 class TestMatrixMul:
-    @pytest.mark.parametrize("name", ["h3", "sl2", "so3"])
+    @pytest.mark.parametrize("name", ["h3", "sl2", "so3", "h3-scaled"])
     def test_agrees_with_closed_form(self, name):
-        rep = builtin_rep(name)
+        if name == "h3-scaled":
+            rep = matrix_rep(H3, SCALED_H3_IMAGES)
+            assert [d for _, d in rep._solver[0]] == [2, 1, 2]
+        else:
+            rep = builtin_rep(name)
         rng = Random(12)
         for order in (1, 2, 3):
             a = random_jet(rep.algebra, PLAIN_RING, order, rng)

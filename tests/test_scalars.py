@@ -124,22 +124,25 @@ class TestBoolIsNoScalar:
 
     @pytest.mark.parametrize("value", [True, False])
     @pytest.mark.parametrize(
-        "op",
+        "op, error",
         [
-            lambda s, b: s + b, lambda s, b: b + s, lambda s, b: s - b,
-            lambda s, b: b - s, lambda s, b: s * b, lambda s, b: b * s,
+            (lambda s, b: s + b, SignatureError), (lambda s, b: b + s, SignatureError),
+            (lambda s, b: s - b, SignatureError),
+            # no scalar is subtracted from a number, a bool included
+            (lambda s, b: b - s, TypeError),
+            (lambda s, b: s * b, SignatureError), (lambda s, b: b * s, SignatureError),
         ],
         ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
     )
-    def test_operators_refuse_bools(self, op, value):
-        with pytest.raises(SignatureError):
+    def test_operators_refuse_bools(self, op, error, value):
+        with pytest.raises(error):
             op(D3.gen("d"), value)
 
     def test_ints_still_combine(self):
         d = D3.gen("d")
         assert d * 1 == 1 * d == d
         assert d + 1 == 1 + d == D3.one + d
-        assert 1 - d == D3.one - d
+        assert d - 1 == d + (-1)
 
     def test_a_bool_equals_no_scalar(self):
         assert not D3.one == True  # noqa: E712
@@ -195,7 +198,7 @@ class TestMultiplication:
 
     def test_distinct_square_zero_generators_multiply(self):
         e1e2 = EE.gen("e1") * EE.gen("e2")
-        assert not e1e2.is_zero()
+        assert e1e2.terms
         assert e1e2 == EE.scalar({(1, 1): 1})
 
     def test_mismatched_rings_rejected(self):
@@ -530,7 +533,7 @@ class TestJoinSplit:
                 WeilScalar(ext, {}),
             )
         assert join_last_generator({}, ext, UNWEIGHTED) == WeilScalar(ext, {})
-        assert join_last_generator({}, ext, UNWEIGHTED).is_zero()
+        assert not join_last_generator({}, ext, UNWEIGHTED).terms
 
     def test_weighted_join_and_split_are_inverse(self):
         base = DE.signature
