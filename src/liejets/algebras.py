@@ -266,15 +266,13 @@ class LieElement:
         return LieElement(self.algebra, self.signature, tuple(-a for a in self.coords))
 
     def __mul__(self, scalar):
-        if isinstance(scalar, WeilScalar):
-            return LieElement(
-                self.algebra, self.signature, tuple(c * scalar for c in self.coords)
-            )
-        if isinstance(scalar, (int, Fraction)):
-            return self.scale(scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
+        """Every coordinate times one scalar of the element's ring; a plain
+        rational goes through :meth:`scale` instead."""
+        if not isinstance(scalar, WeilScalar):
+            return NotImplemented
+        return LieElement(
+            self.algebra, self.signature, tuple(c * scalar for c in self.coords)
+        )
 
     def scale(self, rational) -> "LieElement":
         """Multiply every coordinate by a plain rational, read as

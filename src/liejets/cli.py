@@ -101,14 +101,8 @@ def _load_jet(path: str) -> Jet:
         raise _CliUsageError(f"{path}: {exc}") from exc
 
 
-def _load_operands(args) -> tuple[Jet, Jet]:
-    """The jets named by ``args.a`` and ``args.b``; the first unreadable one
-    raises ``_CliUsageError``, which :func:`main` reports."""
-    return _load_jet(args.a), _load_jet(args.b)
-
-
 def cmd_mul(args) -> int:
-    a, b = _load_operands(args)
+    a, b = _load_jet(args.a), _load_jet(args.b)
     try:
         if args.via == "def61":
             product = jet_mul(a, b)
@@ -131,7 +125,7 @@ def cmd_mul(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    a, b = _load_operands(args)
+    a, b = _load_jet(args.a), _load_jet(args.b)
     try:
         result = jet_bracket(jet_convert(a, "monomial"), jet_convert(b, "monomial"))
     except (JetError, AlgebraError, SignatureMismatch) as exc:

@@ -255,7 +255,7 @@ def jet_truncate(j: Jet, order: int) -> Jet:
 
 
 def jet_scale(j: Jet, scalar) -> Jet:
-    """Multiply every coordinate by one scalar (WeilScalar, Fraction, or int)."""
+    """Multiply every coordinate by one scalar of the jet's ring."""
     return Jet(j.algebra, j.signature, j.order, j.system,
                tuple(c * scalar for c in j.coords))
 

@@ -15,7 +15,8 @@ all-zero coefficient matrix is stored, and the denominator is coprime to the
 gcd of every numerator (1 for the zero matrix), so equality is literal
 comparison.  A product loops over pairs of monomials, multiplying each pair
 once and adding one small integer matrix product per pair, then reduces the
-whole result with a single gcd.  Every other matrix is built by
+whole result with a single gcd.  ``+``, ``-`` and :meth:`WeilMatrix.add_scaled`
+share one merge, self + (p/q) other.  Every other matrix is built by
 :func:`_linear_combination`, a sum of scalars times integer matrices, and
 :func:`weil_exp` and :func:`weil_log` sum one series, :func:`_nilpotent_series`.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, mul
 
 from .algebras import (
     LieAlgebraSpec, LieElement, basis_element, bracket, heisenberg3, sl2, so3,
@@ -185,16 +186,23 @@ class WeilMatrix:
             raise MatrixError(f"cannot combine {self.size}x{self.size} and "
                               f"{other.size}x{other.size} matrices")
 
-    def _combine(self, other: "WeilMatrix", op) -> "WeilMatrix":
-        """self + other (``op`` is add) or self - other (``op`` is sub)."""
+    def _combine(self, other: "WeilMatrix", p: int, q: int) -> "WeilMatrix":
+        """self + (p/q) * other for integers p and q > 0: the one merge behind
+        ``+`` (p/q = 1), ``-`` (p/q = -1) and :meth:`add_scaled`, as
+        :func:`~liejets.scalars._signed_sum` is for scalars.  other's cells,
+        scaled by p and brought with self's to the lcm of ``self.den`` and
+        ``q * other.den``, are merged into a copy of self's, and one
+        reduction makes the result canonical."""
         self._check(other)
-        da, db = self.den, other.den
+        if not p:
+            return self
+        da, db = self.den, other.den * q
         if da == db:
-            den, fb = da, 1
+            den, fb = da, p
             out = dict(self.coeffs)
         else:
             g = gcd(da, db)
-            fa, fb = db // g, da // g
+            fa, fb = db // g, da // g * p
             den = da * fa
             out = {k: tuple(c * fa for c in cell) for k, cell in self.coeffs.items()}
         for k, cell in other.coeffs.items():
@@ -202,9 +210,9 @@ class WeilMatrix:
                 cell = tuple(c * fb for c in cell)
             acc = out.get(k)
             if acc is None:
-                out[k] = cell if op is add else tuple(map(neg, cell))
+                out[k] = cell
             else:
-                acc = tuple(map(op, acc, cell))
+                acc = tuple(map(add, acc, cell))
                 if any(acc):
                     out[k] = acc
                 else:
@@ -214,16 +222,23 @@ class WeilMatrix:
     def __add__(self, other):
         if not isinstance(other, WeilMatrix):
             return NotImplemented
-        return self._combine(other, add)
+        return self._combine(other, 1, 1)
 
     def __sub__(self, other):
         if not isinstance(other, WeilMatrix):
             return NotImplemented
-        return self._combine(other, sub)
+        return self._combine(other, -1, 1)
+
+    def add_scaled(self, other: "WeilMatrix", rational) -> "WeilMatrix":
+        """self + rational * other, the rational read by
+        :func:`~liejets.scalars.rational_from_str` (never a float or a bool)
+        and folded into the one merge rather than applied by a rescale."""
+        if not isinstance(other, WeilMatrix):
+            raise TypeError(f"cannot add a scaled {type(other).__name__} to a WeilMatrix")
+        rational = rational_from_str(rational)
+        return self._combine(other, rational.numerator, rational.denominator)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         n = self.size
         size = n * n
         # Only nonzero entries take part: the right factor's rows as lists of
@@ -259,20 +274,6 @@ class WeilMatrix:
         coeffs = {k: tuple(cell) for k, cell in out.items() if any(cell)}
         return _matrix(self.signature, n, coeffs, self.den * other.den)
 
-    def scale(self, rational) -> "WeilMatrix":
-        """Multiply every entry by a plain rational, read as
-        :meth:`~liejets.scalars.WeilScalar.scale` reads it."""
-        rational = rational_from_str(rational)
-        p, q = rational.numerator, rational.denominator
-        if not p:
-            return _matrix(self.signature, self.size, {}, 1)
-        if p == 1 and q == 1:
-            return self
-        coeffs = self.coeffs
-        if p != 1:
-            coeffs = {k: tuple(c * p for c in cell) for k, cell in coeffs.items()}
-        return _matrix(self.signature, self.size, coeffs, self.den * q)
-
     def __eq__(self, other):
         if not isinstance(other, WeilMatrix):
             return NotImplemented
@@ -291,7 +292,8 @@ class WeilMatrix:
 def _nilpotent_series(N: WeilMatrix, coefficient) -> WeilMatrix:
     """N + coefficient(2) N^2 + coefficient(3) N^3 + ... for scalar-nilpotent N,
     whose series start with coefficient 1.  Each power is one product with N,
-    and its coefficient is formed only when the power is nonzero."""
+    and a nonzero power joins the sum in one merge weighted by its
+    coefficient."""
     acc = power = N
     # N^(cap + 1) = 0, so the series ends by k = max(2, cap + 1)
     cap = sum(N.signature.orders)
@@ -299,7 +301,7 @@ def _nilpotent_series(N: WeilMatrix, coefficient) -> WeilMatrix:
         power = power * N
         if power.is_zero():
             return acc
-        acc = acc + power.scale(coefficient(k))
+        acc = acc.add_scaled(power, coefficient(k))
     raise AssertionError("nilpotent power series failed to terminate")
 
 
@@ -532,5 +534,6 @@ def theorem_4_sides(xs, ys, weights) -> tuple[WeilMatrix, WeilMatrix]:
     if n == 3:
         cross = comm(xs[0], ys[1]) + comm(xs[1], ys[0])
         nested = comm(xs[0] - ys[0], comm(xs[0], ys[0]))
-        zs.append(xs[2] + ys[2] + (cross * 3 + nested).scale(Fraction(1, 2)))
+        zs.append((xs[2] + ys[2]).add_scaled(cross, Fraction(3, 2))
+                  .add_scaled(nested, Fraction(1, 2)))
     return side(xs) * side(ys), side(zs)

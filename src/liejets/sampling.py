@@ -60,11 +60,12 @@ def random_element(algebra: LieAlgebraSpec, ring: WeilRing, rng: Random,
 
 
 def random_jet(algebra: LieAlgebraSpec, ring: WeilRing, order: int, rng: Random,
-               system: str = EXP, integer: bool = False) -> Jet:
+               integer: bool = False) -> Jet:
+    """Exp-coordinate jet with random coordinates, as :func:`random_element`."""
     coords = tuple(
         random_element(algebra, ring, rng, integer=integer) for _ in range(order)
     )
-    return jet_make(algebra, ring, order, coords, system)
+    return jet_make(algebra, ring, order, coords, EXP)
 
 
 def symbolic_jet_family(

@@ -13,7 +13,9 @@ literal comparison of signature, denominator and table, and every operation
 is exact: integer products and sums of the numerators, then a single gcd to
 reduce the result.  ``+`` and ``-`` share one merge, x + (p/q) y, so a
 difference is a sum with the second operand's numerators negated, and a
-sum with a rational weight costs no separate rescale.  ``coefficients()``
+sum with a rational weight costs no separate rescale.  A scalar combines
+only with a scalar of its ring: a rational enters through ``scale``,
+``WeilRing.rational`` or the weight of that merge.  ``coefficients()``
 gives the terms as ``Fraction`` values keyed by dense exponent vectors.
 
 A monomial is one non-negative ``int`` with the exponents packed side by
@@ -230,14 +232,6 @@ def _reduced(signature: RingSignature, terms: dict, den: int) -> "WeilScalar":
     return WeilScalar(signature, terms, den)
 
 
-def _constant(signature: RingSignature, q) -> "WeilScalar":
-    """The constant scalar for an int or Fraction ``q``."""
-    n = q.numerator
-    if not n:
-        return WeilScalar(signature, {})
-    return WeilScalar(signature, {0: n}, q.denominator)
-
-
 def _signed_sum(x: "WeilScalar", y: "WeilScalar", p: int, q: int) -> "WeilScalar":
     """x + (p/q) * y for scalars over one ring, integers p and q > 0: the one
     merge behind ``+`` (p/q = 1), ``-`` (p/q = -1) and the series oracle's
@@ -343,18 +337,16 @@ class WeilScalar:
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, WeilScalar):
-            if other.signature is not self.signature and other.signature != self.signature:
-                raise SignatureMismatch(
-                    f"cannot mix rings {self.signature.generators} and "
-                    f"{other.signature.generators}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            if other.__class__ is bool:
-                raise SignatureError(f"a bool is not a scalar: {other!r}")
-            return _constant(self.signature, other)
-        return None
+        """``other`` if it is a scalar over this ring; None for anything
+        else, numbers included."""
+        if not isinstance(other, WeilScalar):
+            return None
+        if other.signature is not self.signature and other.signature != self.signature:
+            raise SignatureMismatch(
+                f"cannot mix rings {self.signature.generators} and "
+                f"{other.signature.generators}"
+            )
+        return other
 
     def __add__(self, other):
         if other.__class__ is not WeilScalar or other.signature is not self.signature:
@@ -362,8 +354,6 @@ class WeilScalar:
             if other is None:
                 return NotImplemented
         return _signed_sum(self, other, 1, 1)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return WeilScalar(self.signature, {k: -c for k, c in self.terms.items()}, self.den)
@@ -403,8 +393,6 @@ class WeilScalar:
                         del out[k]
         return _reduced(self.signature, out, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def scale(self, rational) -> "WeilScalar":
         """Multiply every coefficient by a plain rational: an ``int``, a
         ``Fraction`` or a "p/q" string, but never a float or a bool."""
@@ -428,16 +416,13 @@ class WeilScalar:
     # -- comparison and display -----------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, WeilScalar):
-            return (
-                self.signature == other.signature
-                and self.den == other.den
-                and self.terms == other.terms
-            )
-        if isinstance(other, (int, Fraction)) and other.__class__ is not bool:
-            n = other.numerator
-            return self.den == other.denominator and self.terms == ({0: n} if n else {})
-        return NotImplemented
+        if not isinstance(other, WeilScalar):
+            return NotImplemented
+        return (
+            self.signature == other.signature
+            and self.den == other.den
+            and self.terms == other.terms
+        )
 
     def __str__(self):
         if not self.terms:
@@ -501,18 +486,15 @@ class WeilRing:
     def rational(self, value) -> WeilScalar:
         """The constant scalar ``value``, read as :meth:`WeilScalar.scale`
         reads its rational."""
-        return _constant(self.signature, rational_from_str(value))
-
-    def gen(self, name: str, power: int = 1) -> WeilScalar:
-        """The monomial name**power (zero if the power exceeds the order)."""
-        g = self.signature.index(name)
-        if power.__class__ is not int or power < 0:
-            raise SignatureError(f"a generator power is an int >= 0, got {power!r}")
-        if power == 0:
-            return self.one
-        if power > self.signature.orders[g]:
+        q = rational_from_str(value)
+        if not q:
             return self.zero
-        return WeilScalar(self.signature, {power << self.signature.shifts[g]: 1})
+        return WeilScalar(self.signature, {0: q.numerator}, q.denominator)
+
+    def gen(self, name: str) -> WeilScalar:
+        """The generator ``name``; its powers are ``gen(name) ** k``."""
+        sig = self.signature
+        return WeilScalar(sig, {1 << sig.shifts[sig.index(name)]: 1})
 
     def scalar(self, dense_terms: Mapping[tuple, object]) -> WeilScalar:
         return WeilScalar.from_terms(self.signature, dense_terms)

@@ -276,6 +276,19 @@ def test_scale_reads_only_exact_rationals():
             p.add_scaled(p, value)
 
 
+@pytest.mark.parametrize(
+    "number", [3, 0, Fraction(1, 2), True], ids=["int", "zero", "fraction", "bool"]
+)
+def test_numbers_are_no_factors(number):
+    """An element is multiplied only by a scalar of its ring; a rational
+    goes through ``scale``."""
+    p = basis_element(H3, PLAIN_RING, "p")
+    with pytest.raises(TypeError):
+        p * number
+    with pytest.raises(TypeError):
+        number * p
+
+
 coords3 = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=3, max_size=3
 )

@@ -385,6 +385,14 @@ def test_non_jacobi_structure_constant_fails_the_scan_and_order3_associativity(
     assert isinstance(failed["thm-6.3"].counterexample["trial"], int)
 
 
+def _zero_degree_3(j: Jet) -> Jet:
+    """``j`` with its degree-3 coordinate zeroed; lower orders unchanged."""
+    if j.order < 3:
+        return j
+    z = j.coords
+    return Jet(j.algebra, j.signature, j.order, j.system, (*z[:2], z[2] - z[2]))
+
+
 def _edit_product(edit):
     """Wrap jet_mul so that its result has coordinates edit(x, y, z), for
     operand coordinates x, y and the true product's z."""
@@ -440,6 +448,14 @@ NAME_ROWS = [
     ((liejets.checks,), "free_nilpotent",
      lambda real: lambda m, c: _doubled_x_yz(real(m, c)),
      {"lemma-6.3.1", "struct-jacobi-builtins", "thm-6.3"}),
+    # s^3/3 in place of s^3/3! among the exp-product weights
+    ((liejets.checks,), "exp_weights",
+     lambda real: lambda n: (*real(n)[:2], real(n)[2].scale(2)) if n == 3 else real(n),
+     {"thm-4.3"}),
+    # the pointwise bracket with its degree-3 coordinate zeroed
+    ((liejets.checks,), "jet_bracket",
+     lambda real: lambda a, b: _zero_degree_3(real(a, b)),
+     {"thm-7.3"}),
 ]
 
 
@@ -447,7 +463,7 @@ NAME_ROWS = [
     "modules, name, wrap, failing",
     NAME_ROWS,
     ids=["product-z1", "product-z2", "inverse", "truncate", "mobius", "mobius-3",
-         "hall-constant"],
+         "hall-constant", "exp-weight-3", "bracket-degree-3"],
 )
 def test_corrupted_name_fails_exactly_the_checks_that_guard_it(
     monkeypatch, modules, name, wrap, failing

@@ -43,6 +43,12 @@ BUILTINS = [heisenberg3(), sl2(), so3(), abelian(3), free_nilpotent(2, 3)]
 P_PLUS_Q = LieElement(H3, PLAIN_RING.signature, (PLAIN_RING.one,) * 2 + (PLAIN_RING.zero,))
 
 
+def random_monomial_jet(algebra, order, rng):
+    """The coordinates of a random exp-coordinate jet, read as monomial ones."""
+    coords = random_jet(algebra, PLAIN_RING, order, rng).coords
+    return jet_make(algebra, PLAIN_RING, order, coords, MONOMIAL)
+
+
 def h3_jet(order, *coord_names, ring=PLAIN_RING, system=EXP):
     """Jet with named single-basis coordinates ('0' for zero)."""
     coords = []
@@ -241,13 +247,13 @@ class TestJetBracket:
 
     def test_self_bracket_vanishes(self):
         rng = Random(2)
-        a = random_jet(H3, PLAIN_RING, 3, rng, system=MONOMIAL)
+        a = random_monomial_jet(H3, 3, rng)
         assert jet_bracket(a, a) == jet_identity(H3, PLAIN_RING, 3, MONOMIAL)
 
     def test_order1_always_zero(self):
         rng = Random(3)
-        a = random_jet(sl2(), PLAIN_RING, 1, rng, system=MONOMIAL)
-        b = random_jet(sl2(), PLAIN_RING, 1, rng, system=MONOMIAL)
+        a = random_monomial_jet(sl2(), 1, rng)
+        b = random_monomial_jet(sl2(), 1, rng)
         assert jet_bracket(a, b) == jet_identity(sl2(), PLAIN_RING, 1, MONOMIAL)
 
     def test_requires_monomial(self):
@@ -260,8 +266,8 @@ class TestJetBracket:
         # underlying curves through exp coordinates and back
         rng = Random(4)
         for _ in range(10):
-            ma = random_jet(sl2(), PLAIN_RING, 3, rng, system=MONOMIAL)
-            mb = random_jet(sl2(), PLAIN_RING, 3, rng, system=MONOMIAL)
+            ma = random_monomial_jet(sl2(), 3, rng)
+            mb = random_monomial_jet(sl2(), 3, rng)
             direct = jet_bracket(ma, mb)
             rerouted = jet_bracket(
                 jet_convert(to_exp(ma), MONOMIAL),
@@ -273,16 +279,16 @@ class TestJetBracket:
         rng = Random(6)
         zero = jet_identity(sl2(), PLAIN_RING, 3, MONOMIAL)
         for _ in range(10):
-            a = random_jet(sl2(), PLAIN_RING, 3, rng, system=MONOMIAL)
-            b = random_jet(sl2(), PLAIN_RING, 3, rng, system=MONOMIAL)
-            c = random_jet(sl2(), PLAIN_RING, 3, rng, system=MONOMIAL)
+            a = random_monomial_jet(sl2(), 3, rng)
+            b = random_monomial_jet(sl2(), 3, rng)
+            c = random_monomial_jet(sl2(), 3, rng)
             ab = jet_bracket(a, b)
             ba = jet_bracket(b, a)
             assert all(
                 (u + v).is_zero() for u, v in zip(ab.coords, ba.coords)
             )
             # bilinearity in the first slot
-            assert jet_bracket(jet_scale(a, 3), b).coords == tuple(
+            assert jet_bracket(jet_scale(a, PLAIN_RING.rational(3)), b).coords == tuple(
                 u.scale(3) for u in ab.coords
             )
             jac_coords = tuple(

@@ -67,7 +67,7 @@ def random_nilpotent_matrix(ring, n, rng):
 def grid_mul(a, b):
     """Entrywise product: each entry a sum over k of WeilScalar products."""
     n = len(a)
-    zero = a[0][0] * 0
+    zero = a[0][0].scale(0)
     return tuple(
         tuple(sum((a[i][k] * b[k][j] for k in range(n)), zero) for j in range(n))
         for i in range(n)
@@ -75,13 +75,14 @@ def grid_mul(a, b):
 
 
 def grid_add(a, b, sign=1):
+    """a + sign * b, entry by entry, for a rational ``sign``."""
     return tuple(
         tuple(x + y.scale(sign) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
 
 
 def grid_scale(a, q):
-    return tuple(tuple(x * q for x in row) for row in a)
+    return tuple(tuple(x.scale(q) for x in row) for row in a)
 
 
 def grid_identity(ring, n):
@@ -184,10 +185,11 @@ class TestAgainstEntrywiseReference:
             self.check(A + B, grid_add(a, b))
             self.check(A - B, grid_add(a, b, -1))
             self.check(A - A, zero)
-            self.check(A.scale(q), grid_scale(a, q))
-            self.check(A * q, grid_scale(a, q))
-            self.check(A * 3, grid_scale(a, 3))
-            self.check(A * s, grid_scale(a, s))
+            self.check(A.add_scaled(B, q), grid_add(a, b, q))
+            self.check(Z.add_scaled(A, q), grid_scale(a, q))
+            self.check(A.add_scaled(A, 2), grid_scale(a, 3))
+            self.check(A.add_scaled(B, 0), a)
+            self.check(A * s, tuple(tuple(x * s for x in row) for row in a))
             self.check(A * Z, zero)
             self.check(Z * A, zero)
             self.check(A + Z, a)
@@ -229,12 +231,28 @@ def test_mismatched_shapes_and_rings_rejected():
 
 
 def test_scale_reads_only_exact_rationals():
+    """A matrix is scaled only as the weight of a merge, read exactly."""
     A = rational_matrix(PLAIN_RING, [[0, 1], [2, 0]])
-    assert A.scale(1) is A
-    assert A.scale("1/2") == rational_matrix(PLAIN_RING, [[0, Fraction(1, 2)], [1, 0]])
-    for value in (0.1, 1.0, True):
+    Z = zero_matrix(PLAIN_RING, 2)
+    assert Z.add_scaled(A, "1/2") == rational_matrix(
+        PLAIN_RING, [[0, Fraction(1, 2)], [1, 0]]
+    )
+    assert A.add_scaled(A, "-1/2") == Z.add_scaled(A, Fraction(1, 2))
+    for value in (0.1, 1.0, 0.0, True, False):
         with pytest.raises(SignatureError):
-            A.scale(value)
+            A.add_scaled(A, value)
+    with pytest.raises(TypeError):
+        A.add_scaled(PLAIN_RING.one, 1)
+
+
+@pytest.mark.parametrize(
+    "number", [3, 0, Fraction(1, 2), True], ids=["int", "zero", "fraction", "bool"]
+)
+def test_numbers_are_no_right_factors(number):
+    """A matrix is multiplied only by a matrix or a scalar of its ring."""
+    A = rational_matrix(PLAIN_RING, [[0, 1], [2, 0]])
+    with pytest.raises(TypeError):
+        A * number
 
 
 class TestExp:
@@ -312,7 +330,7 @@ def test_exp_inverse_property():
     rng = Random(8)
     for _ in range(10):
         M = random_nilpotent_matrix(ring, 3, rng)
-        assert weil_exp(M) * weil_exp(M.scale(-1)) == WeilMatrix.identity(ring, 3)
+        assert weil_exp(M) * weil_exp(zero_matrix(ring, 3) - M) == WeilMatrix.identity(ring, 3)
 
 
 def test_order1_homomorphism():

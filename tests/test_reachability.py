@@ -6,7 +6,9 @@ run here too, so the README cannot drift from the package.
 Functions are matched by code object, not by name or line number, so a
 decorated function, a lambda, a nested function and a generator expression
 each count on their own, and a branch that no caller takes shows up through
-the comprehensions in it.
+the comprehensions in it.  A code object cannot tell apart two names bound
+to one function (``__radd__ = __add__``), so a package class may not bind
+one function under two names.
 """
 
 import json
@@ -114,6 +116,23 @@ def defined_code() -> dict:
     return out
 
 
+def aliases() -> list:
+    """Each package class attribute that binds the same function as an
+    earlier attribute of its class, as "module.Class.alias = name"."""
+    out = []
+    for module in _modules():
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue  # not a class, or imported from elsewhere
+            first: dict = {}
+            for attr, member in vars(cls).items():
+                for fn in _functions(member, set()):
+                    name = first.setdefault(fn.__code__, attr)
+                    if name != attr:
+                        out.append(f"{cls.__module__}.{cls.__qualname__}.{attr} = {name}")
+    return sorted(out)
+
+
 def readme_quick_tour() -> str:
     """The README's ``python`` block."""
     text = README.read_text(encoding="utf-8")
@@ -197,6 +216,10 @@ def test_every_function_is_reached_or_allowed(tmp_path):
         if code not in calls and not _allowed(name)
     )
     assert unreached == []
+
+
+def test_no_class_binds_one_function_under_two_names():
+    assert aliases() == []
 
 
 def test_readme_quick_tour_runs_and_its_engines_agree():
