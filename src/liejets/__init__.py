@@ -18,12 +18,12 @@ __version__ = "0.1.0"
 #: module on first access; a module name resolves to the module itself, so
 #: ``liejets.checks`` works without ``import liejets.checks``.
 _MODULE_EXPORTS = {
-    "scalars": ("Rational", "RingSignature", "SignatureError", "SignatureMismatch",
+    "scalars": ("RingSignature", "SignatureError", "SignatureMismatch",
                 "WeilRing", "WeilScalar", "ring_make"),
     "algebras": ("AlgebraError", "LieAlgebraSpec", "LieElement", "abelian",
                  "basis_element", "bracket", "heisenberg3", "sl2", "so3",
                  "validate_algebra", "zero_element"),
-    "hall": ("HallBasis", "free_nilpotent", "hall_basis"),
+    "hall": ("free_nilpotent",),
     "jets": ("EXP", "MONOMIAL", "Jet", "JetError", "jet_bracket", "jet_convert",
              "jet_group_commutator", "jet_identity", "jet_inverse", "jet_make",
              "jet_mul", "jet_scale", "jet_truncate"),

@@ -30,7 +30,6 @@ __all__ = [
     "AlgebraError",
     "LieAlgebraSpec",
     "LieElement",
-    "ValidationReport",
     "make_algebra",
     "bracket",
     "validate_algebra",
@@ -182,29 +181,14 @@ def make_algebra(
     return LieAlgebraSpec(name, basis, structure)
 
 
-class ValidationReport:
-    """Outcome of a Jacobi-identity scan over all basis triples."""
-
-    def __init__(self, ok: bool, failing_triple: tuple[str, str, str] | None = None,
-                 defect: dict[str, Fraction] | None = None):
-        self.ok = ok
-        self.failing_triple = failing_triple
-        self.defect = defect
-
-    def to_json(self) -> dict:
-        doc: dict = {"status": "pass" if self.ok else "fail"}
-        if not self.ok:
-            doc["failing_triple"] = list(self.failing_triple)
-            doc["defect"] = {b: str(c) for b, c in self.defect.items()}
-        return doc
-
-
-def validate_algebra(spec: LieAlgebraSpec) -> ValidationReport:
-    """Check the Jacobi identity [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on
-    every basis triple, over Q, through :func:`bracket`.
+def validate_algebra(spec: LieAlgebraSpec) -> dict | None:
+    """The Jacobi identity [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on every
+    basis triple, over Q, through :func:`bracket`, as a law: None when it
+    holds, else the evidence of the first failing triple, ``{"failing_triple":
+    [a, b, c], "defect": {basis name: rational string}}``.
 
     Antisymmetry holds by construction (only i < j brackets are stored), so
-    triples i < j < k suffice; the first failing one is reported.
+    triples i < j < k suffice.
     """
     ring = WeilRing(RingSignature(()))
     named = [(b, basis_element(spec, ring, b)) for b in spec.basis]
@@ -212,12 +196,12 @@ def validate_algebra(spec: LieAlgebraSpec) -> ValidationReport:
         jac = (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
                + bracket(z, bracket(x, y)))
         if not jac.is_zero():
-            return ValidationReport(
-                ok=False,
-                failing_triple=(a, b, c),
-                defect={n: s.constant_term() for n, s in zip(spec.basis, jac.coords) if s.terms},
-            )
-    return ValidationReport(ok=True)
+            return {
+                "failing_triple": [a, b, c],
+                "defect": {n: str(s.constant_term())
+                           for n, s in zip(spec.basis, jac.coords) if s.terms},
+            }
+    return None
 
 
 class LieElement:

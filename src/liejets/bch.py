@@ -85,7 +85,7 @@ def bch_mul(a: Jet, b: Jet) -> Jet:
         value = _eval_word(word, values)
         lowest = lowest_last_power(*value.coords)
         if lowest is not None and lowest < degree:
-            raise AssertionError(
+            raise JetError(
                 f"bracket word {word} produced a term of d-degree {lowest}"
             )
         total = value.scale(coeff) if total is None else total.add_scaled(value, coeff)

@@ -1,8 +1,9 @@
 """The claim catalog: each claim is a law, and one runner checks every law.
 
 A law takes one tuple of inputs and returns ``None`` when its identity holds
-there, or else its evidence, a JSON-ready dict.  :func:`run_law` checks a law
-two ways and stops at the first failure:
+there, or else its evidence, a JSON-ready dict; a law that raises an
+``Exception`` fails there, with the error as its evidence.  :func:`run_law`
+checks a law two ways and stops at the first failure:
 
 * symbolic: on fully generic elements over a free nilpotent algebra (see
   :func:`liejets.sampling.symbolic_jet_family`), where equality of results is
@@ -24,6 +25,7 @@ import platform
 import time
 from fractions import Fraction
 from functools import partial
+from operator import add, le
 from random import Random
 
 from . import __version__
@@ -72,6 +74,9 @@ __all__ = [
 _HALF = Fraction(1, 2)
 _THREE_HALVES = Fraction(3, 2)
 
+#: Longest error evidence kept from a law that raised.
+MAX_ERROR_CHARS = 200
+
 
 # -- the runner ------------------------------------------------------------------
 
@@ -113,6 +118,16 @@ class Outcome:
         }
 
 
+def _judge(law, inputs: tuple) -> dict | None:
+    """``law`` on ``inputs``; an ``Exception`` it raises is its failure there,
+    with ``{"error": "<Type>: <message>"}``, cut at ``MAX_ERROR_CHARS``, as
+    evidence.  ``KeyboardInterrupt`` and other non-``Exception``s propagate."""
+    try:
+        return law(*inputs)
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"[:MAX_ERROR_CHARS]}
+
+
 def run_law(law, families, trials: int, seed: int, symbolic: tuple | None = None
             ) -> Outcome:
     """Check ``law`` on the ``symbolic`` inputs, then on ``trials`` seeded
@@ -123,11 +138,12 @@ def run_law(law, families, trials: int, seed: int, symbolic: tuple | None = None
     into a failure's counterexample; ``draw(rng)`` returns one input tuple.
     Each family draws from its own ``Random(seed)``, so no family's inputs
     depend on which families run before it.  A counterexample is the law's
-    evidence plus ``"symbolic": True`` or the label and the trial index.
+    evidence plus ``"symbolic": True`` or the label and the trial index;
+    a law that raises fails with its error as evidence (see :func:`_judge`).
     """
     out = Outcome(trials)
     if symbolic is not None:
-        evidence = law(*symbolic)
+        evidence = _judge(law, symbolic)
         out.symbolic = PASS if evidence is None else FAIL
         if evidence is not None:
             out.counterexample = {"symbolic": True, **evidence}
@@ -137,7 +153,7 @@ def run_law(law, families, trials: int, seed: int, symbolic: tuple | None = None
         out.instances[name] = FAIL
         rng = Random(seed)
         for trial in range(trials):
-            evidence = law(*draw(rng))
+            evidence = _judge(law, draw(rng))
             if evidence is not None:
                 out.counterexample = {**label, "trial": trial, **evidence}
                 return out
@@ -189,8 +205,7 @@ def _images(rep: MatrixRep, ring: WeilRing, order: int, rng: Random) -> tuple:
     return mats[:order], mats[order:]
 
 
-def verify_theorem_4(order: int, reps: list, trials: int = 100, seed: int = 0
-                     ) -> CheckResult:
+def verify_theorem_4(order: int, reps: list, trials: int, seed: int) -> CheckResult:
     """Exp-product identities over Q[d_1..d_n]/(d_i^2), as exact matrix
     identities, on random integer-coordinate elements of each representation."""
     weights = exp_weights(order)
@@ -218,8 +233,8 @@ def associative(a: Jet, b: Jet, c: Jet) -> dict | None:
     }
 
 
-def verify_associativity(order: int, algebras: list[LieAlgebraSpec], trials: int = 100,
-                         seed: int = 0) -> CheckResult:
+def verify_associativity(order: int, algebras: list[LieAlgebraSpec], trials: int,
+                         seed: int) -> CheckResult:
     """Associativity: symbolic over free-nilpotent(3,3), then seeded random
     triples in every given algebra."""
     out = run_law(
@@ -269,8 +284,8 @@ def series_agrees(a: Jet, b: Jet) -> dict | None:
     }
 
 
-def check_def61_vs_bch(order: int, algebras: list[LieAlgebraSpec], trials: int = 100,
-                       seed: int = 0) -> CheckResult:
+def check_def61_vs_bch(order: int, algebras: list[LieAlgebraSpec], trials: int,
+                       seed: int) -> CheckResult:
     """Closed-form product vs. series product: one fully generic symbolic
     comparison over free-nilpotent(2, order), then seeded random rational
     comparisons over each algebra.  Exact equality everywhere."""
@@ -297,8 +312,7 @@ def _rep_jets(rep: MatrixRep, order: int, rng: Random) -> tuple:
     return (rep, *_jets(rep.algebra, order, 2, rng, integer=True))
 
 
-def check_def61_vs_matrix(order: int, reps: list, trials: int = 100, seed: int = 0
-                          ) -> CheckResult:
+def check_def61_vs_matrix(order: int, reps: list, trials: int, seed: int) -> CheckResult:
     """Closed-form product vs. matrix exp/log over Q[d]/(d^{order+1}), on
     random integer-coordinate jets of each representation's algebra."""
     families = [
@@ -327,8 +341,8 @@ def unit_and_inverse(*jets: Jet) -> dict | None:
     return None
 
 
-def verify_group_axioms(algebras: list[LieAlgebraSpec], orders: tuple = (1, 2, 3),
-                        trials: int = 1000, seed: int = 0) -> CheckResult:
+def verify_group_axioms(algebras: list[LieAlgebraSpec], orders: tuple, trials: int,
+                        seed: int) -> CheckResult:
     """Unit and inverse laws: symbolically over free-nilpotent(2,3) and on
     seeded random jets of every order in every given algebra."""
     families = [
@@ -376,8 +390,8 @@ def bracket_recovered(a_raw: Jet, b_raw: Jet) -> dict | None:
     }
 
 
-def verify_bracket_recovery(order: int, algebras: list[LieAlgebraSpec], trials: int = 100,
-                            seed: int = 0) -> CheckResult:
+def verify_bracket_recovery(order: int, algebras: list[LieAlgebraSpec], trials: int,
+                            seed: int) -> CheckResult:
     """Group commutator of square-zero-scaled jets recovers the jet bracket:
     symbolic over free-nilpotent(2,3) with fully generic coefficients, then
     seeded random trials over each algebra (see :func:`bracket_recovered`)."""
@@ -428,34 +442,56 @@ def struct_witt_dimensions() -> CheckResult:
     return out.result("struct-witt-dimensions", detail)
 
 
-def jacobi_holds(spec: LieAlgebraSpec) -> dict | None:
-    """The Jacobi identity on every basis triple of ``spec``."""
-    doc = validate_algebra(spec).to_json()
-    return None if doc.pop("status") == PASS else doc
-
-
 def struct_jacobi_builtins() -> CheckResult:
     """Every cataloged algebra satisfies the Jacobi identity on basis triples."""
     specs = default_verification_algebras() + [free_nilpotent(3, 3)]
     families = [_fixed({"algebra": spec.name}, spec) for spec in specs]
-    out = run_law(jacobi_holds, families, 1, 0)
+    out = run_law(validate_algebra, families, 1, 0)
     return out.result("struct-jacobi-builtins", out.instances)
 
 
+def _dense_product(a, b) -> dict:
+    """a * b as {dense exponent tuple: nonzero Fraction}, multiplied term by
+    term from ``coefficients()``: a reference that never reads the packed
+    layout, dropping every product with an exponent above its order.  Each
+    sum is kept as an integer pair and reduced once."""
+    orders = a.signature.orders
+    ys = [(v, y.numerator, y.denominator) for v, y in b.coefficients().items()]
+    sums: dict = {}
+    for u, x in a.coefficients().items():
+        p, q = x.numerator, x.denominator
+        for v, r, s in ys:
+            w = tuple(map(add, u, v))
+            if all(map(le, w, orders)):
+                n, d = sums.get(w, (0, 1))
+                sums[w] = (n * q * s + p * r * d, d * q * s)
+    return {w: Fraction(n, d) for w, (n, d) in sums.items() if n}
+
+
 def ring_laws_hold(a, b, c) -> dict | None:
-    """Nilpotency, ring axioms and canonical storage on three scalars of one ring."""
+    """Nilpotency, exact order, the product against a dense reference, ring
+    axioms and canonical storage on three scalars of one ring."""
     ring = WeilRing(a.signature)
+    tops = []
     for name, m in a.signature.generators:
-        if ring.gen(name) ** (m + 1) != ring.zero:
+        g = ring.gen(name)
+        top = g ** m
+        if top * g != ring.zero:
             return {"law": "nilpotency", "generator": name}
+        tops.append((name, top))
+    for name, top in tops:
+        if top == ring.zero:
+            return {"law": "exact order", "generator": name}
+    total, product = a + b, a * b
     laws = {
-        "add-assoc": (a + b) + c == a + (b + c),
-        "add-comm": a + b == b + a,
-        "mul-assoc": (a * b) * c == a * (b * c),
-        "mul-comm": a * b == b * a,
-        "distrib": a * (b + c) == a * b + a * c,
+        "dense product": product.coefficients() == _dense_product(a, b),
+        "add-assoc": total + c == a + (b + c),
+        "add-comm": total == b + a,
+        "mul-assoc": product * c == a * (b * c),
+        "mul-comm": product == b * a,
+        "distrib": a * (b + c) == product + a * c,
         "canonical": all(
-            coeff != 0 for s in (a + b, a * b, a - b) for coeff in s.terms.values()
+            coeff != 0 for s in (total, product, a - b) for coeff in s.terms.values()
         ),
     }
     for law, holds in laws.items():
@@ -476,8 +512,9 @@ def _scalars(ring: WeilRing, rng: Random) -> tuple:
     return tuple(scalars)
 
 
-def struct_ring_laws(trials: int = 100, seed: int = 0) -> CheckResult:
-    """Ring axioms, nilpotency, and canonical storage on random scalars."""
+def struct_ring_laws(trials: int, seed: int) -> CheckResult:
+    """Ring axioms, nilpotency, exact order, the dense product and canonical
+    storage on random scalars."""
     rings = [
         ring_make((("d", 3),)),
         ring_make((("e1", 1), ("e2", 1))),
@@ -499,8 +536,8 @@ def tower_commutes(a: Jet, b: Jet) -> dict | None:
     return None
 
 
-def struct_tower_compatibility(algebras: list[LieAlgebraSpec], trials: int = 100,
-                               seed: int = 0) -> CheckResult:
+def struct_tower_compatibility(algebras: list[LieAlgebraSpec], trials: int,
+                               seed: int) -> CheckResult:
     """Truncating a product equals multiplying the truncations, on seeded
     random order-3 jets in every given algebra."""
     out = run_law(tower_commutes, _jet_families(algebras, 3, 2), trials, seed)

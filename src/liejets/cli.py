@@ -79,9 +79,10 @@ def cmd_validate(args) -> int:
                 ) from None
     except (AlgebraError, SignatureError) as exc:
         return _fail(str(exc), USAGE_ERROR)
-    report = validate_algebra(spec)
-    _emit({"algebra": spec.name, **report.to_json()})
-    return 0 if report.ok else CHECK_FAILED
+    evidence = validate_algebra(spec)
+    status = "pass" if evidence is None else "fail"
+    _emit({"algebra": spec.name, "status": status, **(evidence or {})})
+    return 0 if evidence is None else CHECK_FAILED
 
 
 def _load_jet(path: str) -> Jet:

@@ -14,13 +14,12 @@ need and keeps every table tiny.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .algebras import AlgebraError, LieAlgebraSpec
 
-__all__ = ["HallBasis", "hall_basis", "free_nilpotent", "GENERATOR_LETTERS"]
+__all__ = ["free_nilpotent", "GENERATOR_LETTERS"]
 
 GENERATOR_LETTERS = ("x", "y", "z")
 
@@ -96,38 +95,10 @@ def expand_tree(tree: Tree, cap: int) -> dict:
     return _commutator(expand_tree(tree[0], cap), expand_tree(tree[1], cap), cap)
 
 
-@dataclass(frozen=True)
-class HallBasis:
-    """Lyndon-word Hall basis of a free nilpotent Lie algebra."""
-
-    words: tuple[tuple[int, ...], ...]
-    trees: tuple[Tree, ...]
-    names: tuple[str, ...]
-    degrees: tuple[int, ...]
-
-
 def _tree_name(tree: Tree, letters: tuple[str, ...]) -> str:
     if isinstance(tree, int):
         return letters[tree]
     return f"[{_tree_name(tree[0], letters)},{_tree_name(tree[1], letters)}]"
-
-
-def hall_basis(generator_count: int, nilpotency_class: int) -> HallBasis:
-    # a bool or float would pass the range test and leak into the algebra's name
-    if generator_count.__class__ is not int or not 1 <= generator_count <= 3:
-        raise AlgebraError(
-            f"generator count must be between 1 and 3, got {generator_count!r}"
-        )
-    if nilpotency_class.__class__ is not int or not 1 <= nilpotency_class <= 3:
-        raise AlgebraError(
-            f"nilpotency class must be between 1 and 3, got {nilpotency_class!r}"
-        )
-    letters = GENERATOR_LETTERS[:generator_count]
-    words = tuple(lyndon_words(generator_count, nilpotency_class))
-    trees = tuple(standard_bracketing(w) for w in words)
-    names = tuple(_tree_name(t, letters) for t in trees)
-    degrees = tuple(len(w) for w in words)
-    return HallBasis(words, trees, names, degrees)
 
 
 def _rewrite_to_basis(tensor: dict, expansions: dict) -> dict:
@@ -162,31 +133,37 @@ def _rewrite_to_basis(tensor: dict, expansions: dict) -> dict:
 def free_nilpotent(generator_count: int, nilpotency_class: int) -> LieAlgebraSpec:
     """Free nilpotent Lie algebra on the Hall basis, with structure constants
     computed by expansion and triangular rewriting."""
-    basis = hall_basis(generator_count, nilpotency_class)
+    for what, value in (("generator count", generator_count),
+                        ("nilpotency class", nilpotency_class)):
+        # a bool or float would pass the range test and leak into the name
+        if value.__class__ is not int or not 1 <= value <= 3:
+            raise AlgebraError(f"{what} must be between 1 and 3, got {value!r}")
     cap = nilpotency_class
-    expansions = {w: expand_tree(t, cap) for w, t in zip(basis.words, basis.trees)}
+    words = lyndon_words(generator_count, cap)
+    trees = [standard_bracketing(w) for w in words]
+    expansions = {w: expand_tree(t, cap) for w, t in zip(words, trees)}
     for w, expansion in expansions.items():
         lead = min(expansion, key=lambda u: (len(u), u))
         if lead != w or expansion[w] != 1:
             raise AlgebraError(f"basis word {w} is not triangular")
-    word_index = {w: k for k, w in enumerate(basis.words)}
+    word_index = {w: k for k, w in enumerate(words)}
 
     structure: dict = {}
-    n = len(basis.words)
+    n = len(words)
     for i in range(n):
         for j in range(i + 1, n):
-            if basis.degrees[i] + basis.degrees[j] > cap:
+            if len(words[i]) + len(words[j]) > cap:
                 continue
-            commutator = _commutator(expansions[basis.words[i]],
-                                     expansions[basis.words[j]], cap)
+            commutator = _commutator(expansions[words[i]], expansions[words[j]], cap)
             coeffs = _rewrite_to_basis(commutator, expansions)
             entries = tuple(sorted((word_index[w], c) for w, c in coeffs.items() if c))
             if entries:
                 structure[(i, j)] = entries
 
+    letters = GENERATOR_LETTERS[:generator_count]
     return LieAlgebraSpec(
         name=f"free-nilpotent({generator_count},{nilpotency_class})",
-        basis=basis.names,
+        basis=tuple(_tree_name(t, letters) for t in trees),
         structure=structure,
-        degrees=basis.degrees,
+        degrees=tuple(len(w) for w in words),
     )

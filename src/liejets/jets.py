@@ -302,7 +302,7 @@ def read_curve(x: LieElement, like: Jet) -> Jet:
     weights = factorial_weights(like.order)
     parts = [split_last_generator(c, sig, weights) for c in x.coords]
     if any(0 in p for p in parts):
-        raise AssertionError("curve has a nonzero degree-0 component")
+        raise JetError("curve has a nonzero degree-0 component")
     zero = WeilScalar(sig, {})
     coords = tuple(
         LieElement(like.algebra, sig, tuple(p.get(i, zero) for p in parts))

@@ -302,7 +302,7 @@ def _nilpotent_series(N: WeilMatrix, coefficient) -> WeilMatrix:
         if power.is_zero():
             return acc
         acc = acc.add_scaled(power, coefficient(k))
-    raise AssertionError("nilpotent power series failed to terminate")
+    raise MatrixError("nilpotent power series failed to terminate")
 
 
 def weil_exp(M: WeilMatrix) -> WeilMatrix:
@@ -325,16 +325,17 @@ def weil_log(M: WeilMatrix) -> WeilMatrix:
 
 
 class MatrixRep:
-    """Rational matrix images of an algebra's basis, bracket-compatible.
+    """Rational matrix images of an algebra's basis, bracket-compatible; the
+    dimension is the images' common size.
 
     The images must not change after construction: their integer forms and
     the solver for coordinates are derived from them then, and the solver
     refuses linearly dependent images.
     """
 
-    def __init__(self, algebra: LieAlgebraSpec, dimension: int, images: dict):
+    def __init__(self, algebra: LieAlgebraSpec, images: dict):
         self.algebra = algebra
-        self.dimension = dimension
+        self.dimension = len(images[algebra.basis[0]])
         self.images = images
         # each image as (flat row-major integer numerators, denominator)
         self._numerators = {
@@ -344,8 +345,7 @@ class MatrixRep:
         self._solver = self._solve()
 
     def __repr__(self):
-        return (f"MatrixRep(algebra={self.algebra!r}, dimension={self.dimension!r}, "
-                f"images={self.images!r})")
+        return f"MatrixRep(algebra={self.algebra!r}, images={self.images!r})"
 
     def _solve(self) -> tuple[list, list]:
         """Integer forms of the rational maps that recover coordinates.
@@ -432,7 +432,7 @@ def matrix_rep(algebra: LieAlgebraSpec, images: dict) -> MatrixRep:
                     for row in images[name])
         for name in algebra.basis
     }
-    rep = MatrixRep(algebra=algebra, dimension=sizes.pop(), images=mats)
+    rep = MatrixRep(algebra=algebra, images=mats)
     q = ring_make(())
     for i, bi in enumerate(algebra.basis):
         for bj in algebra.basis[i + 1:]:

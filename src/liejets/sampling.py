@@ -54,7 +54,7 @@ def random_element(algebra: LieAlgebraSpec, ring: WeilRing, rng: Random,
     """Element with random small rational (or integer) coordinates."""
     coords = []
     for _ in range(algebra.dim):
-        q = Fraction(rng.randint(-INT_BOUND, INT_BOUND)) if integer else random_rational(rng)
+        q = rng.randint(-INT_BOUND, INT_BOUND) if integer else random_rational(rng)
         coords.append(ring.rational(q))
     return LieElement(algebra, ring.signature, tuple(coords))
 

@@ -54,14 +54,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 #: Packed monomial key: the exponent of generator g in the bit field at
 #: ``signature.shifts[g]``; 0 is the constant monomial.
 Monomial = int
 
 __all__ = [
-    "Rational",
     "SignatureError",
     "SignatureMismatch",
     "RingSignature",

@@ -106,7 +106,7 @@ class TestBracket:
 class TestValidate:
     @pytest.mark.parametrize("spec", BUILTINS, ids=lambda s: s.name)
     def test_builtins_pass(self, spec):
-        assert validate_algebra(spec).ok
+        assert validate_algebra(spec) is None
 
     def test_corrupted_h3_fails_where_the_oracle_says(self):
         # independent evaluation first: with [p,q] = z and [p,z] = p the
@@ -120,10 +120,9 @@ class TestValidate:
             ("p", "q", "z"),
             {("p", "q"): [("z", 1)], ("p", "z"): [("p", 1)]},
         )
-        report = validate_algebra(corrupted)
-        assert not report.ok
-        assert report.failing_triple == ("p", "q", "z")
-        assert report.defect == {"z": Fraction(1)}
+        assert validate_algebra(corrupted) == {
+            "failing_triple": ["p", "q", "z"], "defect": {"z": "1"},
+        }
 
     def test_scan_matches_the_oracle_on_random_specs(self):
         # Random brackets with small integer constants on 3-5 basis elements:
@@ -151,12 +150,16 @@ class TestValidate:
                 ),
                 None,
             )
-            report = validate_algebra(spec)
-            assert report.ok == (want is None)
+            evidence = validate_algebra(spec)
+            assert (evidence is None) == (want is None)
             if want is not None:
-                assert (report.failing_triple, report.defect) == want
-                assert list(report.defect) == [b for b in basis if b in report.defect]
-            verdicts.append(report.ok)
+                triple, defect = want
+                assert evidence == {
+                    "failing_triple": list(triple),
+                    "defect": {b: str(c) for b, c in defect.items()},
+                }
+                assert list(evidence["defect"]) == [b for b in basis if b in defect]
+            verdicts.append(evidence is None)
         assert 0 < verdicts.count(True) < verdicts.count(False)
 
     @pytest.mark.parametrize("spec", BUILTINS, ids=lambda s: s.name)

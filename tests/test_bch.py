@@ -132,6 +132,15 @@ class TestBchMul:
         assert bch_mul(a, b) == jet_mul(a, b)
         assert len(calls) == brackets
 
+    def test_a_word_below_its_d_degree_is_refused(self, monkeypatch):
+        # a "bracket" returning its left argument puts [a, b] in d^1, not d^2
+        monkeypatch.setattr(liejets.bch, "bracket", lambda x, y: x)
+        rng = Random(2)
+        a = random_jet(H3, PLAIN_RING, 2, rng)
+        b = random_jet(H3, PLAIN_RING, 2, rng)
+        with pytest.raises(JetError, match="d-degree 1"):
+            bch_mul(a, b)
+
     def test_associative_on_random_inputs(self):
         rng = Random(17)
         for spec in (H3, sl2(), free_nilpotent(2, 3)):

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import liejets.bch
 import liejets.catalog
 import liejets.checks
 import liejets.jets
+import liejets.matrices
 import liejets.scalars
 
 from liejets.algebras import LieAlgebraSpec, basis_element, heisenberg3, make_algebra, sl2
@@ -18,8 +21,11 @@ from liejets.algebras import zero_element
 from liejets.bch import BCH_DEGREE3_TERMS
 from liejets.catalog import resolve_algebra
 from liejets.checks import (
+    _dense_product,
     associative,
     build_checks,
+    ring_laws_hold,
+    run_law,
     run_suite,
     struct_jacobi_builtins,
     struct_ring_laws,
@@ -30,10 +36,12 @@ from liejets.checks import (
     verify_group_axioms,
     verify_lemma_631,
 )
+from liejets.cli import main
 from liejets.hall import free_nilpotent
-from liejets.jets import Jet, jet_make, jet_mul
+from liejets.jets import Jet, JetError, jet_make, jet_mul
 from liejets.matrices import MatrixRep
 from liejets.sampling import PLAIN_RING, symbolic_jet_family
+from liejets.scalars import WeilScalar, ring_make
 
 H3 = heisenberg3()
 
@@ -148,6 +156,27 @@ class TestStructural:
 
     def test_ring_laws(self):
         assert struct_ring_laws(trials=30, seed=0).passed
+
+    def test_dense_product_drops_exponents_above_their_order(self):
+        ring = ring_make((("d", 2), ("e", 1)))
+        a = ring.scalar({(1, 0): "1/2", (0, 1): 3})
+        b = ring.scalar({(1, 1): 2, (2, 0): "-1/3", (0, 0): 1})
+        # d * d^2 and e * d e exceed an order; the two d^2 e terms, 1 and -1,
+        # cancel
+        assert _dense_product(a, b) == {(1, 0): Fraction(1, 2), (0, 1): 3}
+        assert _dense_product(a, b) == (a * b).coefficients()
+
+    def test_ring_laws_see_a_product_that_drops_a_monomial(self, monkeypatch):
+        # e1 * e2 = 0 leaves every generator's powers right, so nilpotency
+        # and exact order hold and only the dense reference sees it
+        ring = ring_make((("e1", 1), ("e2", 1)))
+        e1, e2 = ring.gen("e1"), ring.gen("e2")
+        e12 = e1 * e2
+        real = WeilScalar.__mul__
+        monkeypatch.setattr(WeilScalar, "__mul__", lambda x, y: (
+            ring.zero if real(x, y) == e12 else real(x, y)
+        ))
+        assert ring_laws_hold(e1, e2, ring.one)["law"] == "dense product"
 
     def test_tower(self):
         assert struct_tower_compatibility([H3, sl2()], trials=15, seed=0).passed
@@ -338,6 +367,33 @@ def test_truncation_one_power_late_fails_exactly_the_checks_that_see_it(monkeypa
         assert failed[check].counterexample["trial"] == 0
 
 
+def _layout_without_guard_gap(orders):
+    """``scalars._layout`` with each field starting on the previous field's
+    guard bit (``shift += b`` for ``shift += b + 1``)."""
+    shifts = []
+    bias = guard = shift = 0
+    for m in orders:
+        b = m.bit_length()
+        shifts.append(shift)
+        bias |= ((1 << b) - 1 - m) << shift
+        guard |= 1 << (shift + b)
+        shift += b
+    return tuple(shifts), bias, guard
+
+
+def test_layout_without_guard_gap_fails_exactly_the_ring_laws(monkeypatch):
+    # a generator whose field holds the previous field's guard bit is killed
+    # by every product, even by one, so e2 = one * e2 vanishes; every
+    # comparison computes both sides in the same wrong ring and agrees
+    monkeypatch.setattr(liejets.scalars, "_layout", _layout_without_guard_gap)
+    failed = failures(run_suite("all", trials=3, seed=0))
+    assert set(failed) == {"struct-ring-laws"}
+    assert failed["struct-ring-laws"].counterexample == {
+        "ring": "WeilRing(e1^2=0, e2^2=0)", "trial": 0, "law": "exact order",
+        "generator": "e2",
+    }
+
+
 # order 1 holds because the order-1 product is linear, and thm-4.* because
 # Theorem 4 holds for any matrices
 WRONG_IMAGE_FAILS = {"def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3"}
@@ -354,7 +410,7 @@ def test_wrong_representation_image_fails_exactly_the_matrix_checks_that_see_it(
             return rep
         doubled = tuple(tuple(2 * e for e in row) for row in rep.images["z"])
         # built directly, so matrix_rep's bracket check does not refuse it
-        return MatrixRep(rep.algebra, rep.dimension, {**rep.images, "z": doubled})
+        return MatrixRep(rep.algebra, {**rep.images, "z": doubled})
 
     monkeypatch.setattr(liejets.checks, "builtin_rep", with_doubled_z)
     failed = failures(run_suite("all", trials=3, seed=0))
@@ -414,6 +470,13 @@ def _doubled_x_yz(spec: LieAlgebraSpec) -> LieAlgebraSpec:
     return LieAlgebraSpec(spec.name, spec.basis, structure, spec.degrees)
 
 
+def _refuse_readback(x, like):
+    raise JetError("readback refused")
+
+
+READBACK_FAILS = {"def6.1-vs-bch-n1", "def6.1-vs-bch-n2", "def6.1-vs-bch-n3"}
+
+
 # (modules binding the name, name, wrap(real) -> replacement, failing set); the
 # replacement is installed in every listed module, so that every caller sees it
 NAME_ROWS = [
@@ -456,6 +519,10 @@ NAME_ROWS = [
     ((liejets.checks,), "jet_bracket",
      lambda real: lambda a, b: _zero_degree_3(real(a, b)),
      {"thm-7.3"}),
+    # the curve readback raises: the series comparisons read every product
+    # back, while the matrix comparisons compare whole matrices and never do
+    ((liejets.bch, liejets.matrices), "read_curve", lambda real: _refuse_readback,
+     READBACK_FAILS),
 ]
 
 
@@ -463,7 +530,7 @@ NAME_ROWS = [
     "modules, name, wrap, failing",
     NAME_ROWS,
     ids=["product-z1", "product-z2", "inverse", "truncate", "mobius", "mobius-3",
-         "hall-constant", "exp-weight-3", "bracket-degree-3"],
+         "hall-constant", "exp-weight-3", "bracket-degree-3", "readback-raises"],
 )
 def test_corrupted_name_fails_exactly_the_checks_that_guard_it(
     monkeypatch, modules, name, wrap, failing
@@ -472,6 +539,48 @@ def test_corrupted_name_fails_exactly_the_checks_that_guard_it(
     for module in modules:
         monkeypatch.setattr(module, name, replacement)
     assert set(failures(run_suite("all", trials=3, seed=0))) == failing
+
+
+def test_a_raising_law_fails_with_its_error_as_evidence(monkeypatch):
+    for module in (liejets.bch, liejets.matrices):
+        monkeypatch.setattr(module, "read_curve", _refuse_readback)
+    failed = failures(run_suite("all", trials=3, seed=0))
+    assert set(failed) == READBACK_FAILS
+    for check in failed.values():
+        assert check.counterexample == {
+            "symbolic": True, "error": "JetError: readback refused",
+        }
+    # the command reports the failures and exits 1, with no traceback
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "--order", "1", "--trials", "1", "--no-timing"])
+    assert code == 1
+    report = json.loads(out.getvalue())
+    assert {c["check"] for c in report["checks"] if c["status"] == "fail"} == {
+        "def6.1-vs-bch-n1"
+    }
+
+
+def test_run_law_turns_an_exception_into_that_instances_failure():
+    def law(x):
+        if x == 2:
+            raise ValueError("x" * 300)
+        return None
+
+    draws = iter(range(10))
+    out = run_law(law, [({"algebra": "a"}, lambda rng: (next(draws),))], 5, 0)
+    error = out.counterexample.pop("error")
+    assert out.counterexample == {"algebra": "a", "trial": 2}
+    assert error == ("ValueError: " + "x" * 300)[:200]
+    assert out.instances == {"a": "fail"}
+
+
+def test_run_law_lets_a_keyboard_interrupt_through():
+    def law():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_law(law, (), 1, 0, symbolic=())
 
 
 def test_kill_rows_together_fail_every_check():

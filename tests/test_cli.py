@@ -112,6 +112,18 @@ class TestValidate:
         assert out["failing_triple"] == ["p", "q", "z"]
         assert out["defect"] == {"z": "1"}
 
+    def test_stdout_is_pinned_byte_for_byte(self, jet_files, capsys):
+        assert main(["validate", "h3"]) == 0
+        assert capsys.readouterr().out == '{\n  "algebra": "h3",\n  "status": "pass"\n}\n'
+        doc = _spec_doc(("p", "q", [["z", "1"]]), ("p", "z", [["p", "1/2"]]),
+                        name="h3-corrupted", basis=("p", "q", "z"))
+        assert main(["validate", jet_files("bad.json", doc)]) == 1
+        assert capsys.readouterr().out == (
+            '{\n  "algebra": "h3-corrupted",\n  "status": "fail",\n'
+            '  "failing_triple": [\n    "p",\n    "q",\n    "z"\n  ],\n'
+            '  "defect": {\n    "z": "1/2"\n  }\n}\n'
+        )
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 

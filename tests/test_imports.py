@@ -11,6 +11,7 @@ import pytest
 
 import liejets
 from liejets.algebras import basis_element, heisenberg3
+from liejets.hall import free_nilpotent
 from liejets.jets import jet_make
 from liejets.sampling import PLAIN_RING
 
@@ -23,13 +24,13 @@ NOT_FOR_MUL = ("liejets.checks", "liejets.hall", "liejets.report", "liejets.samp
 
 #: Every public name of the package when it imported all of its modules eagerly.
 EXPORTED = (
-    "AlgebraError", "BCH_DEGREE3_TERMS", "CheckResult", "EXP", "HallBasis", "Jet",
+    "AlgebraError", "BCH_DEGREE3_TERMS", "CheckResult", "EXP", "Jet",
     "JetError", "LieAlgebraSpec", "LieElement", "MONOMIAL", "MatrixError", "MatrixRep",
-    "Rational", "RingSignature", "SignatureError", "SignatureMismatch",
+    "RingSignature", "SignatureError", "SignatureMismatch",
     "VerificationReport", "WeilMatrix", "WeilRing", "WeilScalar", "abelian", "algebras",
     "basis_element", "bch", "bch_mul", "bracket", "builtin_rep", "catalog",
     "check_def61_vs_bch", "check_def61_vs_matrix", "checks", "free_nilpotent",
-    "hall", "hall_basis", "heisenberg3", "jet_bracket", "jet_convert",
+    "hall", "heisenberg3", "jet_bracket", "jet_convert",
     "jet_group_commutator", "jet_identity", "jet_inverse", "jet_make", "jet_mul",
     "jet_scale", "jet_truncate", "jets", "matrices", "matrix_mul", "matrix_rep", "report",
     "resolve_algebra", "ring_make", "run_suite", "sampling", "scalars", "sl2", "so3",
@@ -44,15 +45,20 @@ def _python(*argv) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
-def _imported_by(tmp_path, *argv) -> set:
+def _imported_by(tmp_path, *argv, algebra=None) -> set:
     """Every module a cold ``python -m liejets <argv>`` imports, as listed by
-    ``-X importtime``; "A" and "B" in ``argv`` stand for two h3 jet files."""
-    h3 = heisenberg3()
+    ``-X importtime``; "A" and "B" in ``argv`` stand for two order-3 jet
+    files over ``algebra`` (h3 by default), whose coordinates are its first
+    three basis elements, rotated by one for B."""
+    algebra = algebra or heisenberg3()
+    first = algebra.basis[:3]
     paths = {}
-    for name, basis in (("A", "pqz"), ("B", "qzp")):
-        coords = [basis_element(h3, PLAIN_RING, b) for b in basis]
+    for name, basis in (("A", first), ("B", first[1:] + first[:1])):
+        coords = [basis_element(algebra, PLAIN_RING, b) for b in basis]
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(jet_make(h3, PLAIN_RING, 3, coords).to_json()))
+        paths[name].write_text(
+            json.dumps(jet_make(algebra, PLAIN_RING, 3, coords).to_json())
+        )
     argv = [str(paths.get(arg, arg)) for arg in argv]
     proc = _python("-X", "importtime", "-m", "liejets", *argv)
     assert proc.returncode == 0, proc.stderr
@@ -83,6 +89,15 @@ def test_validate_and_bracket_load_no_oracle(tmp_path, argv):
     loaded = _imported_by(tmp_path, *argv)
     assert {"liejets.cli", "liejets.algebras"} <= loaded
     assert loaded.isdisjoint(NOT_FOR_MUL + ("liejets.matrices", "liejets.bch"))
+
+
+@pytest.mark.parametrize("argv", [("validate", "free-nilpotent(2,3)"), ("mul", "A", "B")],
+                         ids=["validate", "mul"])
+def test_free_nilpotent_names_load_the_hall_basis_but_no_dataclasses(tmp_path, argv):
+    # only ``verify`` loads ``dataclasses``, through ``liejets.report``
+    loaded = _imported_by(tmp_path, *argv, algebra=free_nilpotent(2, 3))
+    assert "liejets.hall" in loaded
+    assert loaded.isdisjoint(("dataclasses", "liejets.report", "liejets.checks"))
 
 
 def test_every_exported_name_resolves_in_a_fresh_interpreter():

@@ -30,6 +30,7 @@ from liejets.jets import (
 )
 from liejets.sampling import PLAIN_RING, random_jet, symbolic_jet_family
 from liejets.scalars import (
+    WeilRing,
     WeilScalar,
     join_last_generator,
     ring_make,
@@ -162,6 +163,15 @@ def test_lift_and_readback_match_the_two_step_reference(order):
         # a curve with mixed denominators in every degree the order keeps
         mixed = A.add_scaled(B, Fraction(-2, 3)).add_scaled(bracket(A, B), Fraction(1, 2))
         assert read_curve(mixed, a) == reference_read(mixed, a)
+
+
+def test_readback_refuses_a_curve_with_a_degree_0_part():
+    a = jet_make(H3, PLAIN_RING, 2, (basis_element(H3, PLAIN_RING, "p"),
+                                     zero_element(H3, PLAIN_RING)))
+    (curve,) = lift_curves(a)
+    constant = basis_element(H3, WeilRing(curve.signature), "q")
+    with pytest.raises(JetError, match="degree-0"):
+        read_curve(curve + constant, a)
 
 
 class TestMul:

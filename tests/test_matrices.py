@@ -12,6 +12,7 @@ from liejets.checks import check_def61_vs_matrix, exp_product_holds, verify_theo
 from liejets.jets import jet_make, jet_mul
 from liejets.matrices import (
     MatrixError,
+    _nilpotent_series,
     WeilMatrix,
     builtin_rep,
     exp_weights,
@@ -288,6 +289,11 @@ class TestExp:
         with pytest.raises(MatrixError):
             weil_exp(WeilMatrix.identity(ring, 2))
 
+    def test_a_series_that_does_not_terminate_is_refused(self):
+        # the identity is no nilpotent matrix: each of its powers is nonzero
+        with pytest.raises(MatrixError, match="terminate"):
+            _nilpotent_series(WeilMatrix.identity(PLAIN_RING, 2), lambda k: 1)
+
 
 class TestLog:
     def test_log_of_identity(self):
@@ -484,7 +490,7 @@ class TestTheorem4:
 
     def test_order_out_of_range(self):
         with pytest.raises(MatrixError):
-            verify_theorem_4(4, [builtin_rep("sl2")])
+            verify_theorem_4(4, [builtin_rep("sl2")], 1, 0)
 
     @pytest.mark.parametrize("n", [True, 2.0])
     def test_weights_need_an_int_order(self, n):

@@ -52,7 +52,6 @@ ALLOWED = {
     "liejets.cli._fail": "error path: every traced command succeeds",
     "liejets.algebras.make_algebra.<locals>.<genexpr>": "input check: a spec that "
                                                         "brackets an element with itself",
-    "liejets.algebras.ValidationReport.to_json.<locals>.<dictcomp>": "failure evidence",
     "liejets.algebras.validate_algebra.<locals>.<dictcomp>": "failure evidence",
     "liejets.checks.exp_product_holds.<locals>.<dictcomp>": "failure evidence",
     "liejets.checks.witt_dimensions_hold.<locals>.<listcomp>": "failure evidence",
