@@ -68,7 +68,9 @@ def _emit(doc) -> None:
 
 def cmd_validate(args) -> int:
     try:
-        if os.path.exists(args.spec):
+        # any path but a directory: a directory named after a built-in must
+        # not shadow it, and a pipe such as /dev/stdin is no regular file
+        if os.path.exists(args.spec) and not os.path.isdir(args.spec):
             spec = LieAlgebraSpec.from_json(_load_json(args.spec))
         else:
             try:

@@ -294,7 +294,9 @@ def read_curve(x: LieElement, like: Jet) -> Jet:
 
     Splits every coordinate by powers of d, the last generator, multiplying
     the part at d^i by i! in the same pass; exp coordinate i collects the
-    parts at d^i, and no power above n is read.  The parts exist and are
+    parts at d^i.  A curve with a part at a power above n, which ``like``'s
+    order cannot hold, is refused with ``SignatureError`` by the split, and
+    one with a part at d^0 with ``JetError``.  The parts exist and are
     unique because the extended ring is a free module over the base ring
     with basis 1, d, ..., d^n.
     """

@@ -57,7 +57,6 @@ __all__ = [
     "matrix_rep",
     "builtin_rep",
     "BUILTIN_REP_NAMES",
-    "log_of_exp_product",
     "matrix_mul",
     "exp_weights",
     "theorem_4_sides",
@@ -478,16 +477,10 @@ def builtin_rep(name: str) -> MatrixRep:
 # -- jet multiplication through the matrix group -------------------------------
 
 
-def log_of_exp_product(rep: MatrixRep, x: LieElement, y: LieElement) -> WeilMatrix:
-    """weil_log(weil_exp(image x) * weil_exp(image y)) for elements whose
-    coordinates have zero constant term."""
-    return weil_log(weil_exp(rep.realize(x)) * weil_exp(rep.realize(y)))
-
-
 def matrix_mul(a: Jet, b: Jet, rep: MatrixRep) -> Jet:
     """Multiply jets by exp/log in the matrix group, reading coordinates back.
 
-    Computes the log of the product of the exponentials of both jets' curves
+    Computes log(exp(X) exp(Y)) for the images X, Y of both jets' curves
     over the ring extended by a nilpotency-order-n generator d, solves it
     against the basis images, and reads the jet off the powers of d.
     """
@@ -495,7 +488,8 @@ def matrix_mul(a: Jet, b: Jet, rep: MatrixRep) -> Jet:
         raise JetError(f"representation is for {rep.algebra.name}, jet is over "
                        f"{a.algebra.name}")
     x, y = lift_curves(a, b)
-    return read_curve(rep.extract(log_of_exp_product(rep, x, y)), a)
+    product = weil_log(weil_exp(rep.realize(x)) * weil_exp(rep.realize(y)))
+    return read_curve(rep.extract(product), a)
 
 
 # -- Theorem 4: exp-product identities ------------------------------------------

@@ -54,10 +54,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-#: Packed monomial key: the exponent of generator g in the bit field at
-#: ``signature.shifts[g]``; 0 is the constant monomial.
-Monomial = int
-
 __all__ = [
     "SignatureError",
     "SignatureMismatch",
@@ -564,12 +560,13 @@ def split_last_generator(
     ``weights[p]``: the inverse of :func:`join_last_generator` with the same
     weights.
 
-    Returns {power: weighted coefficient scalar} over ``base`` for the
-    powers below ``len(weights)``; absent powers have zero coefficient.  One
-    weight per power up to the order of t splits the whole scalar.  The
-    weights are applied in the same pass that splits the terms, and each
-    part is reduced on its own, since its numerators can share a factor with
-    the shared denominator.
+    Returns {power: weighted coefficient scalar} over ``base``; absent
+    powers have zero coefficient.  A term at a power with no weight, at or
+    above ``len(weights)``, raises ``SignatureError`` rather than being
+    dropped, as :func:`join_last_generator` refuses a power above the order
+    of t.  The weights are applied in the same pass that splits the terms,
+    and each part is reduced on its own, since its numerators can share a
+    factor with the shared denominator.
     """
     sig = scalar.signature
     if sig.parent is not base and (
@@ -583,7 +580,7 @@ def split_last_generator(
     for key, coeff in scalar.terms.items():
         power = key >> shift
         if power >= count:
-            continue
+            raise SignatureError(f"power {power} of the last generator has no weight")
         part = parts.get(power)
         if part is None:
             part = parts[power] = {}

@@ -16,7 +16,8 @@ import liejets.jets
 import liejets.matrices
 import liejets.scalars
 
-from liejets.algebras import LieAlgebraSpec, basis_element, heisenberg3, make_algebra, sl2
+from liejets.algebras import LieAlgebraSpec, LieElement, basis_element, heisenberg3
+from liejets.algebras import make_algebra, sl2
 from liejets.algebras import zero_element
 from liejets.bch import BCH_DEGREE3_TERMS
 from liejets.catalog import resolve_algebra
@@ -339,12 +340,13 @@ def test_corrupted_oracle_fails_exactly_the_checks_that_guard_it(
     assert set(failures(run_suite("all", trials=3, seed=0))) == failing
 
 
-# the series comparisons compare jets read back from d^1..d^n, so the
-# surviving d^(n+1) terms never reach them; the matrix comparisons compare
-# whole matrices over the d-extended ring, and Theorem 4's exponentials
-# over Q[d_i]/(d_i^2), the nilpotency law and the square-zero e1, e2 of
-# thm-7.3 all see the extra power
+# both oracles read their product back from d^1..d^n, and the readback
+# refuses the surviving d^(n+1) terms: the series product has them from
+# order 2, where brackets are evaluated, and the matrix product at every
+# order; Theorem 4's exponentials over Q[d_i]/(d_i^2), the nilpotency law
+# and the square-zero e1, e2 of thm-7.3 all see the extra power too
 TRUNCATION_FAILS = {
+    "def6.1-vs-bch-n2", "def6.1-vs-bch-n3",
     "def6.1-vs-matrix-n1", "def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3",
     "struct-ring-laws", "thm-4.1", "thm-4.2", "thm-4.3", "thm-7.3",
 }
@@ -365,6 +367,11 @@ def test_truncation_one_power_late_fails_exactly_the_checks_that_see_it(monkeypa
     assert failed["thm-7.3"].counterexample["symbolic"] is True
     for check in ("def6.1-vs-matrix-n1", "thm-4.1"):
         assert failed[check].counterexample["trial"] == 0
+    for order in (2, 3):
+        assert failed[f"def6.1-vs-bch-n{order}"].counterexample == {
+            "symbolic": True,
+            "error": f"SignatureError: power {order + 1} of the last generator has no weight",
+        }
 
 
 def _layout_without_guard_gap(orders):
@@ -474,7 +481,13 @@ def _refuse_readback(x, like):
     raise JetError("readback refused")
 
 
-READBACK_FAILS = {"def6.1-vs-bch-n1", "def6.1-vs-bch-n2", "def6.1-vs-bch-n3"}
+def _rotated(x: LieElement) -> LieElement:
+    """``x`` with its coordinates moved one basis element along."""
+    return LieElement(x.algebra, x.signature, (*x.coords[1:], x.coords[0]))
+
+
+MATRIX_FAILS = {"def6.1-vs-matrix-n1", "def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3"}
+READBACK_FAILS = {"def6.1-vs-bch-n1", "def6.1-vs-bch-n2", "def6.1-vs-bch-n3", *MATRIX_FAILS}
 
 
 # (modules binding the name, name, wrap(real) -> replacement, failing set); the
@@ -519,10 +532,13 @@ NAME_ROWS = [
     ((liejets.checks,), "jet_bracket",
      lambda real: lambda a, b: _zero_degree_3(real(a, b)),
      {"thm-7.3"}),
-    # the curve readback raises: the series comparisons read every product
-    # back, while the matrix comparisons compare whole matrices and never do
+    # the curve readback raises: both oracle comparisons read every product
+    # back
     ((liejets.bch, liejets.matrices), "read_curve", lambda real: _refuse_readback,
      READBACK_FAILS),
+    # the matrix readback solves for rotated coordinates
+    ((MatrixRep,), "extract", lambda real: lambda rep, m: _rotated(real(rep, m)),
+     MATRIX_FAILS),
 ]
 
 
@@ -530,7 +546,8 @@ NAME_ROWS = [
     "modules, name, wrap, failing",
     NAME_ROWS,
     ids=["product-z1", "product-z2", "inverse", "truncate", "mobius", "mobius-3",
-         "hall-constant", "exp-weight-3", "bracket-degree-3", "readback-raises"],
+         "hall-constant", "exp-weight-3", "bracket-degree-3", "readback-raises",
+         "extract-rotated"],
 )
 def test_corrupted_name_fails_exactly_the_checks_that_guard_it(
     monkeypatch, modules, name, wrap, failing
@@ -546,10 +563,11 @@ def test_a_raising_law_fails_with_its_error_as_evidence(monkeypatch):
         monkeypatch.setattr(module, "read_curve", _refuse_readback)
     failed = failures(run_suite("all", trials=3, seed=0))
     assert set(failed) == READBACK_FAILS
-    for check in failed.values():
-        assert check.counterexample == {
-            "symbolic": True, "error": "JetError: readback refused",
-        }
+    # the series comparisons fail on their symbolic inputs, and the matrix
+    # comparisons, which have none, at the first trial of their first family
+    for check_id, check in failed.items():
+        where = {"symbolic": True} if "bch" in check_id else {"algebra": "h3", "trial": 0}
+        assert check.counterexample == {**where, "error": "JetError: readback refused"}
     # the command reports the failures and exits 1, with no traceback
     out = StringIO()
     with redirect_stdout(out):
@@ -557,7 +575,7 @@ def test_a_raising_law_fails_with_its_error_as_evidence(monkeypatch):
     assert code == 1
     report = json.loads(out.getvalue())
     assert {c["check"] for c in report["checks"] if c["status"] == "fail"} == {
-        "def6.1-vs-bch-n1"
+        "def6.1-vs-bch-n1", "def6.1-vs-matrix-n1",
     }
 
 

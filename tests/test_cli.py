@@ -92,6 +92,23 @@ class TestValidate:
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"algebra": "h3", "status": "pass"}
 
+    def test_builtin_name_beside_a_directory_of_that_name_passes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "h3").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "h3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"algebra": "h3", "status": "pass"}
+
+    def test_spec_read_from_a_pipe_passes(self):
+        spec = json.dumps(_spec_doc(("p", "q", [["z", "1"]]), basis=("p", "q", "z")))
+        proc = subprocess.run(
+            [sys.executable, "-m", "liejets", "validate", "/dev/stdin"],
+            input=spec, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"algebra": "x", "status": "pass"}
+
     def test_spec_file_passes(self, jet_files, capsys):
         path = jet_files("h3.json", _spec_doc(("p", "q", [["z", "1"]]), basis=("p", "q", "z")))
         assert main(["validate", path]) == 0

@@ -30,6 +30,7 @@ from liejets.jets import (
 )
 from liejets.sampling import PLAIN_RING, random_jet, symbolic_jet_family
 from liejets.scalars import (
+    SignatureError,
     WeilRing,
     WeilScalar,
     join_last_generator,
@@ -172,6 +173,16 @@ def test_readback_refuses_a_curve_with_a_degree_0_part():
     constant = basis_element(H3, WeilRing(curve.signature), "q")
     with pytest.raises(JetError, match="degree-0"):
         read_curve(curve + constant, a)
+
+
+def test_readback_refuses_a_curve_above_its_order():
+    a = jet_make(H3, PLAIN_RING, 3, (basis_element(H3, PLAIN_RING, "p"),
+                                     zero_element(H3, PLAIN_RING),
+                                     basis_element(H3, PLAIN_RING, "q")))
+    (curve,) = lift_curves(a)
+    # the order-3 curve has a part at d^3, which no order-2 jet holds
+    with pytest.raises(SignatureError, match="power 3"):
+        read_curve(curve, jet_truncate(a, 2))
 
 
 class TestMul:

@@ -1,7 +1,9 @@
 """Reachability, traced: every function the package defines runs under the
 claim catalog, a command of the ``liejets`` CLI or the README quick tour,
-unless ``ALLOWED`` gives the reason it need not.  The quick tour itself is
-run here too, so the README cannot drift from the package.
+unless ``ALLOWED`` gives the reason it need not, and no command runs a
+function that the catalog never runs, unless ``COMMAND_ONLY`` gives the
+reason the catalog need not check it.  The quick tour itself is run here
+too, so the README cannot drift from the package.
 
 Functions are matched by code object, not by name or line number, so a
 decorated function, a lambda, a nested function and a generator expression
@@ -59,6 +61,20 @@ ALLOWED = {
     "liejets.scalars.WeilScalar.constant_term": "failure evidence of the Jacobi scan",
     "liejets.matrices.WeilMatrix.__init__": "perfbench/tracing.py probe_inputs builds "
                                             "its probe matrix with it",
+}
+
+#: Functions the commands run and the catalog does not, by qualified name,
+#: each with its reason; a name covers the code nested in it.
+COMMAND_ONLY = {
+    "liejets.cli": "the command line itself: argument parsing, file reading, output",
+    **{
+        f"liejets.{cls}.{method}": "JSON reader or writer of command input and output"
+        for cls in ("scalars.RingSignature", "scalars.WeilScalar",
+                    "algebras.LieElement", "jets.Jet")
+        for method in ("from_json", "to_json")
+    },
+    "liejets.scalars.WeilScalar._coerce": "operands parsed from two files have equal "
+                                          "but distinct rings",
 }
 
 
@@ -151,32 +167,42 @@ def _cli(*argv) -> None:
     assert code == 0, argv
 
 
-def run_every_caller(tmp_path: Path) -> None:
-    """The catalog, every command, and the quick tour, with 2 trials."""
+def run_catalog() -> None:
     run_suite("all", trials=2, seed=0)
+
+
+def run_commands(tmp_path: Path) -> None:
+    """``validate h3``, ``mul`` through each engine and ``bracket``, on two
+    order-3 h3 jet files."""
     h3, rng = heisenberg3(), Random(0)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
         path.write_text(json.dumps(random_jet(h3, PLAIN_RING, 3, rng).to_json()))
+    _cli("validate", "h3")
+    for via in ("def61", "bch", "matrix"):
+        _cli("mul", a, b, "--via", via)
+    _cli("bracket", a, b)
+
+
+def run_every_caller(tmp_path: Path) -> None:
+    """The catalog, every command, and the quick tour, with 2 trials."""
+    run_catalog()
+    run_commands(tmp_path)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "name": "h3", "basis": ["p", "q", "z"],
         "brackets": [{"left": "p", "right": "q", "value": [["z", "1"]]}],
     }))
-    _cli("validate", "h3")
     _cli("validate", spec)
-    for via in ("def61", "bch", "matrix"):
-        _cli("mul", a, b, "--via", via)
-    _cli("bracket", a, b)
     _cli("verify", "--suite", "s6", "--algebra", "sl2", "--order", "2",
          "--trials", "2", "--no-timing")
     run_quick_tour()
 
 
-def reached(tmp_path: Path) -> set:
-    """The code object of every Python function that :func:`run_every_caller`
-    runs.  The package's ``functools`` caches are emptied first, so that a
-    cached function runs whatever ran before in this process."""
+def traced(fn, *args) -> set:
+    """The code object of every Python function that ``fn(*args)`` runs.
+    The package's ``functools`` caches are emptied first, so that a cached
+    function runs whatever ran before in this process."""
     for module in _modules():
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
@@ -190,14 +216,19 @@ def reached(tmp_path: Path) -> set:
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        run_every_caller(tmp_path)
+        fn(*args)
     finally:
         sys.setprofile(previous)
     return calls
 
 
-def _allowed(name: str) -> bool:
-    return any(name == key or name.startswith(f"{key}.") for key in ALLOWED)
+def _listed(name: str, keys) -> bool:
+    """Whether a key names ``name`` or a function it is nested in."""
+    return any(name == key or name.startswith(f"{key}.") for key in keys)
+
+
+def _located(code, name: str) -> str:
+    return f"{name} ({Path(code.co_filename).name}:{code.co_firstlineno})"
 
 
 def test_allowlist_names_defined_functions_with_reasons():
@@ -206,15 +237,30 @@ def test_allowlist_names_defined_functions_with_reasons():
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
+def test_command_only_list_covers_defined_functions_with_reasons():
+    names = defined_code().values()
+    assert {key for key in COMMAND_ONLY
+            if not any(_listed(name, (key,)) for name in names)} == set()
+    assert all(reason.strip() for reason in COMMAND_ONLY.values())
+
+
 def test_every_function_is_reached_or_allowed(tmp_path):
-    defined = defined_code()
-    calls = reached(tmp_path)
+    calls = traced(run_every_caller, tmp_path)
     unreached = sorted(
-        f"{name} ({Path(code.co_filename).name}:{code.co_firstlineno})"
-        for code, name in defined.items()
-        if code not in calls and not _allowed(name)
+        _located(code, name) for code, name in defined_code().items()
+        if code not in calls and not _listed(name, ALLOWED)
     )
     assert unreached == []
+
+
+def test_no_command_runs_code_the_catalog_never_runs(tmp_path):
+    checked = traced(run_catalog)
+    ran = traced(run_commands, tmp_path)
+    unchecked = sorted(
+        _located(code, name) for code, name in defined_code().items()
+        if code in ran and code not in checked and not _listed(name, COMMAND_ONLY)
+    )
+    assert unchecked == []
 
 
 def test_no_class_binds_one_function_under_two_names():

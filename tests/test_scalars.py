@@ -578,12 +578,17 @@ class TestJoinSplit:
 
     def test_split_reads_only_the_weighted_powers(self):
         ext = ring_make([("d", 2), ("t", 3)])
-        s = (ext.one + ext.gen("d")) * (ext.one + ext.gen("t") + ext.gen("t") ** 3)
+        low = (ext.one + ext.gen("d")) * (ext.one + ext.gen("t"))
+        s = low + (ext.one + ext.gen("d")) * ext.gen("t") ** 3
         whole = split_last_generator(s, D2.signature, UNWEIGHTED)
         assert sorted(whole) == [0, 1, 3]
-        assert split_last_generator(s, D2.signature, (1, 2)) == {
+        # weights are needed only up to the highest power present
+        assert split_last_generator(low, D2.signature, (1, 2)) == {
             0: whole[0], 1: whole[1].scale(2)
         }
+        # a power with no weight is refused, not dropped
+        with pytest.raises(SignatureError, match="power 3 .* has no weight"):
+            split_last_generator(s, D2.signature, (1, 2))
 
     def test_join_and_split_accept_an_equal_base_built_separately(self):
         base = DE.signature
