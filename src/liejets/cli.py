@@ -8,7 +8,8 @@ Subcommands:
 * ``verify``   -- run a verification suite and print the JSON report
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed or the inputs
-are incompatible, 2 usage or input error.  All input/output is JSON on the
+are incompatible, 2 usage or input error, a result with a number too long
+to print included.  All input/output is JSON on the
 standard streams.  Same seed and flags give identical reports;
 ``--no-timing`` drops the per-check timing fields so reports are
 byte-identical across runs.
@@ -24,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .algebras import AlgebraError, LieAlgebraSpec, validate_algebra
 from .catalog import SUITE_NAMES, UnknownAlgebraError, resolve_algebra
@@ -66,6 +68,21 @@ def _emit(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
+@contextmanager
+def _printable():
+    """Turn the ``ValueError`` that converting an integer of more than
+    ``sys.get_int_max_str_digits()`` digits to text raises into an input
+    error: only numbers read from the input grow that long.  Wraps the code
+    that builds a command's output, which raises no other ``ValueError``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _CliUsageError(
+            f"the result has a number of more than {sys.get_int_max_str_digits()} "
+            "digits, too long to print"
+        ) from exc
+
+
 def cmd_validate(args) -> int:
     try:
         # any path but a directory: a directory named after a built-in must
@@ -81,9 +98,10 @@ def cmd_validate(args) -> int:
                 ) from None
     except (AlgebraError, SignatureError) as exc:
         return _fail(str(exc), USAGE_ERROR)
-    evidence = validate_algebra(spec)
-    status = "pass" if evidence is None else "fail"
-    _emit({"algebra": spec.name, "status": status, **(evidence or {})})
+    with _printable():  # the evidence prints the Jacobi defect
+        evidence = validate_algebra(spec)
+        status = "pass" if evidence is None else "fail"
+        _emit({"algebra": spec.name, "status": status, **(evidence or {})})
     return 0 if evidence is None else CHECK_FAILED
 
 
@@ -123,7 +141,8 @@ def cmd_mul(args) -> int:
             product = matrix_mul(a, b, rep)
     except (JetError, AlgebraError, SignatureMismatch) as exc:
         return _fail(str(exc), CHECK_FAILED)
-    _emit(product.to_json())
+    with _printable():
+        _emit(product.to_json())
     return 0
 
 
@@ -133,7 +152,8 @@ def cmd_bracket(args) -> int:
         result = jet_bracket(jet_convert(a, "monomial"), jet_convert(b, "monomial"))
     except (JetError, AlgebraError, SignatureMismatch) as exc:
         return _fail(str(exc), CHECK_FAILED)
-    _emit(result.to_json())
+    with _printable():
+        _emit(result.to_json())
     return 0
 
 

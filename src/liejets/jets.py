@@ -121,6 +121,14 @@ class Jet:
         return jet_make(algebra, None, order, coords, system)
 
 
+def _check_order(order) -> None:
+    """Raise ``JetError`` unless ``order`` is an ``int`` from 1 to
+    ``MAX_ORDER``: the rule of :func:`jet_make`, which
+    :func:`liejets.sampling.random_jet` applies before it draws."""
+    if order.__class__ is not int or not 1 <= order <= MAX_ORDER:
+        raise JetError(f"jet order must be an int 1..{MAX_ORDER}, got {order!r}")
+
+
 def jet_make(
     algebra: LieAlgebraSpec,
     ring: WeilRing | None,
@@ -130,8 +138,7 @@ def jet_make(
 ) -> Jet:
     """Validated jet constructor.  ``ring`` may be None when the coords carry
     their signature already."""
-    if order.__class__ is not int or not 1 <= order <= MAX_ORDER:
-        raise JetError(f"jet order must be an int 1..{MAX_ORDER}, got {order!r}")
+    _check_order(order)
     if system not in (EXP, MONOMIAL):
         raise JetError(f"unknown coordinate system {system!r}")
     coords = tuple(coords)
@@ -196,6 +203,11 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     Order 2:  additionally Z2 = X2 + Y2 + [X1, Y1]
     Order 3:  additionally
               Z3 = X3 + Y3 + 3/2 ([X1, Y2] + [X2, Y1]) + 1/2 [X1 - Y1, [X1, Y1]]
+
+    The 3/2 and the 1/2 are the weights of the merges that add their terms
+    (``LieElement.add_scaled``), as the series oracle's BCH coefficients and
+    Theorem 4's sides (:func:`liejets.matrices.theorem_4_sides`) fold theirs,
+    so no term is rescaled on its own.
     """
     _check_pair(a, b, system=EXP)
     x, y = a.coords, b.coords
@@ -207,11 +219,8 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     if a.order == 2:
         return Jet(a.algebra, a.signature, 2, EXP, (z1, z2))
     cross = bracket(x[0], y[1]) + bracket(x[1], y[0])
-    z3 = (
-        x[2]
-        + y[2]
-        + cross.scale(_THREE_HALVES)
-        + bracket(x[0] - y[0], b11).scale(_HALF)
+    z3 = (x[2] + y[2]).add_scaled(cross, _THREE_HALVES).add_scaled(
+        bracket(x[0] - y[0], b11), _HALF
     )
     return Jet(a.algebra, a.signature, 3, EXP, (z1, z2, z3))
 

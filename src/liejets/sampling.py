@@ -19,7 +19,7 @@ from fractions import Fraction
 from random import Random
 
 from .algebras import LieAlgebraSpec, LieElement
-from .jets import EXP, Jet, jet_make
+from .jets import EXP, Jet, _check_order, jet_make
 from .scalars import RingSignature, WeilRing
 
 __all__ = [
@@ -61,11 +61,14 @@ def random_element(algebra: LieAlgebraSpec, ring: WeilRing, rng: Random,
 
 def random_jet(algebra: LieAlgebraSpec, ring: WeilRing, order: int, rng: Random,
                integer: bool = False) -> Jet:
-    """Exp-coordinate jet with random coordinates, as :func:`random_element`."""
+    """Exp-coordinate jet with random coordinates, as :func:`random_element`.
+    The order is checked before anything is drawn; the coordinates, drawn
+    here over ``algebra`` and ``ring``, are not checked again."""
+    _check_order(order)
     coords = tuple(
         random_element(algebra, ring, rng, integer=integer) for _ in range(order)
     )
-    return jet_make(algebra, ring, order, coords, EXP)
+    return Jet(algebra, ring.signature, order, EXP, coords)
 
 
 def symbolic_jet_family(

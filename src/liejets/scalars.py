@@ -50,6 +50,7 @@ All values are immutable after construction and safe to share freely.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -77,18 +78,28 @@ class SignatureMismatch(ValueError):
     """Raised when two scalars from different rings meet in one operation."""
 
 
+#: The text of an exact rational: "p" or "p/q", ASCII digits with an
+#: optional sign on p and nothing else, no spaces, exponents, decimal points
+#: or underscores.
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_from_str(text, error: type = SignatureError) -> int | Fraction:
-    """An exact rational: an ``int`` or ``Fraction`` unchanged, anything else
-    parsed from "p/q" or "p" form.  Raise ``error`` (the calling module's own
-    error type) for anything that is not a rational, floats and booleans
-    included, since neither is an exact rational input."""
+    """An exact rational: an ``int`` or ``Fraction`` unchanged, a string
+    read as "p" or "p/q" (see ``_RATIONAL_TEXT``) to a ``Fraction``.  Raise
+    ``error`` (the calling module's own error type) for anything else:
+    floats and booleans, which are no exact rational input, other text such
+    as "1e5000", "0.5" or " 1/2 ", a zero denominator, and digit strings
+    longer than ``int`` reads (``sys.get_int_max_str_digits()``)."""
     if text.__class__ is int or text.__class__ is Fraction:
         return text
-    if isinstance(text, (bool, float)):
-        raise error(f"invalid rational {text!r}; write it as \"p/q\"")
+    match = _RATIONAL_TEXT.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise error(f"invalid rational {text!r}; write it as \"p/q\" or \"p\"")
+    numerator, denominator = match.groups()
     try:
-        return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(numerator), int(denominator or 1))
+    except (ValueError, ZeroDivisionError) as exc:
         raise error(f"invalid rational {text!r}") from exc
 
 
@@ -480,9 +491,10 @@ class WeilRing:
         """The constant scalar ``value``, read as :meth:`WeilScalar.scale`
         reads its rational."""
         q = rational_from_str(value)
-        if not q:
+        p = q.numerator
+        if not p:
             return self.zero
-        return WeilScalar(self.signature, {0: q.numerator}, q.denominator)
+        return WeilScalar(self.signature, {0: p}, q.denominator)
 
     def gen(self, name: str) -> WeilScalar:
         """The generator ``name``; its powers are ``gen(name) ** k``."""

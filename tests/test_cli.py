@@ -76,6 +76,29 @@ def _drop_ring(doc):
     return doc
 
 
+#: A valid "p" rational of 2500 digits, which reads and converts to text
+#: within the interpreter's 4300-digit limit, though its square does not.
+LONG = "7" * 2500
+
+
+def _long_pair(jet_files) -> tuple[str, str]:
+    """Files of the order-2 jets (LONG p, 0) and (LONG q, 0)."""
+    paths = []
+    for name in ("p", "q"):
+        doc = h3_jet_doc(2, name, "0")
+        doc["coords"][0]["coords"][name]["terms"][0][1] = LONG
+        paths.append(jet_files(f"{name}.json", doc))
+    return tuple(paths)
+
+
+def _assert_too_long(captured) -> None:
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the result has a number of more than {sys.get_int_max_str_digits()} "
+        "digits, too long to print\n"
+    )
+
+
 @pytest.fixture
 def jet_files(tmp_path):
     def write(name, doc):
@@ -195,6 +218,13 @@ class TestValidate:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert len(captured.err) < ERROR_LINE_LIMIT
 
+    def test_defect_too_long_to_print_is_one_line_usage_error(self, jet_files, capsys):
+        # the Jacobi defect at (p, q, z) is LONG^2 z
+        doc = _spec_doc(("p", "q", [["z", LONG]]), ("p", "z", [["p", LONG]]),
+                        basis=("p", "q", "z"))
+        assert main(["validate", jet_files("spec.json", doc)]) == 2
+        _assert_too_long(capsys.readouterr())
+
     def test_unknown_name_is_neither_file_nor_builtin(self, capsys):
         assert main(["validate", "g2"]) == 2
         assert capsys.readouterr().err == (
@@ -251,13 +281,18 @@ class TestMul:
             lambda doc: NESTED_TOO_DEEP,
             _set(("coords", 0, "coords", "p", "terms", 0, 1), "1" * 100_000),
             _drop_ring,
+            _set(("coords", 0, "coords", "p", "terms", 0, 1), "1e5000"),
+            _set(("coords", 0, "coords", "p", "terms", 0, 1), "0.5"),
+            _set(("coords", 0, "coords", "p", "terms", 0, 1), " 1/2 "),
+            _set(("coords", 0, "coords", "p", "terms", 0, 1), "1_000"),
         ],
         ids=[
             "zero-denominator", "non-integer-order", "coords-as-list", "top-level-array",
             "float-coefficient", "float-ring-order", "float-exponent", "non-string-ring-name",
             "float-jet-order",
             "boolean-coefficient", "boolean-jet-order", "not-utf8", "nested-too-deep",
-            "long-coefficient", "element-without-ring",
+            "long-coefficient", "element-without-ring", "exponent-coefficient",
+            "decimal-coefficient", "padded-coefficient", "underscore-coefficient",
         ],
     )
     def test_malformed_jet_is_one_line_usage_error(self, jet_files, capsys, corrupt):
@@ -270,6 +305,16 @@ class TestMul:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < ERROR_LINE_LIMIT
 
+    @pytest.mark.parametrize("engine", ["def61", "bch", "matrix"])
+    def test_product_too_long_to_print_is_one_line_usage_error(
+        self, jet_files, capsys, engine
+    ):
+        # valid 2500-digit coefficients of p and q: [p, q] = z gets a
+        # 5000-digit one, past the interpreter's limit on printing integers
+        a, b = _long_pair(jet_files)
+        assert main(["mul", a, b, "--via", engine]) == 2
+        _assert_too_long(capsys.readouterr())
+
     def test_element_without_ring_names_the_key(self, jet_files, capsys):
         a = jet_files("a.json", _drop_ring(h3_jet_doc(1, "p")))
         assert main(["mul", a, a]) == 2
@@ -277,6 +322,11 @@ class TestMul:
 
 
 class TestBracket:
+    def test_bracket_too_long_to_print_is_one_line_usage_error(self, jet_files, capsys):
+        a, b = _long_pair(jet_files)
+        assert main(["bracket", a, b]) == 2
+        _assert_too_long(capsys.readouterr())
+
     def test_pointwise_bracket(self, jet_files, capsys):
         a = jet_files("a.json", h3_jet_doc(2, "p", "0"))
         b = jet_files("b.json", h3_jet_doc(2, "q", "0"))

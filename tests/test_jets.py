@@ -185,6 +185,27 @@ def test_readback_refuses_a_curve_above_its_order():
         read_curve(curve, jet_truncate(a, 2))
 
 
+def reference_mul(a: Jet, b: Jet) -> Jet:
+    """The closed form as written: each weighted term scaled on its own,
+    then all terms added."""
+    x, y = a.coords, b.coords
+    z = [x[0] + y[0]]
+    if a.order >= 2:
+        z.append(x[1] + y[1] + bracket(x[0], y[0]))
+    if a.order == 3:
+        cross = bracket(x[0], y[1]) + bracket(x[1], y[0])
+        nested = bracket(x[0] - y[0], bracket(x[0], y[0]))
+        z.append(x[2] + y[2] + cross.scale(Fraction(3, 2)) + nested.scale(Fraction(1, 2)))
+    return Jet(a.algebra, a.signature, a.order, EXP, tuple(z))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_mul_equals_the_closed_form_as_written(order):
+    # plain and Q[d]/(d^3) jets on every built-in algebra, and a generic pair
+    for a, b in curve_pairs(order):
+        assert jet_mul(a, b) == reference_mul(a, b)
+
+
 class TestMul:
     def test_order1_is_addition(self):
         product = jet_mul(h3_jet(1, "p"), h3_jet(1, "q"))
@@ -380,6 +401,20 @@ class TestConstruction:
     def test_order_must_be_an_int(self, order):
         with pytest.raises(JetError):
             jet_make(H3, PLAIN_RING, order, (basis_element(H3, PLAIN_RING, "p"),))
+
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_random_jet_refuses_an_order_before_drawing(self, order):
+        # jet_make's rule and message, and the rng left as it was
+        rng = Random(0)
+        state = rng.getstate()
+        with pytest.raises(JetError) as refused:
+            random_jet(H3, PLAIN_RING, order, rng)
+        with pytest.raises(JetError) as made:
+            jet_make(H3, PLAIN_RING, order, ())
+        assert str(refused.value) == str(made.value) == (
+            f"jet order must be an int 1..3, got {order}"
+        )
+        assert rng.getstate() == state
 
     def test_truncate_range(self):
         for order in (0, 3, True):

@@ -465,6 +465,37 @@ class TestRationalStrings:
         with pytest.raises(SignatureError):
             rational_from_str(value)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1e5000", "0.5", " 1/2 ", "1_000", "1/0", "1/-2", "+1/+2", "",
+         "\u0661", "1" * 5000, "1/" + "1" * 5000],
+        ids=["exponent", "decimal-point", "padded", "underscore",
+             "zero-denominator", "signed-denominator", "plus-denominator", "empty",
+             "non-ascii-digit", "numerator-past-the-digit-limit",
+             "denominator-past-the-digit-limit"],
+    )
+    def test_text_outside_the_grammar_refused(self, text):
+        # "p" or "p/q" in ASCII digits, with an optional sign on p only.
+        # Fraction reads exponents, so "1e5000" was a 5001-digit integer
+        # (and "1e1000000000", not run, would be a 10^9-digit one), and it
+        # reads the decimal, padded and underscore forms too.
+        class CallerError(ValueError):
+            pass
+
+        with pytest.raises(CallerError):
+            rational_from_str(text, CallerError)
+        with pytest.raises(SignatureError):
+            rational_from_str(text)
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("+3", 3), ("-0", 0), ("007/014", Fraction(1, 2)), ("6/4", Fraction(3, 2)),
+         ("1" * 4300, int("1" * 4300))],
+    )
+    def test_grammar_reads_signs_leading_zeros_and_unreduced_forms(self, text, value):
+        read = rational_from_str(text)
+        assert read == value and read.__class__ is Fraction
+
     def test_str_forms(self):
         assert str(Fraction(1, 2)) == "1/2"
         assert str(Fraction(3)) == "3"
