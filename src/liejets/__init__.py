@@ -32,9 +32,7 @@ _MODULE_EXPORTS = {
                  "matrix_rep", "weil_exp", "weil_log"),
     "catalog": ("resolve_algebra",),
     "report": ("CheckResult", "VerificationReport"),
-    "checks": ("check_def61_vs_bch", "check_def61_vs_matrix", "run_suite",
-               "verify_associativity", "verify_bracket_recovery", "verify_group_axioms",
-               "verify_lemma_631", "verify_theorem_4"),
+    "checks": ("run_suite",),
     "sampling": (),
 }
 

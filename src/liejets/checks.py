@@ -1,4 +1,4 @@
-"""The claim catalog: each claim is a law, and one runner checks every law.
+"""The claim catalog: one table of checks, and one runner that decides them.
 
 A law takes one tuple of inputs and returns ``None`` when its identity holds
 there, or else its evidence, a JSON-ready dict; a law that raises an
@@ -13,16 +13,19 @@ checks a law two ways and stops at the first failure:
   discrepancy decisive; a family of fixed inputs (a Hall basis, an algebra
   to scan) runs as one trial at seed 0.
 
-Every verdict comes from :func:`run_law`.  Each check function pairs a law
-with its inputs and shapes its report entry; ``build_checks`` lists the
-checks per suite and ``run_suite`` runs them into a deterministic report
-ordered by check id.
+Each check is one :data:`Check` row, which names its id, its law, the
+builders of its inputs, its trials and seed, and the detail it reports.
+``ROWS`` is the table of row builders, one per claim; ``build_checks``
+selects a suite's rows, :func:`run_check` builds one row's inputs and judges
+them with :func:`run_law`, and ``run_suite`` runs the rows into a
+deterministic report ordered by check id.
 """
 
 from __future__ import annotations
 
 import platform
 import time
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from operator import add, le
@@ -54,17 +57,9 @@ from .scalars import WeilRing, ring_make
 
 __all__ = [
     "run_law",
-    "verify_theorem_4",
-    "verify_associativity",
-    "verify_lemma_631",
-    "verify_group_axioms",
-    "verify_bracket_recovery",
-    "check_def61_vs_bch",
-    "check_def61_vs_matrix",
-    "struct_witt_dimensions",
-    "struct_jacobi_builtins",
-    "struct_ring_laws",
-    "struct_tower_compatibility",
+    "Check",
+    "run_check",
+    "ROWS",
     "SUITE_NAMES",
     "build_checks",
     "run_suite",
@@ -100,21 +95,6 @@ class Outcome:
     def result(self, check_id: str, detail: dict) -> CheckResult:
         status = PASS if self.counterexample is None else FAIL
         return CheckResult(check_id, status, detail, self.counterexample)
-
-    def by_instance(self, order: int, entry) -> dict:
-        """Detail keyed by instance name, with ``entry(held, status)`` fields
-        for each instance reached, ``held`` being its trials that held; a
-        symbolic failure reaches none."""
-        if not self.instances:
-            return {"symbolic": self.symbolic}
-        failed_at = (self.counterexample or {}).get("trial")
-        return {
-            name: {
-                "algebra": name, "order": order,
-                **entry(failed_at if status == FAIL else self.trials, status),
-            }
-            for name, status in self.instances.items()
-        }
 
 
 def _judge(law, inputs: tuple) -> dict | None:
@@ -160,11 +140,37 @@ def run_law(law, families, trials: int, seed: int, symbolic: tuple | None = None
     return out
 
 
-# -- inputs -------------------------------------------------------------------------
+#: One row of the catalog.  ``families()`` and the optional ``symbolic()``
+#: build the row's inputs, as :func:`run_law` takes them, when the check
+#: runs, so that its seconds include them; ``detail(out, families)`` is the
+#: report's detail for the :class:`Outcome` and the families built.  The
+#: optional ``before`` is a law and a builder of fixed-input families that
+#: must hold before any trial runs; if it fails, its failure is the check's.
+Check = namedtuple("Check", "id law families trials seed detail symbolic before",
+                   defaults=(None, None))
 
 
-def _symbolic(algebra: LieAlgebraSpec, order: int, labels: str, **kwargs) -> tuple:
-    """One fully generic jet per label character, over one shared ring."""
+def run_check(check: Check) -> CheckResult:
+    """The result of one row: its inputs built, then judged by :func:`run_law`."""
+    out = None
+    if check.before is not None:
+        law, build = check.before
+        families = build()
+        out = run_law(law, families, 1, 0)
+    if out is None or out.counterexample is None:
+        families = check.families()
+        symbolic = None if check.symbolic is None else check.symbolic()
+        out = run_law(check.law, families, check.trials, check.seed, symbolic)
+    return out.result(check.id, check.detail(out, families))
+
+
+# -- inputs and details ----------------------------------------------------------
+
+
+def _symbolic(shape: tuple, order: int, labels: str, **kwargs) -> tuple:
+    """One fully generic jet per label character, over one shared ring and
+    the free nilpotent algebra of ``shape`` (generators, class)."""
+    algebra = free_nilpotent(*shape)
     return tuple(symbolic_jet_family(algebra, order, tuple(labels), **kwargs)[1].values())
 
 
@@ -174,11 +180,35 @@ def _jets(algebra, order, count, rng, ring=PLAIN_RING, integer=False) -> tuple:
     )
 
 
-def _jet_families(algebras, order: int, count: int, **kwargs) -> list:
+def _jet_families(algebras, order: int, count: int, generators: tuple = ()) -> list:
+    """One family per algebra, drawing ``count`` jets over Q, or over the
+    ring of ``generators``."""
+    ring = ring_make(generators) if generators else PLAIN_RING
     return [
-        ({"algebra": a.name}, partial(_jets, a, order, count, **kwargs))
+        ({"algebra": a.name}, partial(_jets, a, order, count, ring=ring))
         for a in algebras
     ]
+
+
+def _fixed(label: dict, *inputs) -> tuple:
+    """A family whose one draw is ``inputs``, whatever the rng."""
+    return label, lambda rng: inputs
+
+
+def _per_instance(order: int, keys: tuple, out: Outcome, families) -> dict:
+    """Detail keyed by the name of each instance reached, with its name, the
+    ``order`` and the ``keys`` of: the symbolic verdict, the trials asked,
+    the ``random_trials`` that held and the instance's verdict as its
+    ``expected_form``.  A symbolic failure reaches no instance."""
+    if not out.instances:
+        return {"symbolic": out.symbolic}
+    detail = {}
+    for name, status in out.instances.items():
+        held = out.counterexample["trial"] if status == FAIL else out.trials
+        fields = {"symbolic": out.symbolic, "trials": out.trials,
+                  "random_trials": held, "expected_form": status}
+        detail[name] = {"algebra": name, "order": order, **{k: fields[k] for k in keys}}
+    return detail
 
 
 # -- Theorem 4 ----------------------------------------------------------------------
@@ -195,26 +225,21 @@ def exp_product_holds(weights: tuple, xs: list, ys: list) -> dict | None:
     }
 
 
-def _images(rep: MatrixRep, ring: WeilRing, order: int, rng: Random) -> tuple:
-    """Images of 2 * ``order`` random integer elements: the X_i, then the Y_i."""
+def _images(weights: tuple, ring: WeilRing, rep: MatrixRep, rng: Random) -> tuple:
+    """The n weights, then the images of 2n random integer elements over
+    their ring: the X_i, then the Y_i."""
+    n = len(weights)
     mats = [
         rep.realize(random_element(rep.algebra, ring, rng, integer=True))
-        for _ in range(2 * order)
+        for _ in range(2 * n)
     ]
-    return mats[:order], mats[order:]
+    return weights, mats[:n], mats[n:]
 
 
-def verify_theorem_4(order: int, reps: list, trials: int, seed: int) -> CheckResult:
-    """Exp-product identities over Q[d_1..d_n]/(d_i^2), as exact matrix
-    identities, on random integer-coordinate elements of each representation."""
+def _theorem_4_families(order: int, reps: list) -> list:
     weights = exp_weights(order)
     ring = WeilRing(weights[0].signature)
-    families = [
-        ({"algebra": r.algebra.name}, partial(_images, r, ring, order)) for r in reps
-    ]
-    out = run_law(partial(exp_product_holds, weights), families, trials, seed)
-    detail = out.by_instance(order, lambda held, status: {"trials": trials})
-    return out.result(f"thm-4.{order}", detail)
+    return [({"algebra": r.algebra.name}, partial(_images, weights, ring, r)) for r in reps]
 
 
 # -- Section 6: associativity ----------------------------------------------------
@@ -232,22 +257,10 @@ def associative(a: Jet, b: Jet, c: Jet) -> dict | None:
     }
 
 
-def verify_associativity(order: int, algebras: list[LieAlgebraSpec], trials: int,
-                         seed: int) -> CheckResult:
-    """Associativity: symbolic over free-nilpotent(3,3), then seeded random
-    triples in every given algebra."""
-    out = run_law(
-        associative, _jet_families(algebras, order, 3), trials, seed,
-        symbolic=_symbolic(free_nilpotent(3, 3), order, "abc"),
-    )
-    detail = {"order": order, "symbolic_algebra": "free-nilpotent(3,3)",
-              "symbolic": out.symbolic}
-    if out.instances:
-        detail["random"] = {
-            name: {"trials": trials, "status": status}
-            for name, status in out.instances.items()
-        }
-    return out.result(f"thm-6.{order}", detail)
+def _associativity_detail(order: int, out: Outcome, families) -> dict:
+    random = {name: {"trials": out.trials, "status": s} for name, s in out.instances.items()}
+    return {"order": order, "symbolic_algebra": "free-nilpotent(3,3)",
+            "symbolic": out.symbolic, **({"random": random} if random else {})}
 
 
 def cubic_identity(x, y, z) -> dict | None:
@@ -261,14 +274,10 @@ def cubic_identity(x, y, z) -> dict | None:
     return None if expr.is_zero() else {"residual": expr.to_json()}
 
 
-def verify_lemma_631() -> CheckResult:
-    """:func:`cubic_identity` on the generators of free-nilpotent(3,3); the
-    expression is multilinear, so vanishing there settles it for all elements
-    everywhere."""
+def _free_generators() -> tuple:
+    """x, y and z of free-nilpotent(3,3), over Q."""
     algebra = free_nilpotent(3, 3)
-    gens = tuple(basis_element(algebra, PLAIN_RING, name) for name in "xyz")
-    out = run_law(cubic_identity, (), 1, 0, symbolic=gens)
-    return out.result("lemma-6.3.1", {"algebra": algebra.name})
+    return tuple(basis_element(algebra, PLAIN_RING, name) for name in "xyz")
 
 
 def _agrees(engine: str, product: Jet, a: Jet, b: Jet) -> dict | None:
@@ -289,21 +298,6 @@ def series_agrees(a: Jet, b: Jet) -> dict | None:
     return _agrees("series", bch_mul(a, b), a, b)
 
 
-def check_def61_vs_bch(order: int, algebras: list[LieAlgebraSpec], trials: int,
-                       seed: int) -> CheckResult:
-    """Closed-form product vs. series product: one fully generic symbolic
-    comparison over free-nilpotent(2, order), then seeded random rational
-    comparisons over each algebra.  Exact equality everywhere."""
-    out = run_law(
-        series_agrees, _jet_families(algebras, order, 2), trials, seed,
-        symbolic=_symbolic(free_nilpotent(2, order), order, "ab"),
-    )
-    detail = out.by_instance(order, lambda held, status: {
-        "symbolic": out.symbolic, "random_trials": held,
-    })
-    return out.result(f"def6.1-vs-bch-n{order}", detail)
-
-
 def matrix_agrees(rep: MatrixRep, a: Jet, b: Jet) -> dict | None:
     """The closed-form product equals the product that ``matrix_mul`` reads
     back from log(exp(A) exp(B)) in ``rep``."""
@@ -312,17 +306,6 @@ def matrix_agrees(rep: MatrixRep, a: Jet, b: Jet) -> dict | None:
 
 def _rep_jets(rep: MatrixRep, order: int, rng: Random) -> tuple:
     return (rep, *_jets(rep.algebra, order, 2, rng, integer=True))
-
-
-def check_def61_vs_matrix(order: int, reps: list, trials: int, seed: int) -> CheckResult:
-    """Closed-form product vs. matrix exp/log over Q[d]/(d^{order+1}), on
-    random integer-coordinate jets of each representation's algebra."""
-    families = [
-        ({"algebra": r.algebra.name}, partial(_rep_jets, r, order)) for r in reps
-    ]
-    out = run_law(matrix_agrees, families, trials, seed)
-    detail = out.by_instance(order, lambda held, status: {"trials": trials})
-    return out.result(f"def6.1-vs-matrix-n{order}", detail)
 
 
 # -- Section 7: group axioms and bracket recovery ---------------------------------
@@ -341,23 +324,6 @@ def unit_and_inverse(*jets: Jet) -> dict | None:
             continue
         return {"order": a.order, "axiom": axiom, "a": a.to_json()}
     return None
-
-
-def verify_group_axioms(algebras: list[LieAlgebraSpec], orders: tuple, trials: int,
-                        seed: int) -> CheckResult:
-    """Unit and inverse laws: symbolically over free-nilpotent(2,3) and on
-    seeded random jets of every order in every given algebra."""
-    families = [
-        ({"algebra": a.name, "order": n}, partial(_jets, a, n, 1))
-        for a in algebras
-        for n in orders
-    ]
-    generic = tuple(_symbolic(free_nilpotent(2, 3), n, "a")[0] for n in orders)
-    out = run_law(unit_and_inverse, families, trials, seed, symbolic=generic)
-    detail = {"orders": list(orders), "trials": trials, "symbolic": out.symbolic}
-    if out.instances:
-        detail["random"] = out.instances
-    return out.result("thm-7.0", detail)
 
 
 def bracket_recovered(a_raw: Jet, b_raw: Jet) -> dict | None:
@@ -392,19 +358,8 @@ def bracket_recovered(a_raw: Jet, b_raw: Jet) -> dict | None:
     }
 
 
-def verify_bracket_recovery(order: int, algebras: list[LieAlgebraSpec], trials: int,
-                            seed: int) -> CheckResult:
-    """Group commutator of square-zero-scaled jets recovers the jet bracket:
-    symbolic over free-nilpotent(2,3) with fully generic coefficients, then
-    seeded random trials over each algebra (see :func:`bracket_recovered`)."""
-    square_zero = (("e1", 1), ("e2", 1))
-    generic = _symbolic(free_nilpotent(2, 3), order, "ab", extra_generators=square_zero)
-    families = _jet_families(algebras, order, 2, ring=ring_make(square_zero))
-    out = run_law(bracket_recovered, families, trials, seed, symbolic=generic)
-    detail = out.by_instance(order, lambda held, status: {
-        "symbolic": out.symbolic, "random_trials": held, "expected_form": status,
-    })
-    return out.result(f"thm-7.{order}", detail)
+#: The square-zero generators that scale the jets of :func:`bracket_recovered`.
+_SQUARE_ZERO = (("e1", 1), ("e2", 1))
 
 
 # -- structural checks ---------------------------------------------------------------
@@ -412,11 +367,6 @@ def verify_bracket_recovery(order: int, algebras: list[LieAlgebraSpec], trials: 
 
 def _mobius(n: int) -> int:
     return {1: 1, 2: -1, 3: -1}[n]
-
-
-def _fixed(label: dict, *inputs) -> tuple:
-    """A family whose one draw is ``inputs``, whatever the rng."""
-    return label, lambda rng: inputs
 
 
 def _by_degree(spec: LieAlgebraSpec, cls: int) -> list:
@@ -434,22 +384,17 @@ def witt_dimensions_hold(spec: LieAlgebraSpec, generators: int, cls: int) -> dic
     return None if got == want else {"got": got, "want": [str(w) for w in want]}
 
 
-def struct_witt_dimensions() -> CheckResult:
-    """Hall basis sizes per degree match the necklace-count formula."""
+def _witt_families() -> list:
     cases = [(free_nilpotent(m, c), m, c) for m in range(1, 4) for c in range(1, 4)]
-    families = [_fixed({"algebra": spec.name}, spec, m, c) for spec, m, c in cases]
-    out = run_law(witt_dimensions_hold, families, 1, 0)
-    detail = {spec.name: {"dim": spec.dim, "by_degree": _by_degree(spec, c)}
-              for spec, _, c in cases}
-    return out.result("struct-witt-dimensions", detail)
+    return [_fixed({"algebra": case[0].name}, *case) for case in cases]
 
 
-def struct_jacobi_builtins() -> CheckResult:
-    """Every cataloged algebra satisfies the Jacobi identity on basis triples."""
-    specs = default_verification_algebras() + [free_nilpotent(3, 3)]
-    families = [_fixed({"algebra": spec.name}, spec) for spec in specs]
-    out = run_law(validate_algebra, families, 1, 0)
-    return out.result("struct-jacobi-builtins", out.instances)
+def _witt_detail(out: Outcome, families) -> dict:
+    """Each Hall basis's dimension and size per degree, read off its family's
+    fixed inputs."""
+    cases = (draw(None) for _, draw in families)
+    return {spec.name: {"dim": spec.dim, "by_degree": _by_degree(spec, c)}
+            for spec, _, c in cases}
 
 
 def _dense_product(a, b) -> dict:
@@ -487,11 +432,16 @@ def generator_orders_hold(ring: WeilRing) -> dict | None:
     return None
 
 
-def ring_laws_hold(a, b, c) -> dict | None:
-    """The product against a dense reference, ring axioms and canonical
-    storage on three scalars of one ring."""
+def ring_laws_hold(a, b, c, drawn: list) -> dict | None:
+    """On three scalars of one ring and the term tables they were built
+    from: each reads back as its table without zeros, the product agrees
+    with a dense reference, the ring axioms hold and storage is canonical."""
     total, product = a + b, a * b
     laws = {
+        "round trip": all(
+            s.coefficients() == {v: x for v, x in terms.items() if x}
+            for s, terms in zip((a, b, c), drawn)
+        ),
         "dense product": product.coefficients() == _dense_product(a, b),
         "add-assoc": total + c == a + (b + c),
         "add-comm": total == b + a,
@@ -509,32 +459,20 @@ def ring_laws_hold(a, b, c) -> dict | None:
 
 
 def _scalars(ring: WeilRing, rng: Random) -> tuple:
-    """Three random scalars of three random terms each."""
-    scalars = []
+    """Three random scalars of three random terms each, then the list of
+    the term tables they were built from."""
+    drawn = []
     for _ in range(3):
         terms = {}
         for _ in range(3):
             vec = tuple(rng.randint(0, m) for m in ring.signature.orders)
             terms[vec] = terms.get(vec, Fraction(0)) + random_rational(rng)
-        scalars.append(ring.scalar(terms))
-    return tuple(scalars)
+        drawn.append(terms)
+    return (*map(ring.scalar, drawn), drawn)
 
 
-def struct_ring_laws(trials: int, seed: int) -> CheckResult:
-    """Nilpotency and exact order once per ring, which involve no scalar
-    but the generators; then, only if they hold, ring axioms, the dense
-    product and canonical storage on seeded random scalars."""
-    rings = [
-        ring_make((("d", 3),)),
-        ring_make((("e1", 1), ("e2", 1))),
-        ring_make((("d", 2), ("e", 1))),
-    ]
-    detail = {"rings": [repr(r) for r in rings], "trials": trials}
-    out = run_law(generator_orders_hold, [_fixed({"ring": repr(r)}, r) for r in rings], 1, 0)
-    if out.counterexample is None:
-        families = [({"ring": repr(r)}, partial(_scalars, r)) for r in rings]
-        out = run_law(ring_laws_hold, families, trials, seed)
-    return out.result("struct-ring-laws", detail)
+#: The generators of each ring that the ring laws check.
+_RINGS = ((("d", 3),), (("e1", 1), ("e2", 1)), (("d", 2), ("e", 1)))
 
 
 def tower_commutes(a: Jet, b: Jet) -> dict | None:
@@ -547,12 +485,75 @@ def tower_commutes(a: Jet, b: Jet) -> dict | None:
     return None
 
 
-def struct_tower_compatibility(algebras: list[LieAlgebraSpec], trials: int,
-                               seed: int) -> CheckResult:
-    """Truncating a product equals multiplying the truncations, on seeded
-    random order-3 jets in every given algebra."""
-    out = run_law(tower_commutes, _jet_families(algebras, 3, 2), trials, seed)
-    return out.result("struct-tower-compatibility", {"trials": trials, **out.instances})
+# -- the table -------------------------------------------------------------------
+
+#: The row builder of each claim, by check id; a key ending in "." or "n" is
+#: the prefix of one check per order n.  Instances are algebras, or
+#: representations for Theorem 4 and the matrix comparison.
+ROWS = {
+    # exp-product identities over Q[d_1..d_n]/(d_i^2), on seeded integer elements
+    "thm-4.": lambda n, reps, trials, seed: Check(
+        f"thm-4.{n}", exp_product_holds, partial(_theorem_4_families, n, reps),
+        trials, seed, partial(_per_instance, n, ("trials",))),
+    # associativity: symbolic over free-nilpotent(3,3), then seeded triples
+    "thm-6.": lambda n, algebras, trials, seed: Check(
+        f"thm-6.{n}", associative, partial(_jet_families, algebras, n, 3),
+        trials, seed, partial(_associativity_detail, n),
+        partial(_symbolic, (3, 3), n, "abc")),
+    # the cubic identity, multilinear, on the generators of free-nilpotent(3,3)
+    "lemma-6.3.1": lambda: Check(
+        "lemma-6.3.1", cubic_identity, list, 1, 0,
+        lambda out, families: {"algebra": "free-nilpotent(3,3)"}, _free_generators),
+    # unit and inverse laws: symbolic over free-nilpotent(2,3), then seeded jets
+    "thm-7.0": lambda orders, algebras, trials, seed: Check(
+        "thm-7.0", unit_and_inverse,
+        lambda: [({"algebra": a.name, "order": n}, partial(_jets, a, n, 1))
+                 for a in algebras for n in orders],
+        trials, seed,
+        lambda out, families: {"orders": list(orders), "trials": trials,
+                               "symbolic": out.symbolic,
+                               **({"random": out.instances} if out.instances else {})},
+        lambda: tuple(_symbolic((2, 3), n, "a")[0] for n in orders)),
+    # square-zero-scaled group commutators recover the bracket: symbolic, then seeded
+    "thm-7.": lambda n, algebras, trials, seed: Check(
+        f"thm-7.{n}", bracket_recovered, partial(_jet_families, algebras, n, 2, _SQUARE_ZERO),
+        trials, seed,
+        partial(_per_instance, n, ("symbolic", "random_trials", "expected_form")),
+        partial(_symbolic, (2, 3), n, "ab", extra_generators=_SQUARE_ZERO)),
+    # closed form vs. series: symbolic over free-nilpotent(2,n), then seeded pairs
+    "def6.1-vs-bch-n": lambda n, algebras, trials, seed: Check(
+        f"def6.1-vs-bch-n{n}", series_agrees, partial(_jet_families, algebras, n, 2),
+        trials, seed, partial(_per_instance, n, ("symbolic", "random_trials")),
+        partial(_symbolic, (2, n), n, "ab")),
+    # closed form vs. matrix exp/log over Q[d]/(d^(n+1)), on seeded integer pairs
+    "def6.1-vs-matrix-n": lambda n, reps, trials, seed: Check(
+        f"def6.1-vs-matrix-n{n}", matrix_agrees,
+        lambda: [({"algebra": r.algebra.name}, partial(_rep_jets, r, n)) for r in reps],
+        trials, seed, partial(_per_instance, n, ("trials",))),
+    # Hall basis sizes per degree match the necklace-count formula
+    "struct-witt-dimensions": lambda: Check(
+        "struct-witt-dimensions", witt_dimensions_hold, _witt_families, 1, 0, _witt_detail),
+    # every cataloged algebra satisfies the Jacobi identity on basis triples
+    "struct-jacobi-builtins": lambda: Check(
+        "struct-jacobi-builtins", validate_algebra,
+        lambda: [_fixed({"algebra": spec.name}, spec)
+                 for spec in default_verification_algebras() + [free_nilpotent(3, 3)]],
+        1, 0, lambda out, families: out.instances),
+    # nilpotency and exact order once per ring; then, if they hold, the round
+    # trip, dense product, ring axioms and canonical storage on seeded scalars
+    "struct-ring-laws": lambda trials, seed: Check(
+        "struct-ring-laws", ring_laws_hold,
+        lambda: [({"ring": repr(r)}, partial(_scalars, r)) for r in map(ring_make, _RINGS)],
+        trials, seed,
+        lambda out, families: {"rings": [label["ring"] for label, _ in families],
+                               "trials": trials},
+        before=(generator_orders_hold,
+                lambda: [_fixed({"ring": repr(r)}, r) for r in map(ring_make, _RINGS)])),
+    # truncating an order-3 product equals multiplying the truncations
+    "struct-tower-compatibility": lambda algebras, trials, seed: Check(
+        "struct-tower-compatibility", tower_commutes, partial(_jet_families, algebras, 3, 2),
+        trials, seed, lambda out, families: {"trials": trials, **out.instances}),
+}
 
 
 # -- suites ---------------------------------------------------------------------------
@@ -565,7 +566,8 @@ def build_checks(
     trials: int = 100,
     seed: int = 0,
 ) -> list:
-    """List of (check id, thunk) for one suite, in catalog order.
+    """List of (check id, thunk) for one suite, in catalog order; each thunk
+    is :func:`run_check` on one row of ``ROWS``.
 
     ``algebras`` overrides the default random-trial algebra sets; checks that
     need a matrix representation then require every override to have one.
@@ -584,33 +586,26 @@ def build_checks(
     pair = algebras or [resolve_algebra("h3"), resolve_algebra("sl2")]
     triple = algebras or [resolve_algebra(name) for name in BUILTIN_REP_NAMES]
 
-    def per_order(prefix: str, check, instances: list) -> list:
-        return [
-            (f"{prefix}{n}", partial(check, n, instances, trials, seed)) for n in orders
-        ]
+    def per_order(prefix: str, instances: list) -> list:
+        return [ROWS[prefix](n, instances, trials, seed) for n in orders]
 
     rows: list = []
     if suite in ("all", "s4"):
-        rows += per_order("thm-4.", verify_theorem_4, [builtin_rep(a.name) for a in pair])
+        rows += per_order("thm-4.", [builtin_rep(a.name) for a in pair])
     if suite in ("all", "s6"):
-        rows += per_order("thm-6.", verify_associativity, every)
+        rows += per_order("thm-6.", every)
         if order in (None, 3):
-            rows.append(("lemma-6.3.1", verify_lemma_631))
+            rows.append(ROWS["lemma-6.3.1"]())
     if suite in ("all", "s7"):
-        rows.append(("thm-7.0", partial(verify_group_axioms, every, orders, trials, seed)))
-        rows += per_order("thm-7.", verify_bracket_recovery, pair)
+        rows.append(ROWS["thm-7.0"](orders, every, trials, seed))
+        rows += per_order("thm-7.", pair)
     if suite == "all":
-        rows += per_order("def6.1-vs-bch-n", check_def61_vs_bch, every)
-        reps = [builtin_rep(a.name) for a in triple]
-        rows += per_order("def6.1-vs-matrix-n", check_def61_vs_matrix, reps)
-        rows += [
-            ("struct-witt-dimensions", struct_witt_dimensions),
-            ("struct-jacobi-builtins", struct_jacobi_builtins),
-            ("struct-ring-laws", partial(struct_ring_laws, trials, seed)),
-            ("struct-tower-compatibility",
-             partial(struct_tower_compatibility, every, trials, seed)),
-        ]
-    return rows
+        rows += per_order("def6.1-vs-bch-n", every)
+        rows += per_order("def6.1-vs-matrix-n", [builtin_rep(a.name) for a in triple])
+        rows += [ROWS["struct-witt-dimensions"](), ROWS["struct-jacobi-builtins"](),
+                 ROWS["struct-ring-laws"](trials, seed),
+                 ROWS["struct-tower-compatibility"](every, trials, seed)]
+    return [(row.id, partial(run_check, row)) for row in rows]
 
 
 def run_suite(
@@ -628,12 +623,10 @@ def run_checks(checks: list, seed: int) -> VerificationReport:
     """Run the (check id, thunk) pairs of ``build_checks`` in order and
     assemble the report, ordered by check id."""
     results = []
-    for check_id, thunk in checks:
+    for _, thunk in checks:
         start = time.perf_counter()
         result = thunk()
         result.seconds = time.perf_counter() - start
-        if result.check != check_id:
-            raise RuntimeError(f"check {check_id!r} reported itself as {result.check!r}")
         results.append(result)
     results.sort(key=lambda r: r.check)
     versions = {"liejets": __version__, "python": platform.python_version()}

@@ -444,10 +444,11 @@ def matrix_rep(algebra: LieAlgebraSpec, images: dict) -> MatrixRep:
 
 # The built-in faithful representations: name -> (algebra builder, images).
 _BUILTIN_REPS = {
+    # [p, q] = 2 E13 = z, with a 1/2 for the oracle's rational paths to carry
     "h3": (heisenberg3, {
-        "p": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-        "q": [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-        "z": [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+        "p": [[0, 1, Fraction(1, 2)], [0, 0, 0], [0, 0, 0]],
+        "q": [[0, 0, 0], [0, 0, 2], [0, 0, 0]],
+        "z": [[0, 0, 2], [0, 0, 0], [0, 0, 0]],
     }),
     "sl2": (sl2, {
         "e": [[0, 1], [0, 0]],

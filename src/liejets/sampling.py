@@ -6,11 +6,12 @@ decisive regardless of magnitude.
 
 Generic symbolic jets adjoin one nilpotent coefficient symbol per (jet,
 coordinate slot, basis element) and set each slot to the all-basis linear
-combination of its symbols.  The symbols have nilpotency order 2, and no
-identity checked here raises any single symbol above the second power, so
-equality of two symbolic results is equality of honest polynomial identities
-in the coefficients: it implies the identity for every choice of elements
-over every commutative coefficient ring.
+combination of its symbols.  The symbols have order 3: every symbol sits in
+a slot of degree at least 1 and no law goes above degree 3, so no term holds
+any symbol more than three times and the truncation drops no term.  Equality
+of two symbolic results is then equality of honest polynomial identities in
+the coefficients: it implies the identity for every choice of elements over
+every commutative coefficient ring.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def symbolic_jet_family(
 ) -> tuple[WeilRing, dict[str, Jet]]:
     """One fully generic exp-coordinate jet per label, over a shared ring.
 
-    The ring starts with ``extra_generators`` and then one order-2 symbol per
+    The ring starts with ``extra_generators`` and then one order-3 symbol per
     (label, slot, basis element), named ``{label}{slot}_{k}``.  Slot i of the
     jet for a label is the linear combination of all basis elements with that
     slot's symbols as coefficients.
@@ -88,7 +89,7 @@ def symbolic_jet_family(
     for label in labels:
         for slot in range(1, order + 1):
             for k in range(algebra.dim):
-                gens.append((f"{label}{slot}_{k}", 2))
+                gens.append((f"{label}{slot}_{k}", 3))
     ring = WeilRing(RingSignature(tuple(gens)))
     sig = ring.signature
 

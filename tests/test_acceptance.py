@@ -9,24 +9,17 @@ line, and must finish inside its stated time budget.  Run with
 import time
 
 from liejets.catalog import default_verification_algebras, resolve_algebra
-from liejets.checks import (
-    associative,
-    check_def61_vs_bch,
-    check_def61_vs_matrix,
-    struct_jacobi_builtins,
-    struct_ring_laws,
-    struct_tower_compatibility,
-    struct_witt_dimensions,
-    verify_bracket_recovery,
-    verify_group_axioms,
-    verify_lemma_631,
-    verify_theorem_4,
-)
+from liejets.checks import ROWS, associative, run_check
 from liejets.hall import free_nilpotent
 from liejets.matrices import builtin_rep
 from liejets.sampling import symbolic_jet_family
 
 SEED = 0
+
+
+def passed(key: str, *args) -> bool:
+    """Whether the catalog row that ``ROWS[key]`` builds from ``args`` passes."""
+    return run_check(ROWS[key](*args)).passed
 
 
 def _report(number, description, ok, elapsed, budget):
@@ -54,7 +47,7 @@ def test_criterion_1_associativity_symbolic():
 
 def test_criterion_2_cubic_bracket_identity():
     start = time.perf_counter()
-    ok = verify_lemma_631().passed
+    ok = passed("lemma-6.3.1")
     _report(
         2,
         "cubic bracket identity reduces to zero in free-nilpotent(3,3)",
@@ -70,7 +63,7 @@ def test_criterion_3_group_axioms():
         for name in ("h3", "sl2", "so3", "free-nilpotent(2,3)")
     ]
     start = time.perf_counter()
-    ok = verify_group_axioms(algebras, (1, 2, 3), trials=1000, seed=SEED).passed
+    ok = passed("thm-7.0", (1, 2, 3), algebras, 1000, SEED)
     _report(
         3,
         "unit and inverse laws on 1000 seeded jets per algebra per order",
@@ -85,8 +78,7 @@ def test_criterion_4_series_oracle_agreement():
     ok = True
     for order in (1, 2, 3):
         for algebra in default_verification_algebras():
-            result = check_def61_vs_bch(order, [algebra], trials=1000, seed=SEED)
-            ok = ok and result.passed
+            ok = ok and passed("def6.1-vs-bch-n", order, [algebra], 1000, SEED)
     _report(
         4,
         "closed form matches the truncated series: symbolic in "
@@ -103,7 +95,7 @@ def test_criterion_5_matrix_oracle_agreement():
     for name in ("h3", "sl2", "so3"):
         rep = builtin_rep(name)
         for order in (1, 2, 3):
-            ok = ok and check_def61_vs_matrix(order, [rep], trials=100, seed=SEED).passed
+            ok = ok and passed("def6.1-vs-matrix-n", order, [rep], 100, SEED)
     _report(
         5,
         "closed form matches matrix exp/log for h3, sl2, so3 at orders 1-3, "
@@ -120,7 +112,7 @@ def test_criterion_6_exp_product_identities():
     for name in ("sl2", "h3"):
         rep = builtin_rep(name)
         for n in (1, 2, 3):
-            ok = ok and verify_theorem_4(n, [rep], trials=100, seed=SEED).passed
+            ok = ok and passed("thm-4.", n, [rep], 100, SEED)
     _report(
         6,
         "exp-product identities over Q[d_i]/(d_i^2) for n = 1, 2, 3 on sl2 "
@@ -136,11 +128,8 @@ def test_criterion_7_bracket_recovery():
     ok = True
     for order in (1, 2, 3):
         for name in ("h3", "sl2"):
-            result = verify_bracket_recovery(
-                order, [resolve_algebra(name)], trials=100, seed=SEED
-            )
-            # the driver also pins the order-3 closed form
-            ok = ok and result.passed
+            # the row also pins the order-3 closed form
+            ok = ok and passed("thm-7.", order, [resolve_algebra(name)], 100, SEED)
     _report(
         7,
         "group commutator of square-zero-scaled jets equals the jet bracket "
@@ -153,15 +142,12 @@ def test_criterion_7_bracket_recovery():
 
 def test_criterion_8_structural_suite():
     start = time.perf_counter()
-    witt = struct_witt_dimensions()
-    ok = witt.passed
+    ok = passed("struct-witt-dimensions")
     ok = ok and free_nilpotent(2, 3).dim == 5
     ok = ok and free_nilpotent(3, 3).dim == 14
-    ok = ok and struct_jacobi_builtins().passed
-    ok = ok and struct_ring_laws(trials=100, seed=SEED).passed
-    ok = ok and struct_tower_compatibility(
-        default_verification_algebras(), trials=100, seed=SEED
-    ).passed
+    ok = ok and passed("struct-jacobi-builtins")
+    ok = ok and passed("struct-ring-laws", 100, SEED)
+    ok = ok and passed("struct-tower-compatibility", default_verification_algebras(), 100, SEED)
     _report(
         8,
         "Hall dimensions, Jacobi validation, ring laws, and 3->2->1 tower "

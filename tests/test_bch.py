@@ -8,7 +8,7 @@ import pytest
 import liejets.bch
 from liejets.algebras import abelian, bracket, heisenberg3, sl2
 from liejets.bch import BCH_DEGREE3_TERMS, bch_mul
-from liejets.checks import check_def61_vs_bch
+from liejets.checks import ROWS, run_check
 from liejets.hall import free_nilpotent
 from liejets.jets import JetError, jet_identity, jet_make, jet_mul
 from liejets.sampling import PLAIN_RING, random_jet, symbolic_jet_family
@@ -154,7 +154,7 @@ class TestBchMul:
 class TestAgreementCheck:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_symbolic_and_random_pass(self, order):
-        result = check_def61_vs_bch(order, [H3], trials=25, seed=0)
+        result = run_check(ROWS["def6.1-vs-bch-n"](order, [H3], 25, 0))
         assert result.passed
         assert result.detail["h3"]["symbolic"] == "pass"
         assert result.detail["h3"]["random_trials"] == 25
@@ -165,4 +165,4 @@ class TestAgreementCheck:
 
         for spec in default_verification_algebras():
             for order in (1, 2, 3):
-                assert check_def61_vs_bch(order, [spec], trials=10, seed=3).passed
+                assert run_check(ROWS["def6.1-vs-bch-n"](order, [spec], 10, 3)).passed

@@ -1,4 +1,4 @@
-"""Verification driver tests: drivers, failure reporting, suite assembly."""
+"""Claim catalog tests: the rows, failure reporting, suite assembly."""
 
 import importlib.util
 import json
@@ -6,6 +6,7 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -23,29 +24,28 @@ from liejets.algebras import zero_element
 from liejets.bch import BCH_DEGREE3_TERMS
 from liejets.catalog import resolve_algebra
 from liejets.checks import (
+    ROWS,
     _dense_product,
     associative,
     build_checks,
     ring_laws_hold,
+    run_check,
     run_law,
     run_suite,
-    struct_jacobi_builtins,
-    struct_ring_laws,
-    struct_tower_compatibility,
-    struct_witt_dimensions,
-    verify_associativity,
-    verify_bracket_recovery,
-    verify_group_axioms,
-    verify_lemma_631,
 )
 from liejets.cli import main
 from liejets.hall import free_nilpotent
 from liejets.jets import Jet, JetError, jet_make, jet_mul
 from liejets.matrices import MatrixRep
 from liejets.sampling import PLAIN_RING, symbolic_jet_family
-from liejets.scalars import WeilScalar, ring_make
+from liejets.scalars import WeilScalar, rational_from_str, ring_make
 
 H3 = heisenberg3()
+
+
+def run_row(key: str, *args):
+    """The result of the catalog row that ``ROWS[key]`` builds from ``args``."""
+    return run_check(ROWS[key](*args))
 
 CORRUPTED = make_algebra(
     "h3-corrupted", ("p", "q", "z"), {("p", "q"): [("z", 1)], ("p", "z"): [("p", 1)]}
@@ -59,7 +59,7 @@ class TestAssociativity:
         assert associative(*jets.values()) is None
 
     def test_driver_passes(self):
-        result = verify_associativity(3, [H3, sl2()], trials=20, seed=0)
+        result = run_row("thm-6.", 3, [H3, sl2()], 20, 0)
         assert result.passed
         assert result.check == "thm-6.3"
         assert result.detail["symbolic"] == "pass"
@@ -80,7 +80,7 @@ class TestAssociativity:
         assert left != right
         assert (left.coords[2] - right.coords[2]) == z.scale(-1)
 
-        result = verify_associativity(3, [CORRUPTED], trials=30, seed=0)
+        result = run_row("thm-6.", 3, [CORRUPTED], 30, 0)
         assert not result.passed
         counterexample = result.counterexample
         assert counterexample["algebra"] == "h3-corrupted"
@@ -88,32 +88,40 @@ class TestAssociativity:
 
     def test_bilinearity_alone_gives_order2(self):
         # order 2 associativity never touches the Jacobi identity
-        assert verify_associativity(2, [CORRUPTED], trials=30, seed=0).passed
+        assert run_row("thm-6.", 2, [CORRUPTED], 30, 0).passed
 
     def test_thousand_random_jets_per_builtin(self):
         # 112 triples per order = 1008 seeded jets per algebra
         from liejets.catalog import default_verification_algebras
 
         for order in (1, 2, 3):
-            result = verify_associativity(order, default_verification_algebras(), 112, seed=1)
+            result = run_row("thm-6.", order, default_verification_algebras(), 112, 1)
             assert result.passed, result.counterexample
 
 
+def test_generic_symbols_have_order_3():
+    # every symbol sits in a jet slot of degree at least 1 and no law goes
+    # above degree 3, so at order 3 no truncation drops a term
+    ring, _ = symbolic_jet_family(free_nilpotent(2, 3), 3, ("a", "b"))
+    assert {m for _, m in ring.signature.generators} == {3}
+    assert ring.gen("a1_0") ** 3 != ring.zero
+
+
 def test_lemma_631_reduces_to_zero():
-    result = verify_lemma_631()
+    result = run_row("lemma-6.3.1")
     assert result.passed
     assert result.check == "lemma-6.3.1"
 
 
 class TestGroupAxioms:
     def test_passes_with_defaults(self):
-        result = verify_group_axioms([H3, sl2()], (1, 2, 3), trials=25, seed=0)
+        result = run_row("thm-7.0", (1, 2, 3), [H3, sl2()], 25, 0)
         assert result.passed
         assert result.check == "thm-7.0"
         assert result.detail["symbolic"] == "pass"
 
     def test_single_order_restriction(self):
-        result = verify_group_axioms([H3], (3,), trials=10, seed=0)
+        result = run_row("thm-7.0", (3,), [H3], 10, 0)
         assert result.passed
         assert result.detail["orders"] == [3]
 
@@ -121,19 +129,19 @@ class TestGroupAxioms:
 class TestBracketRecovery:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_symbolic_and_random(self, order):
-        result = verify_bracket_recovery(order, [H3], trials=20, seed=0)
+        result = run_row("thm-7.", order, [H3], 20, 0)
         assert result.passed
         assert result.check == f"thm-7.{order}"
         assert result.detail["h3"]["symbolic"] == "pass"
         assert result.detail["h3"]["expected_form"] == "pass"
 
     def test_sl2_random(self):
-        assert verify_bracket_recovery(3, [sl2()], trials=20, seed=1).passed
+        assert run_row("thm-7.", 3, [sl2()], 20, 1).passed
 
 
 class TestStructural:
     def test_witt(self):
-        result = struct_witt_dimensions()
+        result = run_row("struct-witt-dimensions")
         assert result.passed
         assert result.detail["free-nilpotent(2,3)"] == {"dim": 5, "by_degree": [2, 1, 2]}
         assert result.detail["free-nilpotent(3,3)"] == {"dim": 14, "by_degree": [3, 3, 8]}
@@ -142,7 +150,7 @@ class TestStructural:
         # mu(3) = +1 makes the degree-3 count of one generator (1 + 1) / 3
         real = liejets.checks._mobius
         monkeypatch.setattr(liejets.checks, "_mobius", lambda n: 1 if n == 3 else real(n))
-        result = struct_witt_dimensions()
+        result = run_row("struct-witt-dimensions")
         assert not result.passed
         assert result.counterexample == {
             "algebra": "free-nilpotent(1,3)", "trial": 0,
@@ -151,13 +159,13 @@ class TestStructural:
         assert len(result.detail) == 9
 
     def test_jacobi(self):
-        result = struct_jacobi_builtins()
+        result = run_row("struct-jacobi-builtins")
         assert result.passed
         assert set(result.detail.values()) == {"pass"}
         assert "free-nilpotent(3,3)" in result.detail
 
     def test_ring_laws(self):
-        assert struct_ring_laws(trials=30, seed=0).passed
+        assert run_row("struct-ring-laws", 30, 0).passed
 
     def test_dense_product_drops_exponents_above_their_order(self):
         ring = ring_make((("d", 2), ("e", 1)))
@@ -178,10 +186,11 @@ class TestStructural:
         monkeypatch.setattr(WeilScalar, "__mul__", lambda x, y: (
             ring.zero if real(x, y) == e12 else real(x, y)
         ))
-        assert ring_laws_hold(e1, e2, ring.one)["law"] == "dense product"
+        drawn = [{(1, 0): 1}, {(0, 1): 1}, {(0, 0): 1}]
+        assert ring_laws_hold(e1, e2, ring.one, drawn)["law"] == "dense product"
 
     def test_tower(self):
-        assert struct_tower_compatibility([H3, sl2()], trials=15, seed=0).passed
+        assert run_row("struct-tower-compatibility", [H3, sl2()], 15, 0).passed
 
 
 class TestSuites:
@@ -417,6 +426,38 @@ def test_layout_without_guard_gap_fails_exactly_the_ring_laws(monkeypatch):
     }
 
 
+def _from_terms(shifted: bool, scaled: bool):
+    """``WeilScalar.from_terms``, for valid exponent vectors, with each
+    exponent packed without its field shift (``shifted`` false) or each
+    numerator left over its own denominator (``scaled`` false)."""
+    def from_terms(cls, signature, dense_terms):
+        out = {}
+        for vec, coeff in dense_terms.items():
+            key = 0
+            for g, e in enumerate(vec):
+                key |= e << signature.shifts[g] if shifted else e
+            c = rational_from_str(coeff)
+            if c:
+                out[key] = c
+        den = lcm(*(c.denominator for c in out.values()))
+        numerators = {k: c.numerator * (den // c.denominator if scaled else 1)
+                      for k, c in out.items()}
+        return cls(signature, numerators, den)
+    return classmethod(from_terms)
+
+
+# the scalars that the catalog builds from term tables are those of the ring
+# laws: every other scalar comes from a rational or a generator, so only
+# the round trip sees a table read into the wrong scalar
+@pytest.mark.parametrize("shifted, scaled", [(False, True), (True, False)],
+                         ids=["exponent-unshifted", "numerator-unscaled"])
+def test_misread_term_table_fails_exactly_the_ring_laws(monkeypatch, shifted, scaled):
+    monkeypatch.setattr(WeilScalar, "from_terms", _from_terms(shifted, scaled))
+    failed = failures(run_suite("all", trials=3, seed=0))
+    assert set(failed) == {"struct-ring-laws"}
+    assert failed["struct-ring-laws"].counterexample["law"] == "round trip"
+
+
 # order 1 holds because the order-1 product is linear, and thm-4.* because
 # Theorem 4 holds for any matrices
 WRONG_IMAGE_FAILS = {"def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3"}
@@ -615,6 +656,20 @@ def test_run_law_lets_a_keyboard_interrupt_through():
 
     with pytest.raises(KeyboardInterrupt):
         run_law(law, (), 1, 0, symbolic=())
+
+
+def test_catalog_order_is_the_order_the_benchmark_reads():
+    """``build_checks("all")`` lists the 21 checks in this order, which the
+    benchmark's catalog workload follows to place each check's time."""
+    assert [check_id for check_id, _ in build_checks("all")] == [
+        "thm-4.1", "thm-4.2", "thm-4.3",
+        "thm-6.1", "thm-6.2", "thm-6.3", "lemma-6.3.1",
+        "thm-7.0", "thm-7.1", "thm-7.2", "thm-7.3",
+        "def6.1-vs-bch-n1", "def6.1-vs-bch-n2", "def6.1-vs-bch-n3",
+        "def6.1-vs-matrix-n1", "def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3",
+        "struct-witt-dimensions", "struct-jacobi-builtins",
+        "struct-ring-laws", "struct-tower-compatibility",
+    ]
 
 
 def test_kill_rows_together_fail_every_check():

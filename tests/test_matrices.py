@@ -1,14 +1,16 @@
-"""Matrix oracle tests: exact exp/log, representations, theorem drivers."""
+"""Matrix oracle tests: exact exp/log, representations, the Theorem 4 and
+matrix-comparison rows."""
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 import pytest
 
+import liejets.matrices
 from liejets.algebras import abelian, basis_element, heisenberg3, zero_element
-from liejets.checks import check_def61_vs_matrix, exp_product_holds, verify_theorem_4
+from liejets.checks import ROWS, build_checks, exp_product_holds, run_check
 from liejets.jets import jet_make, jet_mul
 from liejets.matrices import (
     MatrixError,
@@ -23,6 +25,7 @@ from liejets.matrices import (
 )
 from liejets.sampling import PLAIN_RING, random_element, random_jet
 from liejets.scalars import SignatureError, SignatureMismatch, WeilRing, ring_make
+from liejets.scalars import rational_from_str
 
 H3 = heisenberg3()
 
@@ -460,22 +463,25 @@ class TestTheorem4:
     @pytest.mark.parametrize("name", ["sl2", "h3"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_passes(self, name, n):
-        result = verify_theorem_4(n, [builtin_rep(name)], trials=15, seed=0)
+        result = run_check(ROWS["thm-4."](n, [builtin_rep(name)], 15, 0))
         assert result.passed
         assert result.check == f"thm-4.{n}"
 
     def test_h3_instance_matches_frozen_matrix(self):
-        # X1 = p, X2 = 0, Y1 = q, Y2 = 0 over Q[d1,d2]/(d1^2,d2^2):
-        # both sides must equal I + s E12 + s E23 + s^2 E13 with s = d1 + d2,
-        # derived by hand from P^2 = Q^2 = QP = 0 and PQ = E13.
+        # X1 = p, X2 = 0, Y1 = q, Y2 = 0 over Q[d1,d2]/(d1^2,d2^2), with
+        # P = E12 + E13/2, Q = 2 E23, Z = 2 E13 and s = d1 + d2 (s^3 = 0).
+        # P^2 = Q^2 = QP = 0 and PQ = 2 E13, so exp(sP) exp(sQ) is
+        # I + sP + sQ + s^2 PQ; and with M = s(P + Q) + s^2 Z/2, M^2 = 2 s^2 E13
+        # and M^3 = 0, so exp(M) = I + M + M^2/2.  By hand, both sides equal
+        # I + s E12 + 2s E23 + (s/2 + 2 s^2) E13.
         ring = ring_make([("d1", 1), ("d2", 1)])
         s = ring.gen("d1") + ring.gen("d2")
         s2 = s * s
         frozen = WeilMatrix(
             ring.signature,
             (
-                (ring.one, s, s2),
-                (ring.zero, ring.one, s),
+                (ring.one, s, s.scale(Fraction(1, 2)) + s2.scale(2)),
+                (ring.zero, ring.one, s.scale(2)),
                 (ring.zero, ring.zero, ring.one),
             ),
         )
@@ -490,7 +496,7 @@ class TestTheorem4:
 
     def test_order_out_of_range(self):
         with pytest.raises(MatrixError):
-            verify_theorem_4(4, [builtin_rep("sl2")], 1, 0)
+            run_check(ROWS["thm-4."](4, [builtin_rep("sl2")], 1, 0))
 
     @pytest.mark.parametrize("n", [True, 2.0])
     def test_weights_need_an_int_order(self, n):
@@ -528,14 +534,14 @@ class TestDef61VsMatrix:
     @pytest.mark.parametrize("name", ["h3", "sl2", "so3"])
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_passes(self, name, order):
-        result = check_def61_vs_matrix(order, [builtin_rep(name)], trials=15, seed=0)
+        result = run_check(ROWS["def6.1-vs-matrix-n"](order, [builtin_rep(name)], 15, 0))
         assert result.passed
         assert result.check == f"def6.1-vs-matrix-n{order}"
 
 
 #: h3 with p -> 2 E12, q -> E23, z -> 2 E13: the solver reads the p and z
-#: coordinates over denominator 2 (the built-in images all give 1), so a
-#: readback that drops the solver's denominator doubles them.
+#: coordinates over denominator 2, so a readback that drops the solver's
+#: denominator doubles them.
 SCALED_H3_IMAGES = {
     "p": [[0, 2, 0], [0, 0, 0], [0, 0, 0]],
     "q": [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
@@ -574,3 +580,44 @@ class TestMatrixMul:
         a = jet_make(H3, PLAIN_RING, 2, (p, zero))
         with pytest.raises(JetError):
             matrix_mul(a, a, rep)
+
+
+def _integer_cells_unscaled(values):
+    """``matrices._integer_cells`` with each numerator left over its own
+    denominator rather than brought to the common one."""
+    values = [rational_from_str(v, MatrixError) for v in values]
+    return tuple(v.numerator for v in values), lcm(*(v.denominator for v in values))
+
+
+def _linear_combination_without_image_den(in_lcm: bool, in_factor: bool):
+    """``matrices._linear_combination`` with each image's denominator d left
+    out of the shared denominator (``in_lcm`` false) or out of the factor
+    that brings a term to it (``in_factor`` false)."""
+    def combination(signature, size, parts):
+        parts = [p for p in parts if p[0].terms]
+        den = lcm(*(s.den * (d if in_lcm else 1) for s, _, d in parts))
+        cells: dict = {}
+        for s, image, d in parts:
+            f = den // (s.den * (d if in_factor else 1))
+            for k, c in s.terms.items():
+                term = [c * f * e for e in image]
+                acc = cells.get(k)
+                cells[k] = term if acc is None else [x + y for x, y in zip(acc, term)]
+        coeffs = {k: tuple(cell) for k, cell in cells.items() if any(cell)}
+        return liejets.matrices._matrix(signature, size, coeffs, den)
+    return combination
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("_integer_cells", _integer_cells_unscaled),
+    ("_linear_combination", _linear_combination_without_image_den(False, True)),
+    ("_linear_combination", _linear_combination_without_image_den(True, False)),
+], ids=["cells-unscaled", "lcm-without-image-den", "factor-without-image-den"])
+def test_a_misread_rational_image_is_refused_when_the_catalog_loads_h3(
+    monkeypatch, name, mutant
+):
+    # the built-in h3 images carry a 1/2, so a rational path that mishandles
+    # an image's denominator realizes [p, q] and z differently
+    monkeypatch.setattr(liejets.matrices, name, mutant)
+    with pytest.raises(MatrixError, match=r"images violate bracket compatibility on \(p, q\)"):
+        build_checks("all")
