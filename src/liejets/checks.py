@@ -16,9 +16,9 @@ checks a law two ways and stops at the first failure:
 Each check is one :data:`Check` row, which names its id, its law, the
 builders of its inputs, its trials and seed, and the detail it reports.
 ``ROWS`` is the table of row builders, one per claim; ``build_checks``
-selects a suite's rows, :func:`run_check` builds one row's inputs and judges
-them with :func:`run_law`, and ``run_suite`` runs the rows into a
-deterministic report ordered by check id.
+checks the user's input and selects a suite's rows, building nothing;
+:func:`run_check` runs a row's setup (its families), symbolic inputs, then
+trials, all judged; ``run_suite`` runs the rows into a report by check id.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from random import Random
 from . import __version__
 from .algebras import LieAlgebraSpec, basis_element, bracket, validate_algebra
 from .bch import bch_mul
-from .catalog import SUITE_NAMES, default_verification_algebras, resolve_algebra
+from .catalog import BUILTIN_NAMES, SUITE_NAMES, default_verification_algebras, resolve_algebra
 from .hall import free_nilpotent
 from .jets import (
     MONOMIAL,
@@ -67,6 +67,7 @@ __all__ = [
 
 _HALF = Fraction(1, 2)
 _THREE_HALVES = Fraction(3, 2)
+_PAIR = ("h3", "sl2")  # the algebras of thm-4.* and thm-7.1-7.3 without an override
 
 #: Longest error evidence kept from a law that raised.
 MAX_ERROR_CHARS = 200
@@ -92,25 +93,20 @@ class Outcome:
         self.instances: dict = {}
         self.counterexample: dict | None = None
 
-    def result(self, check_id: str, detail: dict) -> CheckResult:
-        status = PASS if self.counterexample is None else FAIL
-        return CheckResult(check_id, status, detail, self.counterexample)
 
-
-def _judge(law, inputs: tuple) -> dict | None:
-    """``law`` on ``inputs``; an ``Exception`` it raises is its failure there,
-    with ``{"error": "<Type>: <message>"}``, cut at ``MAX_ERROR_CHARS``, as
-    evidence.  ``KeyboardInterrupt`` and other non-``Exception``s propagate."""
+def _judge(law, build, *args) -> dict | None:
+    """``law(*build(*args))``, or, if either raises an ``Exception``, the evidence
+    ``{"error": "<Type>: <message>"}`` cut at ``MAX_ERROR_CHARS``.
+    ``KeyboardInterrupt`` and other non-``Exception``s propagate."""
     try:
-        return law(*inputs)
+        return law(*build(*args))
     except Exception as exc:
         return {"error": f"{type(exc).__name__}: {exc}"[:MAX_ERROR_CHARS]}
 
 
-def run_law(law, families, trials: int, seed: int, symbolic: tuple | None = None
-            ) -> Outcome:
-    """Check ``law`` on the ``symbolic`` inputs, then on ``trials`` seeded
-    draws from each family, and stop at the first failure.
+def run_law(law, families, trials: int, seed: int, symbolic=None) -> Outcome:
+    """Check ``law`` on the inputs that ``symbolic()`` builds, then on
+    ``trials`` seeded draws from each family, and stop at the first failure.
 
     ``families`` are (label, draw) pairs: ``label`` is a dict naming the
     instance, whose first value is the instance's name and which is copied
@@ -118,7 +114,8 @@ def run_law(law, families, trials: int, seed: int, symbolic: tuple | None = None
     Each family draws from its own ``Random(seed)``, so no family's inputs
     depend on which families run before it.  A counterexample is the law's
     evidence plus ``"symbolic": True`` or the label and the trial index;
-    a law that raises fails with its error as evidence (see :func:`_judge`).
+    a law, builder or draw that raises fails with its error as evidence
+    (see :func:`_judge`).
     """
     out = Outcome(trials)
     if symbolic is not None:
@@ -132,7 +129,7 @@ def run_law(law, families, trials: int, seed: int, symbolic: tuple | None = None
         out.instances[name] = FAIL
         rng = Random(seed)
         for trial in range(trials):
-            evidence = _judge(law, draw(rng))
+            evidence = _judge(law, draw, rng)
             if evidence is not None:
                 out.counterexample = {**label, "trial": trial, **evidence}
                 return out
@@ -143,25 +140,22 @@ def run_law(law, families, trials: int, seed: int, symbolic: tuple | None = None
 #: One row of the catalog.  ``families()`` and the optional ``symbolic()``
 #: build the row's inputs, as :func:`run_law` takes them, when the check
 #: runs, so that its seconds include them; ``detail(out, families)`` is the
-#: report's detail for the :class:`Outcome` and the families built.  The
-#: optional ``before`` is a law and a builder of fixed-input families that
-#: must hold before any trial runs; if it fails, its failure is the check's.
-Check = namedtuple("Check", "id law families trials seed detail symbolic before",
-                   defaults=(None, None))
+#: report's detail for the :class:`Outcome` and the families built.
+Check = namedtuple("Check", "id law families trials seed detail symbolic", defaults=(None,))
 
 
 def run_check(check: Check) -> CheckResult:
-    """The result of one row: its inputs built, then judged by :func:`run_law`."""
-    out = None
-    if check.before is not None:
-        law, build = check.before
-        families = build()
-        out = run_law(law, families, 1, 0)
-    if out is None or out.counterexample is None:
-        families = check.families()
-        symbolic = None if check.symbolic is None else check.symbolic()
-        out = run_law(check.law, families, check.trials, check.seed, symbolic)
-    return out.result(check.id, check.detail(out, families))
+    """The result of one row: its families built, then judged by :func:`run_law`;
+    a setup that raises fails with ``{"setup": True, "error": ...}``."""
+    families: list = []  # the setup's law keeps the families it is given
+    setup = _judge(families.extend, lambda: (check.families(),))
+    if setup is None:
+        out = run_law(check.law, families, check.trials, check.seed, check.symbolic)
+    else:
+        out = Outcome(check.trials)
+        out.counterexample = {"setup": True, **setup}
+    status = PASS if out.counterexample is None else FAIL
+    return CheckResult(check.id, status, check.detail(out, families), out.counterexample)
 
 
 # -- inputs and details ----------------------------------------------------------
@@ -180,13 +174,13 @@ def _jets(algebra, order, count, rng, ring=PLAIN_RING, integer=False) -> tuple:
     )
 
 
-def _jet_families(algebras, order: int, count: int, generators: tuple = ()) -> list:
-    """One family per algebra, drawing ``count`` jets over Q, or over the
-    ring of ``generators``."""
+def _jet_families(algebras, order, count, generators=(), names=BUILTIN_NAMES) -> list:
+    """One family per algebra, or per algebra of ``names`` when ``algebras``
+    is None, drawing ``count`` jets over Q, or over the ring of ``generators``."""
     ring = ring_make(generators) if generators else PLAIN_RING
     return [
         ({"algebra": a.name}, partial(_jets, a, order, count, ring=ring))
-        for a in algebras
+        for a in algebras or map(resolve_algebra, names)
     ]
 
 
@@ -236,10 +230,11 @@ def _images(weights: tuple, ring: WeilRing, rep: MatrixRep, rng: Random) -> tupl
     return weights, mats[:n], mats[n:]
 
 
-def _theorem_4_families(order: int, reps: list) -> list:
+def _theorem_4_families(order: int, algebras) -> list:
     weights = exp_weights(order)
     ring = WeilRing(weights[0].signature)
-    return [({"algebra": r.algebra.name}, partial(_images, weights, ring, r)) for r in reps]
+    return [({"algebra": a.name}, partial(_images, weights, ring, builtin_rep(a.name)))
+            for a in algebras or map(resolve_algebra, _PAIR)]
 
 
 # -- Section 6: associativity ----------------------------------------------------
@@ -433,9 +428,13 @@ def generator_orders_hold(ring: WeilRing) -> dict | None:
 
 
 def ring_laws_hold(a, b, c, drawn: list) -> dict | None:
-    """On three scalars of one ring and the term tables they were built
-    from: each reads back as its table without zeros, the product agrees
-    with a dense reference, the ring axioms hold and storage is canonical."""
+    """On three scalars of one ring and the term tables they were built from:
+    the ring's generator orders hold, each reads back as its table without
+    zeros, the product agrees with a dense reference, the ring axioms hold
+    and storage is canonical."""
+    orders = generator_orders_hold(WeilRing(a.signature))
+    if orders is not None:
+        return orders
     total, product = a + b, a * b
     laws = {
         "round trip": all(
@@ -488,12 +487,12 @@ def tower_commutes(a: Jet, b: Jet) -> dict | None:
 # -- the table -------------------------------------------------------------------
 
 #: The row builder of each claim, by check id; a key ending in "." or "n" is
-#: the prefix of one check per order n.  Instances are algebras, or
-#: representations for Theorem 4 and the matrix comparison.
+#: the prefix of one check per order n.  ``algebras`` is the override or
+#: None, for the row's own default set, which its families build.
 ROWS = {
     # exp-product identities over Q[d_1..d_n]/(d_i^2), on seeded integer elements
-    "thm-4.": lambda n, reps, trials, seed: Check(
-        f"thm-4.{n}", exp_product_holds, partial(_theorem_4_families, n, reps),
+    "thm-4.": lambda n, algebras, trials, seed: Check(
+        f"thm-4.{n}", exp_product_holds, partial(_theorem_4_families, n, algebras),
         trials, seed, partial(_per_instance, n, ("trials",))),
     # associativity: symbolic over free-nilpotent(3,3), then seeded triples
     "thm-6.": lambda n, algebras, trials, seed: Check(
@@ -508,7 +507,7 @@ ROWS = {
     "thm-7.0": lambda orders, algebras, trials, seed: Check(
         "thm-7.0", unit_and_inverse,
         lambda: [({"algebra": a.name, "order": n}, partial(_jets, a, n, 1))
-                 for a in algebras for n in orders],
+                 for a in algebras or map(resolve_algebra, BUILTIN_NAMES) for n in orders],
         trials, seed,
         lambda out, families: {"orders": list(orders), "trials": trials,
                                "symbolic": out.symbolic,
@@ -516,7 +515,8 @@ ROWS = {
         lambda: tuple(_symbolic((2, 3), n, "a")[0] for n in orders)),
     # square-zero-scaled group commutators recover the bracket: symbolic, then seeded
     "thm-7.": lambda n, algebras, trials, seed: Check(
-        f"thm-7.{n}", bracket_recovered, partial(_jet_families, algebras, n, 2, _SQUARE_ZERO),
+        f"thm-7.{n}", bracket_recovered,
+        partial(_jet_families, algebras, n, 2, _SQUARE_ZERO, _PAIR),
         trials, seed,
         partial(_per_instance, n, ("symbolic", "random_trials", "expected_form")),
         partial(_symbolic, (2, 3), n, "ab", extra_generators=_SQUARE_ZERO)),
@@ -526,9 +526,10 @@ ROWS = {
         trials, seed, partial(_per_instance, n, ("symbolic", "random_trials")),
         partial(_symbolic, (2, n), n, "ab")),
     # closed form vs. matrix exp/log over Q[d]/(d^(n+1)), on seeded integer pairs
-    "def6.1-vs-matrix-n": lambda n, reps, trials, seed: Check(
+    "def6.1-vs-matrix-n": lambda n, algebras, trials, seed: Check(
         f"def6.1-vs-matrix-n{n}", matrix_agrees,
-        lambda: [({"algebra": r.algebra.name}, partial(_rep_jets, r, n)) for r in reps],
+        lambda: [({"algebra": a.name}, partial(_rep_jets, builtin_rep(a.name), n))
+                 for a in algebras or map(resolve_algebra, BUILTIN_REP_NAMES)],
         trials, seed, partial(_per_instance, n, ("trials",))),
     # Hall basis sizes per degree match the necklace-count formula
     "struct-witt-dimensions": lambda: Check(
@@ -539,16 +540,14 @@ ROWS = {
         lambda: [_fixed({"algebra": spec.name}, spec)
                  for spec in default_verification_algebras() + [free_nilpotent(3, 3)]],
         1, 0, lambda out, families: out.instances),
-    # nilpotency and exact order once per ring; then, if they hold, the round
-    # trip, dense product, ring axioms and canonical storage on seeded scalars
+    # nilpotency and exact order, then the round trip, dense product, ring
+    # axioms and canonical storage, on seeded scalars of each ring
     "struct-ring-laws": lambda trials, seed: Check(
         "struct-ring-laws", ring_laws_hold,
         lambda: [({"ring": repr(r)}, partial(_scalars, r)) for r in map(ring_make, _RINGS)],
         trials, seed,
         lambda out, families: {"rings": [label["ring"] for label, _ in families],
-                               "trials": trials},
-        before=(generator_orders_hold,
-                lambda: [_fixed({"ring": repr(r)}, r) for r in map(ring_make, _RINGS)])),
+                               "trials": trials}),
     # truncating an order-3 product equals multiplying the truncations
     "struct-tower-compatibility": lambda algebras, trials, seed: Check(
         "struct-tower-compatibility", tower_commutes, partial(_jet_families, algebras, 3, 2),
@@ -567,13 +566,13 @@ def build_checks(
     seed: int = 0,
 ) -> list:
     """List of (check id, thunk) for one suite, in catalog order; each thunk
-    is :func:`run_check` on one row of ``ROWS``.
+    is :func:`run_check` on one row of ``ROWS``, which builds its own inputs.
 
     ``algebras`` overrides the default random-trial algebra sets; checks that
     need a matrix representation then require every override to have one.
-    Raises ``ValueError`` for an unknown suite, fewer than one trial or an
-    empty ``algebras`` list, so that no suite can pass without running its
-    random trials.
+    Raises ``ValueError`` for an unknown suite, fewer than one trial, an
+    empty ``algebras`` list (no suite may pass without its random trials) or
+    an override without a representation that its suite needs.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -581,30 +580,28 @@ def build_checks(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if algebras is not None and not algebras:
         raise ValueError("the algebras override names no algebra")
+    unrepresented = [a.name for a in algebras or () if a.name not in BUILTIN_REP_NAMES]
+    if unrepresented and suite in ("all", "s4"):
+        raise ValueError(f"no built-in representation for {unrepresented[0]!r}")
     orders = (1, 2, 3) if order is None else (order,)
-    every = algebras or default_verification_algebras()
-    pair = algebras or [resolve_algebra("h3"), resolve_algebra("sl2")]
-    triple = algebras or [resolve_algebra(name) for name in BUILTIN_REP_NAMES]
 
-    def per_order(prefix: str, instances: list) -> list:
-        return [ROWS[prefix](n, instances, trials, seed) for n in orders]
+    def per_order(*prefixes: str) -> list:
+        return [ROWS[p](n, algebras, trials, seed) for p in prefixes for n in orders]
 
     rows: list = []
     if suite in ("all", "s4"):
-        rows += per_order("thm-4.", [builtin_rep(a.name) for a in pair])
+        rows += per_order("thm-4.")
     if suite in ("all", "s6"):
-        rows += per_order("thm-6.", every)
+        rows += per_order("thm-6.")
         if order in (None, 3):
             rows.append(ROWS["lemma-6.3.1"]())
     if suite in ("all", "s7"):
-        rows.append(ROWS["thm-7.0"](orders, every, trials, seed))
-        rows += per_order("thm-7.", pair)
+        rows += [ROWS["thm-7.0"](orders, algebras, trials, seed), *per_order("thm-7.")]
     if suite == "all":
-        rows += per_order("def6.1-vs-bch-n", every)
-        rows += per_order("def6.1-vs-matrix-n", [builtin_rep(a.name) for a in triple])
+        rows += per_order("def6.1-vs-bch-n", "def6.1-vs-matrix-n")
         rows += [ROWS["struct-witt-dimensions"](), ROWS["struct-jacobi-builtins"](),
                  ROWS["struct-ring-laws"](trials, seed),
-                 ROWS["struct-tower-compatibility"](every, trials, seed)]
+                 ROWS["struct-tower-compatibility"](algebras, trials, seed)]
     return [(row.id, partial(run_check, row)) for row in rows]
 
 

@@ -132,13 +132,14 @@ def cmd_mul(args) -> int:
 
             product = bch_mul(a, b)
         else:
-            from .matrices import MatrixError, builtin_rep, matrix_mul
+            from .matrices import BUILTIN_REP_NAMES, MatrixError, builtin_rep, matrix_mul
 
+            if a.algebra.name not in BUILTIN_REP_NAMES:
+                return _fail(f"no built-in representation for {a.algebra.name!r}", USAGE_ERROR)
             try:
-                rep = builtin_rep(a.algebra.name)
-            except MatrixError as exc:
-                return _fail(str(exc), USAGE_ERROR)
-            product = matrix_mul(a, b, rep)
+                product = matrix_mul(a, b, builtin_rep(a.algebra.name))
+            except MatrixError as exc:  # a defect of the oracle or its rep
+                return _fail(str(exc), CHECK_FAILED)
     except (JetError, AlgebraError, SignatureMismatch) as exc:
         return _fail(str(exc), CHECK_FAILED)
     with _printable():
@@ -168,7 +169,7 @@ def cmd_verify(args) -> int:
             return _fail(str(exc), USAGE_ERROR)
     try:
         checks = build_checks(args.suite, algebras, args.order, args.trials, args.seed)
-    except ValueError as exc:  # unknown suite, trials < 1, or no matrix rep (MatrixError)
+    except ValueError as exc:  # unknown suite, trials < 1, or an override without a rep
         return _fail(str(exc), USAGE_ERROR)
     report = run_checks(checks, args.seed)
     _emit(report.to_json(include_timing=not args.no_timing))

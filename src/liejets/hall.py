@@ -8,8 +8,8 @@ smallest word in its own expansion, with coefficient 1), which lets us
 rewrite any bracket of basis elements back into the basis and read off exact
 structure constants.
 
-Only m <= 3 and c <= 3 are supported; that is all the verification drivers
-need and keeps every table tiny.
+Only m <= 3 and c <= 3 are supported; that is all the claim catalog needs
+and keeps every table tiny.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Check results and verification reports.
 
-Every verification driver returns a :class:`CheckResult`; a full run bundles
-them into a :class:`VerificationReport` keyed by check id, so the output
-doubles as a traceability matrix over the claim catalog.
+The runner of the claim catalog returns one :class:`CheckResult` per check;
+a full run bundles them into a :class:`VerificationReport` keyed by check
+id, so the output doubles as a traceability matrix over the catalog.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ import time
 from liejets.catalog import default_verification_algebras, resolve_algebra
 from liejets.checks import ROWS, associative, run_check
 from liejets.hall import free_nilpotent
-from liejets.matrices import builtin_rep
 from liejets.sampling import symbolic_jet_family
 
 SEED = 0
@@ -93,9 +92,9 @@ def test_criterion_5_matrix_oracle_agreement():
     start = time.perf_counter()
     ok = True
     for name in ("h3", "sl2", "so3"):
-        rep = builtin_rep(name)
+        algebra = resolve_algebra(name)
         for order in (1, 2, 3):
-            ok = ok and passed("def6.1-vs-matrix-n", order, [rep], 100, SEED)
+            ok = ok and passed("def6.1-vs-matrix-n", order, [algebra], 100, SEED)
     _report(
         5,
         "closed form matches matrix exp/log for h3, sl2, so3 at orders 1-3, "
@@ -110,9 +109,9 @@ def test_criterion_6_exp_product_identities():
     start = time.perf_counter()
     ok = True
     for name in ("sl2", "h3"):
-        rep = builtin_rep(name)
+        algebra = resolve_algebra(name)
         for n in (1, 2, 3):
-            ok = ok and passed("thm-4.", n, [rep], 100, SEED)
+            ok = ok and passed("thm-4.", n, [algebra], 100, SEED)
     _report(
         6,
         "exp-product identities over Q[d_i]/(d_i^2) for n = 1, 2, 3 on sl2 "

@@ -11,14 +11,16 @@ from pathlib import Path
 
 import pytest
 
+import liejets.algebras
 import liejets.bch
 import liejets.catalog
 import liejets.checks
+import liejets.hall
 import liejets.jets
 import liejets.matrices
 import liejets.scalars
 
-from liejets.algebras import LieAlgebraSpec, LieElement, basis_element, heisenberg3
+from liejets.algebras import LieAlgebraSpec, LieElement, abelian, basis_element, heisenberg3
 from liejets.algebras import make_algebra, sl2
 from liejets.algebras import zero_element
 from liejets.bch import BCH_DEGREE3_TERMS
@@ -292,13 +294,13 @@ def test_other_seeds_reports_match_the_recorded_digests(seed):
 
 def failures(report) -> dict:
     """The report's failing checks by id, each checked to carry a
-    ``run_law`` counterexample: symbolic, or from one trial of one family."""
+    ``run_check`` counterexample: from the setup, symbolic, or from one
+    trial of one family."""
     failed = {c.check: c for c in report.checks if not c.passed}
     for check in failed.values():
         counterexample = check.counterexample
-        assert counterexample.get("symbolic") is True or isinstance(
-            counterexample.get("trial"), int
-        ), check.check
+        assert (counterexample.get("setup") is True or counterexample.get("symbolic") is True
+                or isinstance(counterexample.get("trial"), int)), check.check
     return failed
 
 
@@ -655,21 +657,75 @@ def test_run_law_lets_a_keyboard_interrupt_through():
         raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        run_law(law, (), 1, 0, symbolic=())
+        run_law(law, (), 1, 0, symbolic=tuple)
+
+
+CATALOG_ORDER = [
+    "thm-4.1", "thm-4.2", "thm-4.3",
+    "thm-6.1", "thm-6.2", "thm-6.3", "lemma-6.3.1",
+    "thm-7.0", "thm-7.1", "thm-7.2", "thm-7.3",
+    "def6.1-vs-bch-n1", "def6.1-vs-bch-n2", "def6.1-vs-bch-n3",
+    "def6.1-vs-matrix-n1", "def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3",
+    "struct-witt-dimensions", "struct-jacobi-builtins",
+    "struct-ring-laws", "struct-tower-compatibility",
+]
 
 
 def test_catalog_order_is_the_order_the_benchmark_reads():
     """``build_checks("all")`` lists the 21 checks in this order, which the
     benchmark's catalog workload follows to place each check's time."""
-    assert [check_id for check_id, _ in build_checks("all")] == [
-        "thm-4.1", "thm-4.2", "thm-4.3",
-        "thm-6.1", "thm-6.2", "thm-6.3", "lemma-6.3.1",
-        "thm-7.0", "thm-7.1", "thm-7.2", "thm-7.3",
-        "def6.1-vs-bch-n1", "def6.1-vs-bch-n2", "def6.1-vs-bch-n3",
-        "def6.1-vs-matrix-n1", "def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3",
-        "struct-witt-dimensions", "struct-jacobi-builtins",
-        "struct-ring-laws", "struct-tower-compatibility",
-    ]
+    assert [check_id for check_id, _ in build_checks("all")] == CATALOG_ORDER
+
+
+def _injected(*args, **kwargs):
+    raise RuntimeError("injected fault")
+
+
+def test_build_checks_builds_nothing(monkeypatch):
+    """``build_checks`` checks only its input: with every builder of the
+    rows' algebras, representations and weights broken it still lists the
+    catalog, and still refuses an override without a representation."""
+    for module, name in ((liejets.checks, "builtin_rep"), (liejets.checks, "exp_weights"),
+                         (liejets.catalog, "heisenberg3"), (liejets.hall, "free_nilpotent"),
+                         (liejets.checks, "free_nilpotent")):
+        monkeypatch.setattr(module, name, _injected)
+    assert [check_id for check_id, _ in build_checks("all")] == CATALOG_ORDER
+    with pytest.raises(ValueError, match=r"^no built-in representation for 'abelian\(3\)'$"):
+        build_checks("all", algebras=[abelian(3)])
+
+
+# (objects binding the name, name): a package function on the checked path,
+# replaced in every module that binds it
+FAULT_SITES = [
+    ((liejets.matrices.WeilMatrix,), "__mul__"),
+    ((liejets.algebras, liejets.jets, liejets.bch, liejets.checks, liejets.matrices),
+     "bracket"),
+    ((liejets.checks,), "exp_weights"),
+    ((liejets.checks,), "symbolic_jet_family"),
+    ((liejets.checks,), "random_jet"),
+    ((liejets.checks, liejets.hall), "free_nilpotent"),
+    ((liejets.catalog,), "heisenberg3"),
+]
+
+
+@pytest.mark.parametrize("targets, name", FAULT_SITES, ids=[s[1] for s in FAULT_SITES])
+def test_a_fault_anywhere_on_the_checked_path_ends_in_a_report(
+    monkeypatch, capsys, targets, name
+):
+    """A package function that raises, whether it builds a row's setup, its
+    symbolic inputs or a trial's draw, or runs inside a law, fails the checks
+    that reach it with the error as evidence: ``verify`` prints its report
+    and exits 1, never 2 and never with a traceback."""
+    for target in targets:
+        monkeypatch.setattr(target, name, _injected)
+    assert main(["verify", "--trials", "1", "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert failed
+    for check in failed:
+        assert check["counterexample"]["error"] == "RuntimeError: injected fault", check
 
 
 def test_kill_rows_together_fail_every_check():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from liejets.algebras import MAX_DIMENSION, basis_element, heisenberg3, zero_element
+from liejets.algebras import MAX_DIMENSION, abelian, basis_element, heisenberg3, zero_element
 from liejets.cli import build_parser, main
 from liejets.jets import jet_make
 from liejets.sampling import PLAIN_RING
@@ -262,6 +262,15 @@ class TestMul:
         doc["algebra"] = "g2"
         a = jet_files("a.json", doc)
         assert main(["mul", a, a]) == 2
+
+    def test_matrix_engine_refuses_an_algebra_without_a_rep(self, jet_files, capsys):
+        a3 = abelian(3)
+        doc = jet_make(a3, PLAIN_RING, 1, [basis_element(a3, PLAIN_RING, "a1")]).to_json()
+        a = jet_files("a.json", doc)
+        assert main(["mul", a, a]) == 0
+        capsys.readouterr()
+        assert main(["mul", a, a, "--via", "matrix"]) == 2
+        assert capsys.readouterr().err == "error: no built-in representation for 'abelian(3)'\n"
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -10,7 +10,9 @@ import pytest
 
 import liejets.matrices
 from liejets.algebras import abelian, basis_element, heisenberg3, zero_element
-from liejets.checks import ROWS, build_checks, exp_product_holds, run_check
+from liejets.catalog import resolve_algebra
+from liejets.checks import ROWS, exp_product_holds, run_check, run_suite
+from liejets.cli import main
 from liejets.jets import jet_make, jet_mul
 from liejets.matrices import (
     MatrixError,
@@ -463,7 +465,7 @@ class TestTheorem4:
     @pytest.mark.parametrize("name", ["sl2", "h3"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_passes(self, name, n):
-        result = run_check(ROWS["thm-4."](n, [builtin_rep(name)], 15, 0))
+        result = run_check(ROWS["thm-4."](n, [resolve_algebra(name)], 15, 0))
         assert result.passed
         assert result.check == f"thm-4.{n}"
 
@@ -495,8 +497,14 @@ class TestTheorem4:
         assert rhs == frozen
 
     def test_order_out_of_range(self):
-        with pytest.raises(MatrixError):
-            run_check(ROWS["thm-4."](4, [builtin_rep("sl2")], 1, 0))
+        with pytest.raises(MatrixError, match="order must be the int 1, 2, or 3, got 4"):
+            exp_weights(4)
+        # the row builds its weights in its setup, so the refusal is its failure
+        result = run_check(ROWS["thm-4."](4, [resolve_algebra("sl2")], 1, 0))
+        assert not result.passed
+        assert result.counterexample == {
+            "setup": True, "error": "MatrixError: order must be the int 1, 2, or 3, got 4",
+        }
 
     @pytest.mark.parametrize("n", [True, 2.0])
     def test_weights_need_an_int_order(self, n):
@@ -534,7 +542,7 @@ class TestDef61VsMatrix:
     @pytest.mark.parametrize("name", ["h3", "sl2", "so3"])
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_passes(self, name, order):
-        result = run_check(ROWS["def6.1-vs-matrix-n"](order, [builtin_rep(name)], 15, 0))
+        result = run_check(ROWS["def6.1-vs-matrix-n"](order, [resolve_algebra(name)], 15, 0))
         assert result.passed
         assert result.check == f"def6.1-vs-matrix-n{order}"
 
@@ -608,16 +616,46 @@ def _linear_combination_without_image_den(in_lcm: bool, in_factor: bool):
     return combination
 
 
-@pytest.mark.parametrize("name, mutant", [
+IMAGE_MUTANTS = pytest.mark.parametrize("name, mutant", [
     ("_integer_cells", _integer_cells_unscaled),
     ("_linear_combination", _linear_combination_without_image_den(False, True)),
     ("_linear_combination", _linear_combination_without_image_den(True, False)),
 ], ids=["cells-unscaled", "lcm-without-image-den", "factor-without-image-den"])
+
+#: The checks that build the h3 representation, each in its setup.
+H3_REP_CHECKS = {
+    f"{prefix}{n}" for prefix in ("thm-4.", "def6.1-vs-matrix-n") for n in (1, 2, 3)
+}
+
+
+@IMAGE_MUTANTS
 def test_a_misread_rational_image_is_refused_when_the_catalog_loads_h3(
     monkeypatch, name, mutant
 ):
     # the built-in h3 images carry a 1/2, so a rational path that mishandles
-    # an image's denominator realizes [p, q] and z differently
+    # an image's denominator realizes [p, q] and z differently; the refusal
+    # is a defect of the package, so it fails the checks that load h3
     monkeypatch.setattr(liejets.matrices, name, mutant)
-    with pytest.raises(MatrixError, match=r"images violate bracket compatibility on \(p, q\)"):
-        build_checks("all")
+    report = run_suite("all", trials=3, seed=0)
+    failed = {c.check: c.counterexample for c in report.checks if not c.passed}
+    assert set(failed) == H3_REP_CHECKS
+    for counterexample in failed.values():
+        assert counterexample == {
+            "setup": True,
+            "error": "MatrixError: images violate bracket compatibility on (p, q)",
+        }
+
+
+@IMAGE_MUTANTS
+def test_a_misread_rational_image_fails_the_matrix_engine_with_exit_1(
+    monkeypatch, tmp_path, capsys, name, mutant
+):
+    rng = Random(0)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text(json.dumps(random_jet(H3, PLAIN_RING, 2, rng).to_json()))
+    monkeypatch.setattr(liejets.matrices, name, mutant)
+    assert main(["mul", *map(str, paths), "--via", "matrix"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: images violate bracket compatibility on (p, q)\n"
