@@ -5,7 +5,9 @@ antisymmetry fills in the rest and [b_i, b_i] = 0.  Elements carry coordinate
 vectors of :class:`~liejets.scalars.WeilScalar`, and :func:`bracket` is the
 one place structure constants meet coordinates: it serves plain rational
 elements and elements over nilpotent scalar extensions, the engines, the
-checks and the Jacobi scan of :func:`validate_algebra` alike.
+checks and the Jacobi scan of :func:`validate_algebra` alike.  Each constant is
+the weight of one merge, :func:`~liejets.scalars._signed_sum`, the one sum
+behind ``+``, ``-`` and :meth:`LieElement.add_scaled` as well.
 
 Specs and elements are immutable after construction.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import add, sub
 from typing import Iterable, Mapping
 
 from .scalars import (
@@ -230,21 +231,28 @@ class LieElement:
                 f"{other.signature.generators} cannot mix"
             )
 
-    def _coordinatewise(self, other, op):
-        """``op`` applied to matching coordinates: the one body of +, - and
-        :meth:`add_scaled`."""
+    def add_scaled(self, other, rational) -> "LieElement":
+        """self + rational * other, the one body of ``+`` (rational 1) and
+        ``-`` (rational -1): each coordinate is one merge with the rational
+        as its weight, rather than a sum after a separate rescale."""
         if not isinstance(other, LieElement):
-            return NotImplemented
+            raise TypeError(f"cannot add a scaled {type(other).__name__} to a LieElement")
+        rational = rational_from_str(rational)
+        p, q = rational.numerator, rational.denominator
         self._check_compatible(other)
-        return LieElement(
-            self.algebra, self.signature, tuple(map(op, self.coords, other.coords))
-        )
+        return LieElement(self.algebra, self.signature, tuple(
+            _signed_sum(x, y, p, q) for x, y in zip(self.coords, other.coords)
+        ))
 
     def __add__(self, other):
-        return self._coordinatewise(other, add)
+        if not isinstance(other, LieElement):
+            return NotImplemented
+        return self.add_scaled(other, 1)
 
     def __sub__(self, other):
-        return self._coordinatewise(other, sub)
+        if not isinstance(other, LieElement):
+            return NotImplemented
+        return self.add_scaled(other, -1)
 
     def __neg__(self):
         return LieElement(self.algebra, self.signature, tuple(-a for a in self.coords))
@@ -267,15 +275,6 @@ class LieElement:
         return LieElement(
             self.algebra, self.signature, tuple(c.scale(rational) for c in self.coords)
         )
-
-    def add_scaled(self, other, rational) -> "LieElement":
-        """self + rational * other, with the rational folded into each
-        coordinate's one merge rather than applied by a separate rescale."""
-        if not isinstance(other, LieElement):
-            raise TypeError(f"cannot add a scaled {type(other).__name__} to a LieElement")
-        rational = rational_from_str(rational)
-        p, q = rational.numerator, rational.denominator
-        return self._coordinatewise(other, lambda x, y: _signed_sum(x, y, p, q))
 
     def __eq__(self, other):
         if not isinstance(other, LieElement):
@@ -346,11 +345,13 @@ def basis_element(algebra: LieAlgebraSpec, ring: WeilRing, name: str) -> LieElem
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """Lie bracket [x, y], bilinear over the scalar ring."""
+    """Lie bracket [x, y], bilinear over the scalar ring.  Each structure
+    pair (i, j) forms t = x_i y_j - x_j y_i once, and each of its constants,
+    c in [b_i, b_j] = ... + c b_k + ..., is the weight of the one merge that
+    adds c t to coordinate k."""
     x._check_compatible(y)
     spec = x.algebra
-    zero = WeilScalar(x.signature, {})
-    acc: list = [None] * spec.dim
+    acc = [WeilScalar(x.signature, {})] * spec.dim
     xc, yc = x.coords, y.coords
     for (i, j), entries in spec.structure.items():
         # a product with a zero factor is not formed
@@ -364,12 +365,8 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
         if not t.terms:
             continue
         for k, c in entries:
-            term = t.scale(c)
-            prev = acc[k]
-            acc[k] = term if prev is None else prev + term
-    return LieElement(
-        spec, x.signature, tuple(a if a is not None else zero for a in acc)
-    )
+            acc[k] = _signed_sum(acc[k], t, c.numerator, c.denominator)
+    return LieElement(spec, x.signature, tuple(acc))
 
 
 # -- built-in algebra catalog -------------------------------------------------

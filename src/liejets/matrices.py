@@ -25,7 +25,7 @@ and is validated at load time: the images must be linearly independent, so
 that coordinates can be read back, and the image of every basis bracket must
 equal the commutator of the images.  Built-in representations ship for h3
 (strictly upper triangular 3x3), sl2 (2x2), and so3 (3x3), in one table of
-(algebra builder, images).
+images by catalog name.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, mul
 
-from .algebras import (
-    LieAlgebraSpec, LieElement, basis_element, bracket, heisenberg3, sl2, so3,
-)
+from .algebras import LieAlgebraSpec, LieElement, basis_element, bracket
+from .catalog import resolve_algebra
 from .jets import Jet, JetError, lift_curves, read_curve
 from .scalars import (
     RingSignature,
@@ -442,37 +441,37 @@ def matrix_rep(algebra: LieAlgebraSpec, images: dict) -> MatrixRep:
     return rep
 
 
-# The built-in faithful representations: name -> (algebra builder, images).
-_BUILTIN_REPS = {
+# The images of the built-in faithful representations, by catalog name: each
+# is a representation of the algebra that resolve_algebra builds for the name.
+_BUILTIN_IMAGES = {
     # [p, q] = 2 E13 = z, with a 1/2 for the oracle's rational paths to carry
-    "h3": (heisenberg3, {
+    "h3": {
         "p": [[0, 1, Fraction(1, 2)], [0, 0, 0], [0, 0, 0]],
         "q": [[0, 0, 0], [0, 0, 2], [0, 0, 0]],
         "z": [[0, 0, 2], [0, 0, 0], [0, 0, 0]],
-    }),
-    "sl2": (sl2, {
+    },
+    "sl2": {
         "e": [[0, 1], [0, 0]],
         "f": [[0, 0], [1, 0]],
         "h": [[1, 0], [0, -1]],
-    }),
-    "so3": (so3, {
+    },
+    "so3": {
         "L1": [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
         "L2": [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
         "L3": [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
-    }),
+    },
 }
 
 #: Names with a built-in representation.
-BUILTIN_REP_NAMES = tuple(_BUILTIN_REPS)
+BUILTIN_REP_NAMES = tuple(_BUILTIN_IMAGES)
 
 
 def builtin_rep(name: str) -> MatrixRep:
-    """The built-in faithful representation of a name in BUILTIN_REP_NAMES."""
-    entry = _BUILTIN_REPS.get(name)
-    if entry is None:
+    """The built-in faithful representation of a name in BUILTIN_REP_NAMES,
+    on the algebra :func:`~liejets.catalog.resolve_algebra` builds for it."""
+    if name not in _BUILTIN_IMAGES:
         raise MatrixError(f"no built-in representation for {name!r}")
-    algebra, images = entry
-    return matrix_rep(algebra(), images)
+    return matrix_rep(resolve_algebra(name), _BUILTIN_IMAGES[name])
 
 
 # -- jet multiplication through the matrix group -------------------------------
@@ -525,10 +524,11 @@ def theorem_4_sides(xs, ys, weights) -> tuple[WeilMatrix, WeilMatrix]:
 
     zs = [xs[0] + ys[0]]
     if n >= 2:
-        zs.append(xs[1] + ys[1] + comm(xs[0], ys[0]))
+        comm1 = comm(xs[0], ys[0])  # [X1, Y1], in Z2 and in Z3's nested term
+        zs.append(xs[1] + ys[1] + comm1)
     if n == 3:
         cross = comm(xs[0], ys[1]) + comm(xs[1], ys[0])
-        nested = comm(xs[0] - ys[0], comm(xs[0], ys[0]))
+        nested = comm(xs[0] - ys[0], comm1)
         zs.append((xs[2] + ys[2]).add_scaled(cross, Fraction(3, 2))
                   .add_scaled(nested, Fraction(1, 2)))
     return side(xs) * side(ys), side(zs)

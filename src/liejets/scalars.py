@@ -238,10 +238,11 @@ def _reduced(signature: RingSignature, terms: dict, den: int) -> "WeilScalar":
 
 def _signed_sum(x: "WeilScalar", y: "WeilScalar", p: int, q: int) -> "WeilScalar":
     """x + (p/q) * y for scalars over one ring, integers p and q > 0: the one
-    merge behind ``+`` (p/q = 1), ``-`` (p/q = -1) and the series oracle's
-    weighted sum (``LieElement.add_scaled``).  y's terms, scaled by p and
-    brought with x's to the lcm of ``x.den`` and ``q * y.den``, are merged
-    into a copy of x's, and one reduction makes the result canonical."""
+    merge behind ``+`` (p/q = 1), ``-`` (p/q = -1), every sum of Lie
+    elements (``LieElement.add_scaled``) and each structure constant's term
+    in ``bracket``.  y's terms, scaled by p and brought with x's to the lcm
+    of ``x.den`` and ``q * y.den``, are merged into a copy of x's, and one
+    reduction makes the result canonical."""
     a, b = x.terms, y.terms
     if not b or not p:
         return x

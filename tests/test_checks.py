@@ -487,8 +487,12 @@ def test_wrong_representation_image_fails_exactly_the_matrix_checks_that_see_it(
 
 
 # of the other comparisons only order-3 associativity needs the Jacobi
-# identity, and the matrix checks take the true h3 from builtin_rep
-NON_JACOBI_FAILS = {"struct-jacobi-builtins", "thm-6.3"}
+# identity; the matrix checks build h3 through the catalog too, and the true
+# h3's images cannot represent the broken one, so their setup fails
+NON_JACOBI_REP_FAILS = {
+    f"{prefix}{n}" for prefix in ("thm-4.", "def6.1-vs-matrix-n") for n in (1, 2, 3)
+}
+NON_JACOBI_FAILS = {"struct-jacobi-builtins", "thm-6.3"} | NON_JACOBI_REP_FAILS
 
 
 def test_non_jacobi_structure_constant_fails_the_scan_and_order3_associativity(
@@ -505,6 +509,11 @@ def test_non_jacobi_structure_constant_fails_the_scan_and_order3_associativity(
     assert jacobi["defect"] == {"z": "1"}
     assert failed["thm-6.3"].counterexample["algebra"] == "h3"
     assert isinstance(failed["thm-6.3"].counterexample["trial"], int)
+    for check_id in NON_JACOBI_REP_FAILS:
+        assert failed[check_id].counterexample == {
+            "setup": True,
+            "error": "MatrixError: images violate bracket compatibility on (p, z)",
+        }
 
 
 def _zero_degree_3(j: Jet) -> Jet:

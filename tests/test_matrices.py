@@ -8,8 +8,9 @@ from random import Random
 
 import pytest
 
+import liejets.algebras
 import liejets.matrices
-from liejets.algebras import abelian, basis_element, heisenberg3, zero_element
+from liejets.algebras import abelian, basis_element, heisenberg3, make_algebra, zero_element
 from liejets.catalog import resolve_algebra
 from liejets.checks import ROWS, exp_product_holds, run_check, run_suite
 from liejets.cli import main
@@ -588,6 +589,40 @@ class TestMatrixMul:
         a = jet_make(H3, PLAIN_RING, 2, (p, zero))
         with pytest.raises(JetError):
             matrix_mul(a, a, rep)
+
+
+# sl2 on the basis (e/2, f, h): no catalog algebra has a structure constant
+# that is not an integer, so only this one shows a bracket that loses the
+# constant's denominator; jet_mul and bch_mul share the bracket, the matrix
+# oracle does not
+HALF_E_SL2 = make_algebra("sl2-half-e", ("e", "f", "h"), {
+    ("e", "f"): [("h", Fraction(1, 2))],
+    ("h", "e"): [("e", 2)],
+    ("h", "f"): [("f", -2)],
+})
+HALF_E_SL2_IMAGES = {
+    "e": [[0, Fraction(1, 2)], [0, 0]],
+    "f": [[0, 0], [1, 0]],
+    "h": [[1, 0], [0, -1]],
+}
+
+
+def test_a_fractional_structure_constant_agrees_with_the_matrix_oracle():
+    rep = matrix_rep(HALF_E_SL2, HALF_E_SL2_IMAGES)
+    rng = Random(21)
+    for order in (1, 2, 3):
+        a = random_jet(HALF_E_SL2, PLAIN_RING, order, rng, integer=True)
+        b = random_jet(HALF_E_SL2, PLAIN_RING, order, rng, integer=True)
+        assert matrix_mul(a, b, rep) == jet_mul(a, b)
+
+
+def test_a_bracket_that_drops_the_constants_denominator_is_refused(monkeypatch):
+    real = liejets.algebras._signed_sum
+    monkeypatch.setattr(liejets.algebras, "_signed_sum",
+                        lambda x, y, p, q: real(x, y, p, 1))
+    with pytest.raises(MatrixError,
+                       match=r"^images violate bracket compatibility on \(e, f\)$"):
+        matrix_rep(HALF_E_SL2, HALF_E_SL2_IMAGES)
 
 
 def _integer_cells_unscaled(values):
