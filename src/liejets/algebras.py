@@ -237,9 +237,13 @@ class LieElement:
         as its weight, rather than a sum after a separate rescale."""
         if not isinstance(other, LieElement):
             raise TypeError(f"cannot add a scaled {type(other).__name__} to a LieElement")
-        rational = rational_from_str(rational)
-        p, q = rational.numerator, rational.denominator
-        self._check_compatible(other)
+        if rational.__class__ is int:
+            p, q = rational, 1
+        else:
+            rational = rational_from_str(rational)
+            p, q = rational.numerator, rational.denominator
+        if other.algebra is not self.algebra or other.signature is not self.signature:
+            self._check_compatible(other)
         return LieElement(self.algebra, self.signature, tuple(
             _signed_sum(x, y, p, q) for x, y in zip(self.coords, other.coords)
         ))

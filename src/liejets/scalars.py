@@ -18,6 +18,17 @@ only with a scalar of its ring: a rational enters through ``scale``,
 ``WeilRing.rational`` or the weight of that merge.  ``coefficients()``
 gives the terms as ``Fraction`` values keyed by dense exponent vectors.
 
+The product and the merge each have a one-term branch.  Over plain Q every
+Lie-element coordinate is a single term, and such scalars make most of the
+claim catalog's products and half its merges.  A product of two one-term
+scalars, or a merge of two at one monomial, is one key add (with its guard
+test) or one key lookup, one integer product or cross-multiplied sum, and
+one gcd unless the denominator is 1, building the canonical result
+directly; every other pair of operands goes through the table loop and
+``_reduced``.  The branch is picked by the operands' term counts alone,
+after the early exits for a zero operand, and stores the same canonical
+form as the table path.
+
 A monomial is one non-negative ``int`` with the exponents packed side by
 side (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps,
 and packed exponent vectors", CASC 2007).  Generator g of order m owns a
@@ -242,13 +253,32 @@ def _signed_sum(x: "WeilScalar", y: "WeilScalar", p: int, q: int) -> "WeilScalar
     elements (``LieElement.add_scaled``) and each structure constant's term
     in ``bracket``.  y's terms, scaled by p and brought with x's to the lcm
     of ``x.den`` and ``q * y.den``, are merged into a copy of x's, and one
-    reduction makes the result canonical."""
+    reduction makes the result canonical.  Two one-term operands at one
+    monomial, the plain-Q coordinates of Lie elements, skip the table: their
+    numerators are cross-multiplied over ``x.den * q * y.den`` and one gcd
+    reduces the sum (none over denominator 1), or it is the zero scalar."""
     a, b = x.terms, y.terms
     if not b or not p:
         return x
     if not a and p == 1 and q == 1:
         return y
     da, db = x.den, y.den * q
+    if len(a) == 1 == len(b):
+        # One term each at one monomial, as every plain-Q coordinate is: one
+        # cross-multiplied sum and one gcd, with no table to copy or reduce.
+        # Reading one key keeps the test cheap for one-term pairs at two
+        # monomials, a third of the merges over symbolic rings.
+        k, = a
+        if k in b:
+            c = a[k] * db + b[k] * p * da
+            if not c:
+                return WeilScalar(x.signature, {})
+            den = da * db
+            if den != 1:
+                g = gcd(c, den)
+                if g != 1:
+                    return WeilScalar(x.signature, {k: c // g}, den // g)
+            return WeilScalar(x.signature, {k: c}, den)
     if da == db:
         den, fb = da, p
         if p == 1 and len(a) < len(b):
@@ -371,6 +401,11 @@ class WeilScalar:
         return _signed_sum(self, other, -1, 1)
 
     def __mul__(self, other):
+        """The truncated product: every pair of terms whose packed keys add
+        without setting a guard bit, summed in a table that ``_reduced``
+        makes canonical.  Two one-term operands, the plain-Q coordinates of
+        Lie elements, skip the table: one key add and guard test, one
+        integer product and one gcd (none over denominator 1)."""
         if other.__class__ is not WeilScalar or other.signature is not self.signature:
             other = self._coerce(other)
             if other is None:
@@ -380,6 +415,21 @@ class WeilScalar:
             return WeilScalar(self.signature, {})
         sig = self.signature
         bias, guard = sig.bias, sig.guard
+        if len(a) == 1 == len(b):
+            # One term each, as every plain-Q coordinate is: one key add and
+            # guard test, one integer product and, as in _reduced, a gcd
+            # only over a denominator other than 1.
+            k1, = a
+            k2, = b
+            k = k1 + k2
+            if (k + bias) & guard:
+                return WeilScalar(sig, {})
+            c, den = a[k1] * b[k2], self.den * other.den
+            if den != 1:
+                g = gcd(c, den)
+                if g != 1:
+                    return WeilScalar(sig, {k: c // g}, den // g)
+            return WeilScalar(sig, {k: c}, den)
         out: dict = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():

@@ -191,6 +191,14 @@ class TestStructural:
         drawn = [{(1, 0): 1}, {(0, 1): 1}, {(0, 0): 1}]
         assert ring_laws_hold(e1, e2, ring.one, drawn)["law"] == "dense product"
 
+    def test_ring_laws_see_a_result_left_unreduced(self, monkeypatch):
+        # with no common factor divided out, an axiom's two sides can differ
+        # in storage alone; the canonical law sees that before any axiom
+        monkeypatch.setattr(liejets.scalars, "gcd", lambda *args: 1)
+        result = run_row("struct-ring-laws", 3, 0)
+        assert not result.passed
+        assert result.counterexample["law"] == "canonical"
+
     def test_tower(self):
         assert run_row("struct-tower-compatibility", [H3, sl2()], 15, 0).passed
 

@@ -296,9 +296,23 @@ class TestConstantTerm:
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
+def exponents_of(ring):
+    return st.tuples(*[st.integers(0, m) for m in ring.signature.orders])
+
+
 def scalars_of(ring):
-    exponents = st.tuples(*[st.integers(0, m) for m in ring.signature.orders])
-    return st.dictionaries(exponents, small_fractions, max_size=4).map(ring.scalar)
+    return st.dictionaries(exponents_of(ring), small_fractions, max_size=4).map(ring.scalar)
+
+
+def one_terms_of(ring):
+    """Two one-term scalars and a third at the first one's monomial: the
+    operands of the one-term branches of the product and the merge, at
+    different monomials or at the same one."""
+    coefficient = small_fractions.filter(bool)
+    return st.tuples(exponents_of(ring), coefficient, exponents_of(ring), coefficient).map(
+        lambda t: (ring.scalar({t[0]: t[1]}), ring.scalar({t[2]: t[3]}),
+                   ring.scalar({t[0]: t[3]}))
+    )
 
 
 @pytest.mark.parametrize("ring", [Q, D3, EE, DE], ids=lambda r: repr(r))
@@ -352,10 +366,12 @@ class TestRingLaws:
     def test_weighted_merge_is_scale_then_add(self, ring, data):
         a = data.draw(scalars_of(ring))
         b = data.draw(scalars_of(ring))
+        u, v, w = data.draw(one_terms_of(ring))
         p = data.draw(st.integers(-6, 6))
         q = data.draw(st.integers(1, 6))
-        # b over a denominator unlike a's, and b / 7 that no q cancels
-        for x, y in ((a, b), (a, b.scale(Fraction(1, 7))), (b, a)):
+        # b over a denominator unlike a's, and b / 7 that no q cancels; u, v
+        # and u, w are one-term pairs, at two monomials or at one
+        for x, y in ((a, b), (a, b.scale(Fraction(1, 7))), (b, a), (u, v), (u, w)):
             got = _signed_sum(x, y, p, q)
             assert got == x + y.scale(Fraction(p, q))
             assert got.coefficients() == naive_poly_sum(
@@ -364,8 +380,9 @@ class TestRingLaws:
             assert all(got.terms.values()) and gcd(got.den, *got.terms.values()) == 1
         # a sum that cancels to zero comes back in canonical form
         if p:
-            zero = _signed_sum(a.scale(Fraction(-p, q)), a, p, q)
-            assert zero.terms == {} and zero.den == 1
+            for x in (a, u):
+                zero = _signed_sum(x.scale(Fraction(-p, q)), x, p, q)
+                assert zero.terms == {} and zero.den == 1
         assert _signed_sum(a, b, 0, q) is a
 
     @settings(max_examples=40, deadline=None)
@@ -373,8 +390,39 @@ class TestRingLaws:
     def test_mul_against_naive_oracle(self, ring, data):
         a = data.draw(scalars_of(ring))
         b = data.draw(scalars_of(ring))
-        expected = naive_poly_mul(a.coefficients(), b.coefficients(), ring.signature.orders)
-        assert a * b == ring.scalar(expected)
+        u, v, w = data.draw(one_terms_of(ring))
+        for x, y in ((a, b), (u, v), (u, w)):
+            expected = naive_poly_mul(x.coefficients(), y.coefficients(), ring.signature.orders)
+            assert x * y == ring.scalar(expected)
+
+
+# (ring, x, y, p, q): one-term operands of the product x * y and the merge
+# x + (p/q) y, each result compared with the naive oracle
+ONE_TERM_CASES = {
+    "same monomial": (D3, {(1,): "3/4"}, {(1,): "5/6"}, 1, 1),
+    "different monomials": (DE, {(1, 0): "2/3"}, {(0, 1): "-9/4"}, 1, 1),
+    # d^2 * d^2 = d^4 = 0 in Q[d]/(d^3); the sum keeps both terms
+    "product killed by truncation": (D2, {(2,): "1/2"}, {(2,): "7"}, 3, 2),
+    # 1/6 d - (3/2)(1/9 d) = 0, over denominator 1
+    "sum cancels to zero": (D3, {(1,): "1/6"}, {(1,): "1/9"}, -3, 2),
+    # 10 shares 2 with x's 4 and 5 with y's 15, and 6 shares 2 and 3
+    "weight shares factors with both denominators": (
+        EE, {(1, 1): "3/4"}, {(1, 1): "7/15"}, 10, 6),
+}
+
+
+@pytest.mark.parametrize("case", ONE_TERM_CASES)
+def test_one_term_branches_against_naive_oracle(case):
+    ring, x, y, p, q = ONE_TERM_CASES[case]
+    x, y = ring.scalar(x), ring.scalar(y)
+    cx, cy = x.coefficients(), y.coefficients()
+    weighted = {vec: c * Fraction(p, q) for vec, c in cy.items()}
+    product = naive_poly_mul(cx, cy, ring.signature.orders)
+    total = naive_poly_sum(cx, weighted, 1)
+    for got, want in ((x * y, product), (_signed_sum(x, y, p, q), total)):
+        assert got.coefficients() == want
+        # literal equality with the canonical form: a zero result is {} over 1
+        assert got == ring.scalar(want)
 
 
 def test_nilpotency_exact():
