@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 #: ``liejets.checks`` works without ``import liejets.checks``.
 _MODULE_EXPORTS = {
     "scalars": ("RingSignature", "SignatureError", "SignatureMismatch",
-                "WeilRing", "WeilScalar", "ring_make"),
+                "WeilScalar", "ring_make"),
     "algebras": ("AlgebraError", "LieAlgebraSpec", "LieElement", "abelian",
                  "basis_element", "bracket", "heisenberg3", "sl2", "so3",
                  "validate_algebra", "zero_element"),

@@ -19,9 +19,9 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .scalars import (
+    PLAIN_RING,
     RingSignature,
     SignatureMismatch,
-    WeilRing,
     WeilScalar,
     _signed_sum,
     rational_from_str,
@@ -191,8 +191,7 @@ def validate_algebra(spec: LieAlgebraSpec) -> dict | None:
     Antisymmetry holds by construction (only i < j brackets are stored), so
     triples i < j < k suffice.
     """
-    ring = WeilRing(RingSignature(()))
-    named = [(b, basis_element(spec, ring, b)) for b in spec.basis]
+    named = [(b, basis_element(spec, PLAIN_RING, b)) for b in spec.basis]
     for (a, x), (b, y), (c, z) in combinations(named, 3):
         jac = (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
                + bracket(z, bracket(x, y)))
@@ -325,8 +324,7 @@ class LieElement:
         if "ring" not in doc:
             raise AlgebraError("an element needs its 'ring'")
         sig = RingSignature.from_json(doc["ring"])
-        zero = WeilScalar(sig, {})
-        coords = [zero] * algebra.dim
+        coords = [sig.zero] * algebra.dim
         for name, scalar_doc in doc.get("coords", {}).items():
             s = WeilScalar.from_json(scalar_doc)
             if s.signature != sig:
@@ -338,14 +336,14 @@ class LieElement:
         return cls(algebra, sig, tuple(coords))
 
 
-def zero_element(algebra: LieAlgebraSpec, ring: WeilRing) -> LieElement:
-    return LieElement(algebra, ring.signature, (ring.zero,) * algebra.dim)
+def zero_element(algebra: LieAlgebraSpec, ring: RingSignature) -> LieElement:
+    return LieElement(algebra, ring, (ring.zero,) * algebra.dim)
 
 
-def basis_element(algebra: LieAlgebraSpec, ring: WeilRing, name: str) -> LieElement:
+def basis_element(algebra: LieAlgebraSpec, ring: RingSignature, name: str) -> LieElement:
     coords = [ring.zero] * algebra.dim
     coords[algebra.index(name)] = ring.one
-    return LieElement(algebra, ring.signature, tuple(coords))
+    return LieElement(algebra, ring, tuple(coords))
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:

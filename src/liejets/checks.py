@@ -28,6 +28,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from math import gcd
 from operator import add, le
 from random import Random
@@ -36,7 +37,7 @@ from . import __version__
 from .algebras import LieAlgebraSpec, basis_element, bracket, validate_algebra
 from .bch import bch_mul
 from .catalog import BUILTIN_NAMES, SUITE_NAMES, default_verification_algebras, resolve_algebra
-from .hall import free_nilpotent
+from .hall import _commutator, expand_tree, free_nilpotent, lyndon_words, standard_bracketing
 from .jets import (
     MONOMIAL,
     Jet,
@@ -54,7 +55,7 @@ from .matrices import matrix_mul, theorem_4_sides
 from .report import FAIL, PASS, CheckResult, VerificationReport
 from .sampling import PLAIN_RING, random_element, random_jet, random_rational
 from .sampling import symbolic_jet_family
-from .scalars import WeilRing, ring_make
+from .scalars import RingSignature, ring_make
 
 __all__ = [
     "run_law",
@@ -220,7 +221,7 @@ def exp_product_holds(weights: tuple, xs: list, ys: list) -> dict | None:
     }
 
 
-def _images(weights: tuple, ring: WeilRing, rep: MatrixRep, rng: Random) -> tuple:
+def _images(weights: tuple, ring: RingSignature, rep: MatrixRep, rng: Random) -> tuple:
     """The n weights, then the images of 2n random integer elements over
     their ring: the X_i, then the Y_i."""
     n = len(weights)
@@ -233,7 +234,7 @@ def _images(weights: tuple, ring: WeilRing, rep: MatrixRep, rng: Random) -> tupl
 
 def _theorem_4_families(order: int, algebras) -> list:
     weights = exp_weights(order)
-    ring = WeilRing(weights[0].signature)
+    ring = weights[0].signature
     return [({"algebra": a.name}, partial(_images, weights, ring, builtin_rep(a.name)))
             for a in algebras or map(resolve_algebra, _PAIR)]
 
@@ -310,7 +311,7 @@ def _rep_jets(rep: MatrixRep, order: int, rng: Random) -> tuple:
 def unit_and_inverse(*jets: Jet) -> dict | None:
     """The zero jet is a two-sided unit and negation a two-sided inverse."""
     for a in jets:
-        identity = jet_identity(a.algebra, WeilRing(a.signature), a.order)
+        identity = jet_identity(a.algebra, a.signature, a.order)
         inv = jet_inverse(a)
         if jet_mul(identity, a) != a or jet_mul(a, identity) != a:
             axiom = "unit"
@@ -329,7 +330,7 @@ def bracket_recovered(a_raw: Jet, b_raw: Jet) -> dict | None:
 
     The jets' ring must have square-zero generators named ``e1`` and ``e2``.
     """
-    ring = WeilRing(a_raw.signature)
+    ring = a_raw.signature
     e1, e2 = ring.gen("e1"), ring.gen("e2")
     a = jet_scale(a_raw, e1)
     b = jet_scale(b_raw, e2)
@@ -371,13 +372,30 @@ def _by_degree(spec: LieAlgebraSpec, cls: int) -> list:
 
 def witt_dimensions_hold(spec: LieAlgebraSpec, generators: int, cls: int) -> dict | None:
     """The Hall basis of free-nilpotent(generators, cls) has, in each degree,
-    as many elements as the necklace-count formula gives."""
+    as many elements as the necklace-count formula gives, and the algebra is
+    free: sending each basis element to the tensor expansion of its Lyndon
+    word's standard bracketing, rebuilt here from the words, takes every
+    basis bracket, zero ones included, to the commutator of the expansions.
+    That map is injective (distinct leading words), which makes the algebra
+    the free nilpotent one (Reutenauer, "Free Lie Algebras", 1993)."""
     got = _by_degree(spec, cls)
     want = [Fraction(sum(_mobius(e) * generators ** (d // e)
                          for e in range(1, d + 1) if d % e == 0), d)
             for d in range(1, cls + 1)]
-    # a necklace total that its degree does not divide is a fractional want
-    return None if got == want else {"got": got, "want": [str(w) for w in want]}
+    if got != want:
+        # a necklace total that its degree does not divide is a fractional want
+        return {"got": got, "want": [str(w) for w in want]}
+    expansions = [expand_tree(standard_bracketing(w), cls)
+                  for w in lyndon_words(generators, cls)]
+    for i, j in combinations(range(spec.dim), 2):
+        image: dict = {}
+        for k, c in spec.structure.get((i, j), ()):
+            for word, e in expansions[k].items():
+                image[word] = image.get(word, 0) + c * e
+        image = {w: e for w, e in image.items() if e}
+        if image != _commutator(expansions[i], expansions[j], cls):
+            return {"law": "free", "pair": [spec.basis[i], spec.basis[j]]}
+    return None
 
 
 def _witt_families() -> list:
@@ -411,12 +429,12 @@ def _dense_product(a, b) -> dict:
     return {w: Fraction(n, d) for w, (n, d) in sums.items() if n}
 
 
-def generator_orders_hold(ring: WeilRing) -> dict | None:
+def generator_orders_hold(ring: RingSignature) -> dict | None:
     """Nilpotency and exact order: each generator g of order m has
     g^(m+1) = 0 and g^m != 0.  Every nilpotency is checked before any exact
     order."""
     tops = []
-    for name, m in ring.signature.generators:
+    for name, m in ring.generators:
         g = ring.gen(name)
         top = g ** m
         if top * g != ring.zero:
@@ -447,7 +465,7 @@ def ring_laws_hold(a, b, c, drawn: list) -> dict | None:
     guard test).  The axioms compare storage literally, so one whose sides
     differ while either is not canonical is reported as "canonical", not as
     whichever axiom the unreduced storage happens to break."""
-    ring = WeilRing(a.signature)
+    ring = a.signature
     orders = generator_orders_hold(ring)
     if orders is not None:
         return orders
@@ -477,14 +495,14 @@ def ring_laws_hold(a, b, c, drawn: list) -> dict | None:
     return None
 
 
-def _scalars(ring: WeilRing, rng: Random) -> tuple:
+def _scalars(ring: RingSignature, rng: Random) -> tuple:
     """Three random scalars of three random terms each, then the list of
     the term tables they were built from."""
     drawn = []
     for _ in range(3):
         terms = {}
         for _ in range(3):
-            vec = tuple(rng.randint(0, m) for m in ring.signature.orders)
+            vec = tuple(rng.randint(0, m) for m in ring.orders)
             terms[vec] = terms.get(vec, Fraction(0)) + random_rational(rng)
         drawn.append(terms)
     return (*map(ring.scalar, drawn), drawn)
@@ -492,6 +510,11 @@ def _scalars(ring: WeilRing, rng: Random) -> tuple:
 
 #: The generators of each ring that the ring laws check.
 _RINGS = ((("d", 3),), (("e1", 1), ("e2", 1)), (("d", 2), ("e", 1)))
+
+
+def _ring_label(ring: RingSignature) -> str:
+    """A ring's name in the report, as "WeilRing(d^4=0)", or "WeilRing(Q)"."""
+    return f"WeilRing({', '.join(f'{n}^{m + 1}=0' for n, m in ring.generators) or 'Q'})"
 
 
 def tower_commutes(a: Jet, b: Jet) -> dict | None:
@@ -564,7 +587,8 @@ ROWS = {
     # canonical storage and ring axioms, on seeded scalars of each ring
     "struct-ring-laws": lambda trials, seed: Check(
         "struct-ring-laws", ring_laws_hold,
-        lambda: [({"ring": repr(r)}, partial(_scalars, r)) for r in map(ring_make, _RINGS)],
+        lambda: [({"ring": _ring_label(r)}, partial(_scalars, r))
+                 for r in map(ring_make, _RINGS)],
         trials, seed,
         lambda out, families: {"rings": [label["ring"] for label, _ in families],
                                "trials": trials}),

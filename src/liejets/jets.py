@@ -32,9 +32,8 @@ from typing import Iterable, Mapping
 
 from .algebras import AlgebraError, LieAlgebraSpec, LieElement, bracket, zero_element
 from .scalars import (
+    RingSignature,
     SignatureMismatch,
-    WeilRing,
-    WeilScalar,
     json_int,
     join_last_generator,
     split_last_generator,
@@ -131,7 +130,7 @@ def _check_order(order) -> None:
 
 def jet_make(
     algebra: LieAlgebraSpec,
-    ring: WeilRing | None,
+    ring: RingSignature | None,
     order: int,
     coords: Iterable[LieElement],
     system: str = EXP,
@@ -144,7 +143,7 @@ def jet_make(
     coords = tuple(coords)
     if len(coords) != order:
         raise JetError(f"order {order} jet needs {order} coordinates, got {len(coords)}")
-    sig = ring.signature if ring is not None else coords[0].signature
+    sig = ring if ring is not None else coords[0].signature
     for c in coords:
         if c.algebra is not algebra and c.algebra != algebra:
             raise AlgebraError("jet coordinates must belong to one algebra")
@@ -153,7 +152,7 @@ def jet_make(
     return Jet(algebra, sig, order, system, coords)
 
 
-def jet_identity(algebra: LieAlgebraSpec, ring: WeilRing, order: int,
+def jet_identity(algebra: LieAlgebraSpec, ring: RingSignature, order: int,
                  system: str = EXP) -> Jet:
     """The jet with all coordinates zero (the group unit in exp coordinates)."""
     zero = zero_element(algebra, ring)
@@ -240,7 +239,7 @@ def jet_bracket(a: Jet, b: Jet) -> Jet:
     """
     _check_pair(a, b, system=MONOMIAL)
     x, y = a.coords, b.coords
-    zero = zero_element(a.algebra, WeilRing(a.signature))
+    zero = zero_element(a.algebra, a.signature)
     coords = []
     for k in range(1, a.order + 1):
         acc = zero
@@ -314,7 +313,7 @@ def read_curve(x: LieElement, like: Jet) -> Jet:
     parts = [split_last_generator(c, sig, weights) for c in x.coords]
     if any(0 in p for p in parts):
         raise JetError("curve has a nonzero degree-0 component")
-    zero = WeilScalar(sig, {})
+    zero = sig.zero
     coords = tuple(
         LieElement(like.algebra, sig, tuple(p.get(i, zero) for p in parts))
         for i in range(1, like.order + 1)

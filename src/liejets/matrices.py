@@ -38,9 +38,9 @@ from .algebras import LieAlgebraSpec, LieElement, basis_element, bracket
 from .catalog import resolve_algebra
 from .jets import Jet, JetError, lift_curves, read_curve
 from .scalars import (
+    PLAIN_RING,
     RingSignature,
     SignatureMismatch,
-    WeilRing,
     WeilScalar,
     _reduced,
     rational_from_str,
@@ -148,9 +148,9 @@ class WeilMatrix:
         self.size, self.coeffs, self.den = n, m.coeffs, m.den
 
     @classmethod
-    def identity(cls, ring: WeilRing, n: int) -> "WeilMatrix":
+    def identity(cls, ring: RingSignature, n: int) -> "WeilMatrix":
         unit = tuple(int(i == j) for i in range(n) for j in range(n))
-        return _matrix(ring.signature, n, {0: unit} if n else {}, 1)
+        return _matrix(ring, n, {0: unit} if n else {}, 1)
 
     @property
     def rows(self) -> tuple:
@@ -308,12 +308,12 @@ def weil_exp(M: WeilMatrix) -> WeilMatrix:
     if not M.is_scalar_nilpotent():
         raise MatrixError("weil_exp needs every entry to have zero constant term")
     series = _nilpotent_series(M, lambda k: Fraction(1, factorial(k)))
-    return WeilMatrix.identity(WeilRing(M.signature), M.size) + series
+    return WeilMatrix.identity(M.signature, M.size) + series
 
 
 def weil_log(M: WeilMatrix) -> WeilMatrix:
     """(M-I) - (M-I)^2/2 + (M-I)^3/3 - ...; finite for unipotent M."""
-    N = M - WeilMatrix.identity(WeilRing(M.signature), M.size)
+    N = M - WeilMatrix.identity(M.signature, M.size)
     if not N.is_scalar_nilpotent():
         raise MatrixError("weil_log needs M - I to have entries with zero constant term")
     return _nilpotent_series(N, lambda k: Fraction((-1) ** (k + 1), k))
@@ -431,10 +431,9 @@ def matrix_rep(algebra: LieAlgebraSpec, images: dict) -> MatrixRep:
         for name in algebra.basis
     }
     rep = MatrixRep(algebra=algebra, images=mats)
-    q = ring_make(())
     for i, bi in enumerate(algebra.basis):
         for bj in algebra.basis[i + 1:]:
-            x, y = basis_element(algebra, q, bi), basis_element(algebra, q, bj)
+            x, y = (basis_element(algebra, PLAIN_RING, b) for b in (bi, bj))
             X, Y = rep.realize(x), rep.realize(y)
             if X * Y - Y * X != rep.realize(bracket(x, y)):
                 raise MatrixError(f"images violate bracket compatibility on ({bi}, {bj})")

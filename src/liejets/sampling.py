@@ -2,7 +2,10 @@
 
 Random sampling draws small rationals (or small integers for the matrix
 oracle) so that exact arithmetic stays cheap; any nonzero discrepancy is
-decisive regardless of magnitude.
+decisive regardless of magnitude.  Draws are over a ring, the
+:class:`~liejets.scalars.RingSignature` that builds their scalars;
+``PLAIN_RING``, the ring Q, is defined in :mod:`liejets.scalars` and
+re-exported here.
 
 Generic symbolic jets adjoin one nilpotent coefficient symbol per (jet,
 coordinate slot, basis element) and set each slot to the all-basis linear
@@ -21,7 +24,7 @@ from random import Random
 
 from .algebras import LieAlgebraSpec, LieElement
 from .jets import EXP, Jet, _check_order, jet_make
-from .scalars import RingSignature, WeilRing
+from .scalars import PLAIN_RING, RingSignature
 
 __all__ = [
     "random_rational",
@@ -30,10 +33,6 @@ __all__ = [
     "symbolic_jet_family",
     "PLAIN_RING",
 ]
-
-#: The ring of plain rationals (no nilpotent generators).
-PLAIN_RING = WeilRing(RingSignature(()))
-
 
 #: Random rationals are p/q with |p| <= NUMERATOR_BOUND and
 #: 1 <= q <= DENOMINATOR_BOUND; random integer coordinates lie in
@@ -50,17 +49,17 @@ def random_rational(rng: Random) -> Fraction:
     )
 
 
-def random_element(algebra: LieAlgebraSpec, ring: WeilRing, rng: Random,
+def random_element(algebra: LieAlgebraSpec, ring: RingSignature, rng: Random,
                    integer: bool = False) -> LieElement:
     """Element with random small rational (or integer) coordinates."""
     coords = []
     for _ in range(algebra.dim):
         q = rng.randint(-INT_BOUND, INT_BOUND) if integer else random_rational(rng)
         coords.append(ring.rational(q))
-    return LieElement(algebra, ring.signature, tuple(coords))
+    return LieElement(algebra, ring, tuple(coords))
 
 
-def random_jet(algebra: LieAlgebraSpec, ring: WeilRing, order: int, rng: Random,
+def random_jet(algebra: LieAlgebraSpec, ring: RingSignature, order: int, rng: Random,
                integer: bool = False) -> Jet:
     """Exp-coordinate jet with random coordinates, as :func:`random_element`.
     The order is checked before anything is drawn; the coordinates, drawn
@@ -69,7 +68,7 @@ def random_jet(algebra: LieAlgebraSpec, ring: WeilRing, order: int, rng: Random,
     coords = tuple(
         random_element(algebra, ring, rng, integer=integer) for _ in range(order)
     )
-    return Jet(algebra, ring.signature, order, EXP, coords)
+    return Jet(algebra, ring, order, EXP, coords)
 
 
 def symbolic_jet_family(
@@ -77,7 +76,7 @@ def symbolic_jet_family(
     order: int,
     labels: tuple[str, ...],
     extra_generators: tuple[tuple[str, int], ...] = (),
-) -> tuple[WeilRing, dict[str, Jet]]:
+) -> tuple[RingSignature, dict[str, Jet]]:
     """One fully generic exp-coordinate jet per label, over a shared ring.
 
     The ring starts with ``extra_generators`` and then one order-3 symbol per
@@ -90,8 +89,7 @@ def symbolic_jet_family(
         for slot in range(1, order + 1):
             for k in range(algebra.dim):
                 gens.append((f"{label}{slot}_{k}", 3))
-    ring = WeilRing(RingSignature(tuple(gens)))
-    sig = ring.signature
+    ring = RingSignature(tuple(gens))
 
     jets = {}
     for label in labels:
@@ -100,6 +98,6 @@ def symbolic_jet_family(
             vec = tuple(
                 ring.gen(f"{label}{slot}_{k}") for k in range(algebra.dim)
             )
-            coords.append(LieElement(algebra, sig, vec))
+            coords.append(LieElement(algebra, ring, vec))
         jets[label] = jet_make(algebra, ring, order, tuple(coords), EXP)
     return ring, jets

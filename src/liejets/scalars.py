@@ -15,8 +15,12 @@ reduce the result.  ``+`` and ``-`` share one merge, x + (p/q) y, so a
 difference is a sum with the second operand's numerators negated, and a
 sum with a rational weight costs no separate rescale.  A scalar combines
 only with a scalar of its ring: a rational enters through ``scale``,
-``WeilRing.rational`` or the weight of that merge.  ``coefficients()``
+``ring.rational`` or the weight of that merge.  ``coefficients()``
 gives the terms as ``Fraction`` values keyed by dense exponent vectors.
+
+A ring is one object, the :class:`RingSignature` that each of its scalars
+stores and that builds them; its ``zero`` and ``one`` are built on each
+read, so a signature holds no scalar.
 
 The product and the merge each have a one-term branch.  Over plain Q every
 Lie-element coordinate is a single term, and such scalars make most of the
@@ -40,12 +44,12 @@ and its bias is 2^b - 1 - m for b = m.bit_length().  An exponent e exceeds
 m exactly when e + bias reaches the guard bit, so the product k1 + k2 is
 killed by truncation exactly when ``(k1 + k2 + bias) & guard`` is nonzero.
 The constant monomial is 0.  Dense exponent vectors appear only at the
-boundary: ``from_terms``, ``coefficients()``, JSON and display.
+boundary: ``RingSignature.scalar``, ``coefficients()``, JSON and display.
 
-A signature with no generators is the ring Q itself.  Rings with one
-generator of order n model rings of nilpotent infinitesimals of order n;
-several generators model products of such rings.  The oracles' curve lift
-and readback (``liejets.jets``) join scalars into, and split them by,
+A signature with no generators, ``PLAIN_RING``, is the ring Q itself.
+Rings with one generator of order n model rings of nilpotent infinitesimals
+of order n; several generators model products of such rings.  The oracles'
+curve lift and readback (``liejets.jets``) join scalars into, and split them by,
 powers of a fresh last generator with :func:`join_last_generator` and
 :func:`split_last_generator`, which divide and multiply the part at t^p by
 a given integer weight (the jets' p!) in the same pass, and
@@ -71,7 +75,7 @@ __all__ = [
     "SignatureMismatch",
     "RingSignature",
     "WeilScalar",
-    "WeilRing",
+    "PLAIN_RING",
     "ring_make",
     "rational_from_str",
     "json_int",
@@ -151,7 +155,7 @@ def _entry(name, order) -> tuple[str, int]:
 
 
 class RingSignature:
-    """Ordered generators of a truncated polynomial ring.
+    """A truncated polynomial ring: its generators, and the builder of its scalars.
 
     Each entry is (name, order) with order m meaning t^{m+1} = 0; the name
     must be a ``str`` and the order an ``int`` of at least 1, and anything
@@ -197,6 +201,60 @@ class RingSignature:
 
     def __repr__(self):
         return f"RingSignature(generators={self.generators!r})"
+
+    @property
+    def signature(self) -> "RingSignature":
+        """The ring itself, which ``perfbench/tracing.py`` reads as ``ring.signature``."""
+        return self
+
+    @property
+    def zero(self) -> "WeilScalar":
+        """The zero scalar, built on each read, as a signature stores no scalar."""
+        return WeilScalar(self, {})
+
+    @property
+    def one(self) -> "WeilScalar":
+        """The unit scalar, built on each read like ``zero``."""
+        return WeilScalar(self, {0: 1})
+
+    def rational(self, value) -> "WeilScalar":
+        """The constant scalar ``value``, read as :meth:`WeilScalar.scale`
+        reads its rational."""
+        q = rational_from_str(value)
+        p = q.numerator
+        return WeilScalar(self, {0: p}, q.denominator) if p else self.zero
+
+    def gen(self, name: str) -> "WeilScalar":
+        """The generator ``name``; its powers are ``gen(name) ** k``."""
+        return WeilScalar(self, {1 << self.shifts[self.index(name)]: 1})
+
+    def scalar(self, dense_terms: Mapping[tuple, object]) -> "WeilScalar":
+        """Canonicalizing constructor from {int exponent vector: exact rational}."""
+        orders, shifts, arity = self.orders, self.shifts, self.arity
+        out: dict = {}
+        for vec, coeff in dense_terms.items():
+            if not isinstance(vec, tuple) or len(vec) != arity:
+                raise SignatureError(
+                    f"exponent vector {vec!r} is not a tuple of {arity} exponents"
+                )
+            key = 0
+            for g, e in enumerate(vec):
+                if e.__class__ is not int or e < 0 or e > orders[g]:
+                    raise SignatureError(
+                        f"exponent {e!r} of generator {self.names[g]!r} "
+                        f"is not an int in 0..{orders[g]}"
+                    )
+                key |= e << shifts[g]
+            c = rational_from_str(coeff)
+            # distinct vectors in range pack to distinct keys: no merge needed
+            if c:
+                out[key] = c
+        # Over the lcm of the reduced denominators the numerators are already
+        # coprime to the shared denominator.
+        den = lcm(*(c.denominator for c in out.values()))
+        return WeilScalar(
+            self, {k: c.numerator * (den // c.denominator) for k, c in out.items()}, den
+        )
 
     def index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.generators):
@@ -251,17 +309,23 @@ def _signed_sum(x: "WeilScalar", y: "WeilScalar", p: int, q: int) -> "WeilScalar
     """x + (p/q) * y for scalars over one ring, integers p and q > 0: the one
     merge behind ``+`` (p/q = 1), ``-`` (p/q = -1), every sum of Lie
     elements (``LieElement.add_scaled``) and each structure constant's term
-    in ``bracket``.  y's terms, scaled by p and brought with x's to the lcm
-    of ``x.den`` and ``q * y.den``, are merged into a copy of x's, and one
-    reduction makes the result canonical.  Two one-term operands at one
-    monomial, the plain-Q coordinates of Lie elements, skip the table: their
-    numerators are cross-multiplied over ``x.den * q * y.den`` and one gcd
-    reduces the sum (none over denominator 1), or it is the zero scalar."""
+    in ``bracket``, and ``scale``, the merge into zero.  y's terms, scaled
+    by p and brought with x's to the lcm of ``x.den`` and ``q * y.den``, are
+    merged into a copy of x's, and one reduction makes the result canonical;
+    into an empty x, y's terms times p over ``q * y.den`` are reduced alone.
+    Two one-term operands at one monomial, the plain-Q coordinates of Lie
+    elements, skip the table: their numerators are cross-multiplied over
+    ``x.den * q * y.den`` and one gcd reduces the sum (none over denominator
+    1), or it is the zero scalar."""
     a, b = x.terms, y.terms
     if not b or not p:
         return x
-    if not a and p == 1 and q == 1:
-        return y
+    if not a:
+        # (p/q) y, as each of bracket's zero accumulators takes its first term
+        if p == 1 and q == 1:
+            return y
+        terms = b if p == 1 else {k: c * p for k, c in b.items()}
+        return _reduced(x.signature, terms, y.den * q)
     da, db = x.den, y.den * q
     if len(a) == 1 == len(b):
         # One term each at one monomial, as every plain-Q coordinate is: one
@@ -309,9 +373,8 @@ class WeilScalar:
     ``terms`` maps monomials to nonzero integer numerators and ``den`` is
     their shared positive denominator, coprime to the numerators' gcd and 1
     for zero.  Two scalars are equal exactly when their signatures,
-    denominators and term tables are equal.  Construct through
-    :class:`WeilRing` or :meth:`from_terms`; the raw constructor trusts its
-    arguments.
+    denominators and term tables are equal.  Construct through the ring,
+    :class:`RingSignature`; the raw constructor trusts its arguments.
     """
 
     __slots__ = ("signature", "terms", "den")
@@ -321,43 +384,11 @@ class WeilScalar:
         self.terms = terms
         self.den = den
 
-    @classmethod
-    def from_terms(
-        cls, signature: RingSignature, dense_terms: Mapping[tuple, object]
-    ) -> "WeilScalar":
-        """Canonicalizing constructor from {int exponent vector: exact rational}."""
-        orders, shifts = signature.orders, signature.shifts
-        arity = signature.arity
-        out: dict = {}
-        for vec, coeff in dense_terms.items():
-            if not isinstance(vec, tuple) or len(vec) != arity:
-                raise SignatureError(
-                    f"exponent vector {vec!r} is not a tuple of {arity} exponents"
-                )
-            key = 0
-            for g, e in enumerate(vec):
-                if e.__class__ is not int or e < 0 or e > orders[g]:
-                    raise SignatureError(
-                        f"exponent {e!r} of generator {signature.names[g]!r} "
-                        f"is not an int in 0..{orders[g]}"
-                    )
-                key |= e << shifts[g]
-            c = rational_from_str(coeff)
-            # distinct vectors in range pack to distinct keys: no merge needed
-            if c:
-                out[key] = c
-        # Over the lcm of the reduced denominators the numerators are already
-        # coprime to the shared denominator.
-        den = lcm(*(c.denominator for c in out.values()))
-        return cls(
-            signature, {k: c.numerator * (den // c.denominator) for k, c in out.items()}, den
-        )
-
     # -- readback ------------------------------------------------------
 
     def coefficients(self) -> dict:
         """The term table as {dense exponent vector: nonzero Fraction
-        coefficient}, the form :meth:`from_terms` reads."""
+        coefficient}, the form :meth:`RingSignature.scalar` reads."""
         sig, den = self.signature, self.den
         fields = [(s, (1 << m.bit_length()) - 1) for s, m in zip(sig.shifts, sig.orders)]
         return {
@@ -450,20 +481,15 @@ class WeilScalar:
 
     def scale(self, rational) -> "WeilScalar":
         """Multiply every coefficient by a plain rational: an ``int``, a
-        ``Fraction`` or a "p/q" string, but never a float or a bool."""
+        ``Fraction`` or a "p/q" string, but never a float or a bool.  This
+        is the weighted merge into zero."""
         rational = rational_from_str(rational)
-        p, q = rational.numerator, rational.denominator
-        if not p:
-            return WeilScalar(self.signature, {})
-        if p == 1 and q == 1:
-            return self
-        terms = self.terms if p == 1 else {k: v * p for k, v in self.terms.items()}
-        return _reduced(self.signature, terms, self.den * q)
+        return _signed_sum(self.signature.zero, self, rational.numerator, rational.denominator)
 
     def __pow__(self, n: int):
         if n.__class__ is not int or n < 0:
             return NotImplemented
-        acc = WeilScalar(self.signature, {0: 1})
+        acc = self.signature.one
         for _ in range(n):
             acc = acc * self
         return acc
@@ -525,44 +551,16 @@ class WeilScalar:
             if key in dense:
                 raise SignatureError(f"duplicate exponent vector {key} in term table")
             dense[key] = rational_from_str(coeff)
-        return cls.from_terms(sig, dense)
+        return sig.scalar(dense)
 
 
-class WeilRing:
-    """Handle for one truncated polynomial ring; builds its scalars."""
-
-    __slots__ = ("signature", "zero", "one")
-
-    def __init__(self, signature: RingSignature):
-        self.signature = signature
-        self.zero = WeilScalar(signature, {})
-        self.one = WeilScalar(signature, {0: 1})
-
-    def rational(self, value) -> WeilScalar:
-        """The constant scalar ``value``, read as :meth:`WeilScalar.scale`
-        reads its rational."""
-        q = rational_from_str(value)
-        p = q.numerator
-        if not p:
-            return self.zero
-        return WeilScalar(self.signature, {0: p}, q.denominator)
-
-    def gen(self, name: str) -> WeilScalar:
-        """The generator ``name``; its powers are ``gen(name) ** k``."""
-        sig = self.signature
-        return WeilScalar(sig, {1 << sig.shifts[sig.index(name)]: 1})
-
-    def scalar(self, dense_terms: Mapping[tuple, object]) -> WeilScalar:
-        return WeilScalar.from_terms(self.signature, dense_terms)
-
-    def __repr__(self):
-        gens = ", ".join(f"{n}^{m + 1}=0" for n, m in self.signature.generators)
-        return f"WeilRing({gens})" if gens else "WeilRing(Q)"
+#: The ring of plain rationals, with no nilpotent generators.
+PLAIN_RING = RingSignature(())
 
 
-def ring_make(generators: Iterable[tuple[str, int]]) -> WeilRing:
+def ring_make(generators: Iterable[tuple[str, int]]) -> RingSignature:
     """Build the ring Q[t_i]/(t_i^{m_i+1}) for generators [(name, m_i), ...]."""
-    return WeilRing(RingSignature(tuple(generators)))
+    return RingSignature(tuple(generators))
 
 
 def join_last_generator(

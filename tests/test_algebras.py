@@ -37,7 +37,7 @@ BUILTINS = [heisenberg3(), sl2(), so3(), abelian(4), free_nilpotent(2, 3)]
 def h3_element(ring, *coords):
     """Element of h3 with coordinates (p, q, z), each a rational or a
     scalar of ``ring``."""
-    return LieElement(H3, ring.signature, tuple(
+    return LieElement(H3, ring, tuple(
         c if isinstance(c, WeilScalar) else ring.rational(c) for c in coords
     ))
 
@@ -215,7 +215,7 @@ def test_scalar_extension_commutes_with_bracket():
 
 def random_coords(spec, ring, rng: Random) -> tuple:
     """One scalar per basis element, each a random dense table over ``ring``."""
-    vectors = list(product(*(range(m + 1) for m in ring.signature.orders)))
+    vectors = list(product(*(range(m + 1) for m in ring.orders)))
     return tuple(
         ring.scalar({
             v: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
@@ -232,7 +232,7 @@ def test_sum_and_difference_are_coordinatewise(ring):
     for spec in BUILTINS:
         for _ in range(10):
             xc, yc = random_coords(spec, ring, rng), random_coords(spec, ring, rng)
-            x, y = LieElement(spec, ring.signature, xc), LieElement(spec, ring.signature, yc)
+            x, y = LieElement(spec, ring, xc), LieElement(spec, ring, yc)
             for got, sign in ((x + y, 1), (x - y, -1)):
                 for g, a, b in zip(got.coords, xc, yc):
                     want = a.coefficients()
@@ -256,8 +256,8 @@ def test_add_scaled_is_scale_then_add(ring):
     rng = Random(23)
     for spec in BUILTINS:
         for _ in range(6):
-            x = LieElement(spec, ring.signature, random_coords(spec, ring, rng))
-            y = LieElement(spec, ring.signature, random_coords(spec, ring, rng))
+            x = LieElement(spec, ring, random_coords(spec, ring, rng))
+            y = LieElement(spec, ring, random_coords(spec, ring, rng))
             for c in (Fraction(1), Fraction(-1), Fraction(1, 12), Fraction(-5, 6), 3, 0):
                 assert x.add_scaled(y, c) == x + y.scale(c)
             assert x.add_scaled(x, -1).is_zero()

@@ -34,13 +34,14 @@ from liejets.checks import (
     run_check,
     run_law,
     run_suite,
+    witt_dimensions_hold,
 )
 from liejets.cli import main
 from liejets.hall import free_nilpotent
 from liejets.jets import Jet, JetError, jet_make, jet_mul
 from liejets.matrices import MatrixRep
 from liejets.sampling import PLAIN_RING, symbolic_jet_family
-from liejets.scalars import WeilScalar, rational_from_str, ring_make
+from liejets.scalars import RingSignature, WeilScalar, rational_from_str, ring_make
 
 H3 = heisenberg3()
 
@@ -105,7 +106,7 @@ def test_generic_symbols_have_order_3():
     # every symbol sits in a jet slot of degree at least 1 and no law goes
     # above degree 3, so at order 3 no truncation drops a term
     ring, _ = symbolic_jet_family(free_nilpotent(2, 3), 3, ("a", "b"))
-    assert {m for _, m in ring.signature.generators} == {3}
+    assert {m for _, m in ring.generators} == {3}
     assert ring.gen("a1_0") ** 3 != ring.zero
 
 
@@ -159,6 +160,18 @@ class TestStructural:
             "got": [1, 0, 0], "want": ["1", "0", "2/3"],
         }
         assert len(result.detail) == 9
+
+    def test_witt_sees_a_quotient_of_the_same_dimensions(self, monkeypatch):
+        real = liejets.checks.free_nilpotent
+        monkeypatch.setattr(liejets.checks, "free_nilpotent",
+                            lambda m, c: _without_degree_3(real(m, c)))
+        result = run_row("struct-witt-dimensions")
+        assert result.counterexample == {
+            "algebra": "free-nilpotent(2,3)", "trial": 0, "law": "free", "pair": ["x", "[x,y]"],
+        }
+        assert witt_dimensions_hold(_without_degree_3(real(3, 3)), 3, 3) == {
+            "law": "free", "pair": ["x", "[x,y]"],
+        }
 
     def test_jacobi(self):
         result = run_row("struct-jacobi-builtins")
@@ -436,24 +449,24 @@ def test_layout_without_guard_gap_fails_exactly_the_ring_laws(monkeypatch):
     }
 
 
-def _from_terms(shifted: bool, scaled: bool):
-    """``WeilScalar.from_terms``, for valid exponent vectors, with each
+def _misread_scalar(shifted: bool, scaled: bool):
+    """``RingSignature.scalar``, for valid exponent vectors, with each
     exponent packed without its field shift (``shifted`` false) or each
     numerator left over its own denominator (``scaled`` false)."""
-    def from_terms(cls, signature, dense_terms):
+    def scalar(ring, dense_terms):
         out = {}
         for vec, coeff in dense_terms.items():
             key = 0
             for g, e in enumerate(vec):
-                key |= e << signature.shifts[g] if shifted else e
+                key |= e << ring.shifts[g] if shifted else e
             c = rational_from_str(coeff)
             if c:
                 out[key] = c
         den = lcm(*(c.denominator for c in out.values()))
         numerators = {k: c.numerator * (den // c.denominator if scaled else 1)
                       for k, c in out.items()}
-        return cls(signature, numerators, den)
-    return classmethod(from_terms)
+        return WeilScalar(ring, numerators, den)
+    return scalar
 
 
 # the scalars that the catalog builds from term tables are those of the ring
@@ -462,7 +475,7 @@ def _from_terms(shifted: bool, scaled: bool):
 @pytest.mark.parametrize("shifted, scaled", [(False, True), (True, False)],
                          ids=["exponent-unshifted", "numerator-unscaled"])
 def test_misread_term_table_fails_exactly_the_ring_laws(monkeypatch, shifted, scaled):
-    monkeypatch.setattr(WeilScalar, "from_terms", _from_terms(shifted, scaled))
+    monkeypatch.setattr(RingSignature, "scalar", _misread_scalar(shifted, scaled))
     failed = failures(run_suite("all", trials=3, seed=0))
     assert set(failed) == {"struct-ring-laws"}
     assert failed["struct-ring-laws"].counterexample["law"] == "round trip"
@@ -553,6 +566,15 @@ def _doubled_x_yz(spec: LieAlgebraSpec) -> LieAlgebraSpec:
     return LieAlgebraSpec(spec.name, spec.basis, structure, spec.degrees)
 
 
+def _without_degree_3(spec: LieAlgebraSpec) -> LieAlgebraSpec:
+    """``spec`` with every structure constant of bracket degree 3 dropped: for
+    a free nilpotent algebra of class 3, a quotient with the same basis and
+    dimensions that still satisfies the Jacobi identity."""
+    d = spec.degrees
+    structure = {(i, j): e for (i, j), e in spec.structure.items() if d[i] + d[j] != 3}
+    return LieAlgebraSpec(spec.name, spec.basis, structure, spec.degrees)
+
+
 def _refuse_readback(x, like):
     raise JetError("readback refused")
 
@@ -596,10 +618,17 @@ NAME_ROWS = [
     # does not divide
     ((liejets.checks,), "_mobius", lambda real: lambda n: 1 if n == 3 else real(n),
      {"struct-witt-dimensions"}),
-    # a wrong Hall structure constant of free-nilpotent(3,3)
+    # a wrong Hall structure constant of free-nilpotent(3,3), which the
+    # freeness law sees as well
     ((liejets.checks,), "free_nilpotent",
      lambda real: lambda m, c: _doubled_x_yz(real(m, c)),
-     {"lemma-6.3.1", "struct-jacobi-builtins", "thm-6.3"}),
+     {"lemma-6.3.1", "struct-jacobi-builtins", "struct-witt-dimensions", "thm-6.3"}),
+    # every free nilpotent algebra, the catalog's included, with its structure
+    # constants of bracket degree 3 dropped: every symbolic verdict and the
+    # Jacobi scan hold in that quotient, and only the freeness law sees it
+    ((liejets.checks, liejets.hall), "free_nilpotent",
+     lambda real: lambda m, c: _without_degree_3(real(m, c)),
+     {"struct-witt-dimensions"}),
     # s^3/3 in place of s^3/3! among the exp-product weights
     ((liejets.checks,), "exp_weights",
      lambda real: lambda n: (*real(n)[:2], real(n)[2].scale(2)) if n == 3 else real(n),
@@ -622,7 +651,7 @@ NAME_ROWS = [
     "modules, name, wrap, failing",
     NAME_ROWS,
     ids=["product-z1", "product-z2", "inverse", "truncate", "mobius", "mobius-3",
-         "hall-constant", "exp-weight-3", "bracket-degree-3", "readback-raises",
+         "hall-constant", "hall-quotient", "exp-weight-3", "bracket-degree-3", "readback-raises",
          "extract-rotated"],
 )
 def test_corrupted_name_fails_exactly_the_checks_that_guard_it(

@@ -28,7 +28,7 @@ EXPORTED = (
     "AlgebraError", "BCH_DEGREE3_TERMS", "CheckResult", "EXP", "Jet",
     "JetError", "LieAlgebraSpec", "LieElement", "MONOMIAL", "MatrixError", "MatrixRep",
     "RingSignature", "SignatureError", "SignatureMismatch",
-    "VerificationReport", "WeilMatrix", "WeilRing", "WeilScalar", "abelian", "algebras",
+    "VerificationReport", "WeilMatrix", "WeilScalar", "abelian", "algebras",
     "basis_element", "bch", "bch_mul", "bracket", "builtin_rep", "catalog", "checks",
     "free_nilpotent", "hall", "heisenberg3", "jet_bracket", "jet_convert",
     "jet_group_commutator", "jet_identity", "jet_inverse", "jet_make", "jet_mul",

@@ -31,7 +31,6 @@ from liejets.jets import (
 from liejets.sampling import PLAIN_RING, random_jet, symbolic_jet_family
 from liejets.scalars import (
     SignatureError,
-    WeilRing,
     WeilScalar,
     join_last_generator,
     ring_make,
@@ -42,7 +41,7 @@ H3 = heisenberg3()
 EE = ring_make([("e1", 1), ("e2", 1)])
 
 BUILTINS = [heisenberg3(), sl2(), so3(), abelian(3), free_nilpotent(2, 3)]
-P_PLUS_Q = LieElement(H3, PLAIN_RING.signature, (PLAIN_RING.one,) * 2 + (PLAIN_RING.zero,))
+P_PLUS_Q = LieElement(H3, PLAIN_RING, (PLAIN_RING.one,) * 2 + (PLAIN_RING.zero,))
 
 
 def random_monomial_jet(algebra, order, rng):
@@ -125,7 +124,7 @@ def d_ring_jet(algebra, order, rng) -> Jet:
     """Jet over Q[d]/(d^3) whose every coordinate mixes 1, d and d^2, so the
     lift must name its fresh generator d_."""
     coords = tuple(
-        LieElement(algebra, D2.signature, tuple(
+        LieElement(algebra, D2, tuple(
             D2.scalar({(e,): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                        for e in range(3)})
             for _ in range(algebra.dim)
@@ -170,7 +169,7 @@ def test_readback_refuses_a_curve_with_a_degree_0_part():
     a = jet_make(H3, PLAIN_RING, 2, (basis_element(H3, PLAIN_RING, "p"),
                                      zero_element(H3, PLAIN_RING)))
     (curve,) = lift_curves(a)
-    constant = basis_element(H3, WeilRing(curve.signature), "q")
+    constant = basis_element(H3, curve.signature, "q")
     with pytest.raises(JetError, match="degree-0"):
         read_curve(curve + constant, a)
 

@@ -46,7 +46,6 @@ ALLOWED = {
     "liejets.scalars.RingSignature.__repr__": "repr",
     "liejets.scalars.WeilScalar.__repr__": "repr",
     "liejets.scalars.WeilScalar.__str__": "display",
-    "liejets.scalars.WeilRing.__repr__": "repr",
     "liejets.scalars.RingSignature.__hash__": "kept with __eq__, so equal signatures "
                                               "hash alike",
     "liejets.scalars.RingSignature.__setattr__": "immutability guard",
@@ -61,6 +60,9 @@ ALLOWED = {
     "liejets.scalars.WeilScalar.constant_term": "failure evidence of the Jacobi scan",
     "liejets.matrices.WeilMatrix.__init__": "perfbench/tracing.py probe_inputs builds "
                                             "its probe matrix with it",
+    "liejets.scalars.RingSignature.signature": "perfbench/tracing.py probe_inputs reads "
+                                               "the ring of its probe matrix as "
+                                               "ring.signature",
 }
 
 #: Functions the commands run and the catalog does not, by qualified name,

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liejets.checks import _ring_label
 from liejets.scalars import (
     RingSignature,
     SignatureError,
@@ -53,15 +54,15 @@ def naive_poly_sum(a: dict, b: dict, sign: int) -> dict:
 
 class TestRingMake:
     def test_single_generator(self):
-        assert D3.signature.generators == (("d", 3),)
+        assert D3.generators == (("d", 3),)
         assert D3.gen("d") ** 4 == D3.zero
 
     def test_two_square_zero_generators(self):
-        assert EE.signature.names == ("e1", "e2")
+        assert EE.names == ("e1", "e2")
         assert EE.gen("e1") * EE.gen("e1") == EE.zero
 
     def test_mixed_orders(self):
-        assert DE.signature.orders == (2, 1)
+        assert DE.orders == (2, 1)
 
     def test_duplicate_generator_rejected(self):
         with pytest.raises(SignatureError):
@@ -82,7 +83,7 @@ class TestRingMake:
         with pytest.raises(SignatureError):
             RingSignature.from_json([list(entry)])
         with pytest.raises(SignatureError):
-            D2.signature.extend(*entry)
+            D2.extend(*entry)
 
 
 def seeded_signatures():
@@ -111,12 +112,22 @@ class TestExtend:
         "name,order", [("e", 1), ("d", 1), ("d", 0), ("d", -1), ("d", 1.5)]
     )
     def test_extend_refuses_what_the_constructor_refuses(self, name, order):
-        base = DE.signature
+        base = DE
         with pytest.raises(SignatureError) as built:
             RingSignature(base.generators + ((name, order),))
         with pytest.raises(SignatureError) as extended:
             base.extend(name, order)
         assert str(extended.value) == str(built.value)
+
+    def test_an_extended_ring_builds_what_the_equal_ring_built_directly_builds(self):
+        extended, direct = D2.extend("t", 3), ring_make([("d", 2), ("t", 3)])
+        assert extended == direct and extended is not direct
+        terms = {(1, 0): 2, (2, 3): Fraction(-1, 3), (0, 1): "5/7"}
+        for build in (lambda r: r.zero, lambda r: r.one, lambda r: r.rational("-7/3"),
+                      lambda r: r.gen("d"), lambda r: r.gen("t"), lambda r: r.scalar(terms)):
+            assert build(extended) == build(direct)
+        # zero and one are built on each read, so a ring stores no scalar
+        assert extended.zero is not extended.zero and "zero" not in vars(extended)
 
 
 class TestBoolIsNoScalar:
@@ -232,7 +243,7 @@ class TestPackedLayout:
     )
     def test_every_monomial_pair(self, generators):
         ring = ring_make(generators)
-        orders = ring.signature.orders
+        orders = ring.orders
         monomials = {v: ring.scalar({v: 1}) for v in product(*(range(m + 1) for m in orders))}
         for u, su in monomials.items():
             assert su.coefficients() == {u: 1}
@@ -242,7 +253,7 @@ class TestPackedLayout:
     def test_wide_ring_sample(self):
         # 130 generators of orders 1..9: keys far wider than 64 bits
         ring = ring_make([(f"t{g}", g % 9 + 1) for g in range(130)])
-        orders = ring.signature.orders
+        orders = ring.orders
         top = ring.gen("t129") ** orders[-1]
         assert max(top.terms) >= 1 << 64
         assert top * ring.gen("t129") == ring.zero
@@ -260,11 +271,9 @@ class TestPackedLayout:
             assert got == naive_poly_mul({u: 1}, {v: 1}, orders)
 
     def test_last_power_round_trip(self):
-        base = ring_make([("a", 1), ("b", 4), ("c", 7)]).signature
+        base = ring_make([("a", 1), ("b", 4), ("c", 7)])
         ext = base.extend("d", 3)
-        s = WeilScalar.from_terms(
-            base, {(0, 0, 0): 2, (1, 4, 0): Fraction(-1, 3), (0, 3, 7): 5}
-        )
+        s = base.scalar({(0, 0, 0): 2, (1, 4, 0): Fraction(-1, 3), (0, 3, 7): 5})
         total = WeilScalar(ext, {})
         for power in range(4):
             lifted = join_last_generator({power: s}, ext, UNWEIGHTED)
@@ -297,7 +306,7 @@ small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 def exponents_of(ring):
-    return st.tuples(*[st.integers(0, m) for m in ring.signature.orders])
+    return st.tuples(*[st.integers(0, m) for m in ring.orders])
 
 
 def scalars_of(ring):
@@ -315,7 +324,7 @@ def one_terms_of(ring):
     )
 
 
-@pytest.mark.parametrize("ring", [Q, D3, EE, DE], ids=lambda r: repr(r))
+@pytest.mark.parametrize("ring", [Q, D3, EE, DE], ids=_ring_label)
 class TestRingLaws:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -392,7 +401,7 @@ class TestRingLaws:
         b = data.draw(scalars_of(ring))
         u, v, w = data.draw(one_terms_of(ring))
         for x, y in ((a, b), (u, v), (u, w)):
-            expected = naive_poly_mul(x.coefficients(), y.coefficients(), ring.signature.orders)
+            expected = naive_poly_mul(x.coefficients(), y.coefficients(), ring.orders)
             assert x * y == ring.scalar(expected)
 
 
@@ -417,7 +426,7 @@ def test_one_term_branches_against_naive_oracle(case):
     x, y = ring.scalar(x), ring.scalar(y)
     cx, cy = x.coefficients(), y.coefficients()
     weighted = {vec: c * Fraction(p, q) for vec, c in cy.items()}
-    product = naive_poly_mul(cx, cy, ring.signature.orders)
+    product = naive_poly_mul(cx, cy, ring.orders)
     total = naive_poly_sum(cx, weighted, 1)
     for got, want in ((x * y, product), (_signed_sum(x, y, p, q), total)):
         assert got.coefficients() == want
@@ -427,7 +436,7 @@ def test_one_term_branches_against_naive_oracle(case):
 
 def test_nilpotency_exact():
     for ring in (D1, D2, D3, EE, DE):
-        for name, m in ring.signature.generators:
+        for name, m in ring.generators:
             t = ring.gen(name)
             assert t ** (m + 1) == ring.zero
             assert t**m != ring.zero
@@ -576,45 +585,45 @@ class TestJoinSplit:
     def test_join_places_terms_at_the_power(self):
         s = D2.one + D2.gen("d")
         ext = ring_make([("d", 2), ("t", 1)])
-        assert join_last_generator({0: s}, ext.signature, UNWEIGHTED) == ext.one + ext.gen("d")
-        assert join_last_generator({1: s}, ext.signature, UNWEIGHTED) == (
+        assert join_last_generator({0: s}, ext, UNWEIGHTED) == ext.one + ext.gen("d")
+        assert join_last_generator({1: s}, ext, UNWEIGHTED) == (
             ext.gen("t") + ext.gen("d") * ext.gen("t")
         )
         with pytest.raises(SignatureError):
-            join_last_generator({2: s}, ext.signature, UNWEIGHTED)
+            join_last_generator({2: s}, ext, UNWEIGHTED)
         with pytest.raises(SignatureError):
-            join_last_generator({-1: s}, ext.signature, UNWEIGHTED)
+            join_last_generator({-1: s}, ext, UNWEIGHTED)
 
     def test_join_requires_the_base_signature_as_prefix(self):
         with pytest.raises(SignatureMismatch):
-            join_last_generator({1: D2.gen("d")}, EE.signature, UNWEIGHTED)
+            join_last_generator({1: D2.gen("d")}, EE, UNWEIGHTED)
         with pytest.raises(SignatureMismatch):
-            join_last_generator({1: Q.one}, EE.signature, UNWEIGHTED)
+            join_last_generator({1: Q.one}, EE, UNWEIGHTED)
         with pytest.raises(SignatureMismatch):
-            join_last_generator({0: Q.one}, Q.signature, UNWEIGHTED)
+            join_last_generator({0: Q.one}, Q, UNWEIGHTED)
         mixed = {0: D2.one, 1: D1.one}
         with pytest.raises(SignatureMismatch):
-            join_last_generator(mixed, ring_make([("d", 2), ("t", 1)]).signature, UNWEIGHTED)
+            join_last_generator(mixed, ring_make([("d", 2), ("t", 1)]), UNWEIGHTED)
 
     def test_split_round_trip(self):
         ext = ring_make([("d", 2), ("t", 3)])
         s = (ext.one + ext.gen("d")) * (ext.one + ext.gen("t") + ext.gen("t") ** 2)
-        parts = split_last_generator(s, D2.signature, UNWEIGHTED)
+        parts = split_last_generator(s, D2, UNWEIGHTED)
         rebuilt = ext.zero
         for power, base in parts.items():
-            rebuilt = rebuilt + join_last_generator({power: base}, ext.signature, UNWEIGHTED)
+            rebuilt = rebuilt + join_last_generator({power: base}, ext, UNWEIGHTED)
         assert rebuilt == s
-        assert join_last_generator(parts, ext.signature, UNWEIGHTED) == s
-        assert split_last_generator(ext.zero, D2.signature, UNWEIGHTED) == {}
+        assert join_last_generator(parts, ext, UNWEIGHTED) == s
+        assert split_last_generator(ext.zero, D2, UNWEIGHTED) == {}
 
     def test_join_is_the_inverse_of_split(self):
-        base = DE.signature
+        base = DE
         ext = base.extend("t", 3)
         rng = Random(5)
         for _ in range(40):
             parts = {}
             for power in rng.sample(range(4), rng.randint(1, 4)):
-                parts[power] = WeilScalar.from_terms(base, {
+                parts[power] = base.scalar({
                     (rng.randint(0, 2), rng.randint(0, 1)):
                         Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
                     for _ in range(rng.randint(1, 3))
@@ -629,14 +638,14 @@ class TestJoinSplit:
         assert not join_last_generator({}, ext, UNWEIGHTED).terms
 
     def test_weighted_join_and_split_are_inverse(self):
-        base = DE.signature
+        base = DE
         ext = base.extend("t", 3)
         rng = Random(11)
         for weights in ((1, 1, 2, 6), (5, 3, 4, 9), (1, 7, 1, 12)):
             for _ in range(20):
                 parts = {}
                 for power in rng.sample(range(4), rng.randint(1, 4)):
-                    parts[power] = WeilScalar.from_terms(base, {
+                    parts[power] = base.scalar({
                         (rng.randint(0, 2), rng.randint(0, 1)):
                             Fraction(rng.randint(-9, 9), rng.randint(1, 12))
                         for _ in range(rng.randint(1, 3))
@@ -659,21 +668,21 @@ class TestJoinSplit:
         ext = ring_make([("d", 2), ("t", 3)])
         low = (ext.one + ext.gen("d")) * (ext.one + ext.gen("t"))
         s = low + (ext.one + ext.gen("d")) * ext.gen("t") ** 3
-        whole = split_last_generator(s, D2.signature, UNWEIGHTED)
+        whole = split_last_generator(s, D2, UNWEIGHTED)
         assert sorted(whole) == [0, 1, 3]
         # weights are needed only up to the highest power present
-        assert split_last_generator(low, D2.signature, (1, 2)) == {
+        assert split_last_generator(low, D2, (1, 2)) == {
             0: whole[0], 1: whole[1].scale(2)
         }
         # a power with no weight is refused, not dropped
         with pytest.raises(SignatureError, match="power 3 .* has no weight"):
-            split_last_generator(s, D2.signature, (1, 2))
+            split_last_generator(s, D2, (1, 2))
 
     def test_join_and_split_accept_an_equal_base_built_separately(self):
-        base = DE.signature
+        base = DE
         ext = base.extend("t", 2)
         twin = RingSignature(base.generators)
-        s = WeilScalar.from_terms(twin, {(1, 0): 3, (2, 1): Fraction(1, 2)})
+        s = twin.scalar({(1, 0): 3, (2, 1): Fraction(1, 2)})
         joined = join_last_generator({0: s, 2: s}, ext, UNWEIGHTED)
         assert joined == join_last_generator(
             {0: WeilScalar(base, s.terms, s.den), 2: WeilScalar(base, s.terms, s.den)},
@@ -684,17 +693,17 @@ class TestJoinSplit:
         with pytest.raises(SignatureMismatch):
             join_last_generator({0: EE.one}, ext, UNWEIGHTED)
         with pytest.raises(SignatureError):
-            split_last_generator(joined, EE.signature, UNWEIGHTED)
+            split_last_generator(joined, EE, UNWEIGHTED)
         with pytest.raises(SignatureError):
             split_last_generator(joined, ext, UNWEIGHTED)
 
     def test_split_reduces_each_part(self):
         s = D2.rational(Fraction(1, 2)) + D2.gen("d").scale(Fraction(1, 3))
-        parts = split_last_generator(s, Q.signature, UNWEIGHTED)
+        parts = split_last_generator(s, Q, UNWEIGHTED)
         assert parts == {0: Q.rational(Fraction(1, 2)), 1: Q.rational(Fraction(1, 3))}
 
     def test_split_requires_a_generator(self):
         with pytest.raises(SignatureError):
-            split_last_generator(Q.one, Q.signature, UNWEIGHTED)
+            split_last_generator(Q.one, Q, UNWEIGHTED)
         with pytest.raises(SignatureError):
-            split_last_generator(EE.one, Q.signature, UNWEIGHTED)
+            split_last_generator(EE.one, Q, UNWEIGHTED)
