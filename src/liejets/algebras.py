@@ -24,6 +24,7 @@ from .scalars import (
     SignatureMismatch,
     WeilScalar,
     _signed_sum,
+    json_list,
     rational_from_str,
 )
 
@@ -121,12 +122,13 @@ class LieAlgebraSpec:
                 raise AlgebraError("'basis' must be a list of names")
             basis = [_name(b) for b in doc["basis"]]
             brackets: dict = {}
-            for entry in doc.get("brackets", []):
+            for entry in json_list(doc.get("brackets", [])):
                 pair = (_name(entry["left"]), _name(entry["right"]))
                 if pair in brackets:
                     raise AlgebraError(f"bracket [{pair[0]}, {pair[1]}] is given twice")
                 brackets[pair] = [
-                    (_name(b), rational_from_str(c)) for b, c in entry["value"]
+                    (_name(b), rational_from_str(c))
+                    for b, c in map(json_list, json_list(entry["value"]))
                 ]
         except (KeyError, TypeError, ValueError) as exc:
             raise AlgebraError(f"malformed algebra spec: {exc}") from exc

@@ -27,10 +27,10 @@ import platform
 import time
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 from math import gcd
-from operator import add, le
+from operator import add, le, mul
 from random import Random
 
 from . import __version__
@@ -51,9 +51,9 @@ from .jets import (
     jet_truncate,
 )
 from .matrices import BUILTIN_REP_NAMES, MatrixRep, builtin_rep, exp_weights
-from .matrices import matrix_mul, theorem_4_sides
+from .matrices import matrix_mul, weil_exp
 from .report import FAIL, PASS, CheckResult, VerificationReport
-from .sampling import PLAIN_RING, random_element, random_jet, random_rational
+from .sampling import PLAIN_RING, random_jet, random_rational
 from .sampling import symbolic_jet_family
 from .scalars import RingSignature, ring_make
 
@@ -210,32 +210,22 @@ def _per_instance(order: int, keys: tuple, out: Outcome, families) -> dict:
 # -- Theorem 4 ----------------------------------------------------------------------
 
 
-def exp_product_holds(weights: tuple, xs: list, ys: list) -> dict | None:
-    """Theorem 4's exp-product identity for constant matrices xs, ys."""
-    lhs, rhs = theorem_4_sides(xs, ys, weights)
-    if lhs == rhs:
+def exp_product_holds(rep: MatrixRep, weights: tuple, a: Jet, b: Jet) -> dict | None:
+    """Theorem 4's exp-product identity in ``rep``, with the closed-form product
+    on its right: side(a) side(b) == side(a.b), where side(j) = exp(sum_i w_i X_i)
+    over the :func:`exp_weights` w_i of the order and the coordinates X_i of j."""
+    def side(j: Jet):
+        return weil_exp(rep.realize(reduce(add, map(mul, j.coords, weights))))
+
+    if side(a) * side(b) == side(jet_mul(a, b)):
         return None
-    return {
-        key: [[[str(e) for e in row] for row in m.rows] for m in mats]
-        for key, mats in (("X", xs), ("Y", ys))
-    }
-
-
-def _images(weights: tuple, ring: RingSignature, rep: MatrixRep, rng: Random) -> tuple:
-    """The n weights, then the images of 2n random integer elements over
-    their ring: the X_i, then the Y_i."""
-    n = len(weights)
-    mats = [
-        rep.realize(random_element(rep.algebra, ring, rng, integer=True))
-        for _ in range(2 * n)
-    ]
-    return weights, mats[:n], mats[n:]
+    return {"a": a.to_json(), "b": b.to_json()}
 
 
 def _theorem_4_families(order: int, algebras) -> list:
     weights = exp_weights(order)
-    ring = weights[0].signature
-    return [({"algebra": a.name}, partial(_images, weights, ring, builtin_rep(a.name)))
+    return [({"algebra": a.name},
+             partial(_rep_jets, (builtin_rep(a.name), weights), weights[0].signature, order))
             for a in algebras or map(resolve_algebra, _PAIR)]
 
 
@@ -301,8 +291,9 @@ def matrix_agrees(rep: MatrixRep, a: Jet, b: Jet) -> dict | None:
     return _agrees("matrix", matrix_mul(a, b, rep), a, b)
 
 
-def _rep_jets(rep: MatrixRep, order: int, rng: Random) -> tuple:
-    return (rep, *_jets(rep.algebra, order, 2, rng, integer=True))
+def _rep_jets(head: tuple, ring: RingSignature, order: int, rng: Random) -> tuple:
+    """``head``, led by a representation, then two integer jets over its algebra."""
+    return (*head, *_jets(head[0].algebra, order, 2, rng, ring, integer=True))
 
 
 # -- Section 7: group axioms and bracket recovery ---------------------------------
@@ -533,7 +524,7 @@ def tower_commutes(a: Jet, b: Jet) -> dict | None:
 #: the prefix of one check per order n.  ``algebras`` is the override or
 #: None, for the row's own default set, which its families build.
 ROWS = {
-    # exp-product identities over Q[d_1..d_n]/(d_i^2), on seeded integer elements
+    # exp-product identities over Q[d_1..d_n]/(d_i^2), on seeded integer jet pairs
     "thm-4.": lambda n, algebras, trials, seed: Check(
         f"thm-4.{n}", exp_product_holds, partial(_theorem_4_families, n, algebras),
         trials, seed, partial(_per_instance, n, ("trials",))),
@@ -571,7 +562,7 @@ ROWS = {
     # closed form vs. matrix exp/log over Q[d]/(d^(n+1)), on seeded integer pairs
     "def6.1-vs-matrix-n": lambda n, algebras, trials, seed: Check(
         f"def6.1-vs-matrix-n{n}", matrix_agrees,
-        lambda: [({"algebra": a.name}, partial(_rep_jets, builtin_rep(a.name), n))
+        lambda: [({"algebra": a.name}, partial(_rep_jets, (builtin_rep(a.name),), PLAIN_RING, n))
                  for a in algebras or map(resolve_algebra, BUILTIN_REP_NAMES)],
         trials, seed, partial(_per_instance, n, ("trials",))),
     # Hall basis sizes per degree match the necklace-count formula

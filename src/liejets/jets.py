@@ -204,9 +204,9 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
               Z3 = X3 + Y3 + 3/2 ([X1, Y2] + [X2, Y1]) + 1/2 [X1 - Y1, [X1, Y1]]
 
     The 3/2 and the 1/2 are the weights of the merges that add their terms
-    (``LieElement.add_scaled``), as the series oracle's BCH coefficients and
-    Theorem 4's sides (:func:`liejets.matrices.theorem_4_sides`) fold theirs,
-    so no term is rescaled on its own.
+    (``LieElement.add_scaled``), as the series oracle folds its BCH
+    coefficients, so no term is rescaled on its own.  This is the one copy
+    of the group law: Theorem 4's check takes its right side from here.
     """
     _check_pair(a, b, system=EXP)
     x, y = a.coords, b.coords

@@ -58,7 +58,6 @@ __all__ = [
     "BUILTIN_REP_NAMES",
     "matrix_mul",
     "exp_weights",
-    "theorem_4_sides",
 ]
 
 
@@ -237,24 +236,19 @@ class WeilMatrix:
         return self._combine(other, rational.numerator, rational.denominator)
 
     def __mul__(self, other):
+        if not isinstance(other, WeilMatrix):
+            return NotImplemented
+        self._check(other)
         n = self.size
         size = n * n
         # Only nonzero entries take part: the right factor's rows as lists of
         # (column, value), once per product, and the left factor's entries as
         # (row offset, column, value), once per monomial.
-        if isinstance(other, WeilMatrix):
-            self._check(other)
-            rights = [
-                (k, [[(j, v) for j in range(n) if (v := cell[r + j])]
-                     for r in range(0, size, n)])
-                for k, cell in other.coeffs.items()
-            ]
-        elif isinstance(other, WeilScalar):
-            self._check_ring(other.signature)
-            # the scalar as a multiple of the identity matrix
-            rights = [(k, [[(j, c)] for j in range(n)]) for k, c in other.terms.items()]
-        else:
-            return NotImplemented
+        rights = [
+            (k, [[(j, v) for j in range(n) if (v := cell[r + j])]
+                 for r in range(0, size, n)])
+            for k, cell in other.coeffs.items()
+        ]
         bias, guard = self.signature.bias, self.signature.guard
         out: dict = {}
         for k1, x in self.coeffs.items():
@@ -491,7 +485,7 @@ def matrix_mul(a: Jet, b: Jet, rep: MatrixRep) -> Jet:
     return read_curve(rep.extract(product), a)
 
 
-# -- Theorem 4: exp-product identities ------------------------------------------
+# -- Theorem 4: the weights of its exp-product identity ------------------------
 
 
 def exp_weights(n: int) -> tuple[WeilScalar, ...]:
@@ -501,33 +495,3 @@ def exp_weights(n: int) -> tuple[WeilScalar, ...]:
     ring = ring_make(tuple((f"d{i}", 1) for i in range(1, n + 1)))
     s = sum((ring.gen(f"d{i}") for i in range(1, n + 1)), ring.zero)
     return tuple((s**i).scale(Fraction(1, factorial(i))) for i in range(1, n + 1))
-
-
-def theorem_4_sides(xs, ys, weights) -> tuple[WeilMatrix, WeilMatrix]:
-    """Both sides of exp(sum w_i X_i) * exp(sum w_i Y_i) == exp(sum w_i Z_i).
-
-    ``xs`` and ``ys`` are constant matrices X_1..X_n and Y_1..Y_n over the
-    ring of ``weights``, the :func:`exp_weights` of n, and Z_i are the
-    closed-form product coefficients, built here from matrix commutators only.
-    """
-    n = len(weights)
-
-    def side(mats) -> WeilMatrix:
-        acc = mats[0] * weights[0]
-        for m, w in zip(mats[1:], weights[1:]):
-            acc = acc + m * w
-        return weil_exp(acc)
-
-    def comm(p, q):
-        return p * q - q * p
-
-    zs = [xs[0] + ys[0]]
-    if n >= 2:
-        comm1 = comm(xs[0], ys[0])  # [X1, Y1], in Z2 and in Z3's nested term
-        zs.append(xs[1] + ys[1] + comm1)
-    if n == 3:
-        cross = comm(xs[0], ys[1]) + comm(xs[1], ys[0])
-        nested = comm(xs[0] - ys[0], comm1)
-        zs.append((xs[2] + ys[2]).add_scaled(cross, Fraction(3, 2))
-                  .add_scaled(nested, Fraction(1, 2)))
-    return side(xs) * side(ys), side(zs)

@@ -79,6 +79,7 @@ __all__ = [
     "ring_make",
     "rational_from_str",
     "json_int",
+    "json_list",
     "join_last_generator",
     "lowest_last_power",
     "split_last_generator",
@@ -123,6 +124,14 @@ def json_int(value) -> int:
     and booleans included, which ``int()`` would silently truncate or coerce."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_list(value) -> list:
+    """``value`` if it is a list, as ``json.load`` reads an array; ``TypeError``
+    for anything else, such as a string or object that iteration would misread."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {value!r}")
     return value
 
 
@@ -286,9 +295,9 @@ class RingSignature:
         return [[n, m] for n, m in self.generators]
 
     @classmethod
-    def from_json(cls, doc: Iterable) -> "RingSignature":
+    def from_json(cls, doc: list) -> "RingSignature":
         try:
-            gens = tuple((n, m) for n, m in doc)
+            gens = tuple((n, m) for n, m in map(json_list, json_list(doc)))
         except (TypeError, ValueError) as exc:
             raise SignatureError(f"ring must be a list of [name, order] pairs: {exc}") from exc
         return cls(gens)
@@ -305,27 +314,33 @@ def _reduced(signature: RingSignature, terms: dict, den: int) -> "WeilScalar":
     return WeilScalar(signature, terms, den)
 
 
+def _scaled(y: "WeilScalar", p: int, q: int) -> "WeilScalar":
+    """(p/q) * y for integers p and q > 0, as ``scale`` and the merge into an
+    empty x (each of bracket's zero accumulators) take it: y's numerators
+    times p, zero products dropped, over ``q * y.den``, reduced once."""
+    if p == 1 and q == 1:
+        return y
+    b = y.terms
+    terms = b if p == 1 else {k: c for k, n in b.items() if (c := n * p)}
+    return _reduced(y.signature, terms, y.den * q)
+
+
 def _signed_sum(x: "WeilScalar", y: "WeilScalar", p: int, q: int) -> "WeilScalar":
     """x + (p/q) * y for scalars over one ring, integers p and q > 0: the one
     merge behind ``+`` (p/q = 1), ``-`` (p/q = -1), every sum of Lie
     elements (``LieElement.add_scaled``) and each structure constant's term
-    in ``bracket``, and ``scale``, the merge into zero.  y's terms, scaled
-    by p and brought with x's to the lcm of ``x.den`` and ``q * y.den``, are
-    merged into a copy of x's, and one reduction makes the result canonical;
-    into an empty x, y's terms times p over ``q * y.den`` are reduced alone.
-    Two one-term operands at one monomial, the plain-Q coordinates of Lie
-    elements, skip the table: their numerators are cross-multiplied over
-    ``x.den * q * y.den`` and one gcd reduces the sum (none over denominator
-    1), or it is the zero scalar."""
+    in ``bracket``.  y's terms, scaled by p and brought with x's to the lcm
+    of ``x.den`` and ``q * y.den``, are merged into a copy of x's, and one
+    reduction makes the result canonical; into an empty x, the sum is
+    :func:`_scaled`.  Two one-term operands at one monomial, the plain-Q
+    coordinates of Lie elements, skip the table: their numerators are
+    cross-multiplied over ``x.den * q * y.den`` and one gcd reduces the sum
+    (none over denominator 1), or it is the zero scalar."""
     a, b = x.terms, y.terms
     if not b or not p:
         return x
     if not a:
-        # (p/q) y, as each of bracket's zero accumulators takes its first term
-        if p == 1 and q == 1:
-            return y
-        terms = b if p == 1 else {k: c * p for k, c in b.items()}
-        return _reduced(x.signature, terms, y.den * q)
+        return _scaled(y, p, q)
     da, db = x.den, y.den * q
     if len(a) == 1 == len(b):
         # One term each at one monomial, as every plain-Q coordinate is: one
@@ -481,10 +496,9 @@ class WeilScalar:
 
     def scale(self, rational) -> "WeilScalar":
         """Multiply every coefficient by a plain rational: an ``int``, a
-        ``Fraction`` or a "p/q" string, but never a float or a bool.  This
-        is the weighted merge into zero."""
+        ``Fraction`` or a "p/q" string, but never a float or a bool."""
         rational = rational_from_str(rational)
-        return _signed_sum(self.signature.zero, self, rational.numerator, rational.denominator)
+        return _scaled(self, rational.numerator, rational.denominator)
 
     def __pow__(self, n: int):
         if n.__class__ is not int or n < 0:
@@ -542,7 +556,8 @@ class WeilScalar:
         sig = RingSignature.from_json(doc["ring"])
         dense = {}
         try:
-            rows = [(tuple(json_int(e) for e in vec), coeff) for vec, coeff in doc["terms"]]
+            rows = [(tuple(json_int(e) for e in json_list(vec)), coeff)
+                    for vec, coeff in map(json_list, json_list(doc["terms"]))]
         except (TypeError, ValueError) as exc:
             raise SignatureError(
                 f"terms must be a list of [exponent vector, rational] pairs: {exc}"

@@ -328,10 +328,12 @@ def failures(report) -> dict:
 CLOSED_FORM_ROWS = [
     # 3/2 -> 1 in the order-3 cross term of jet_mul
     ("_THREE_HALVES", Fraction(1),
-     {"def6.1-vs-bch-n3", "def6.1-vs-matrix-n3", "thm-6.3", "thm-7.3"}),
+     {"def6.1-vs-bch-n3", "def6.1-vs-matrix-n3", "thm-4.3", "thm-6.3", "thm-7.3"}),
     # 1/2 -> 0 drops the nested order-3 term, which the square-zero
-    # scaling of thm-7.3 cannot see
-    ("_HALF", Fraction(0), {"def6.1-vs-bch-n3", "def6.1-vs-matrix-n3", "thm-6.3"}),
+    # scaling of thm-7.3 cannot see, nor thm-4.3 in h3, where every nested
+    # bracket is zero, so thm-4.3 fails in sl2
+    ("_HALF", Fraction(0),
+     {"def6.1-vs-bch-n3", "def6.1-vs-matrix-n3", "thm-4.3", "thm-6.3"}),
 ]
 
 
@@ -340,7 +342,9 @@ def test_corrupted_closed_form_fails_exactly_the_checks_that_guard_it(
     monkeypatch, constant, value, failing
 ):
     monkeypatch.setattr(liejets.jets, constant, value)
-    assert set(failures(run_suite("all", trials=3, seed=0))) == failing
+    failed = failures(run_suite("all", trials=3, seed=0))
+    assert set(failed) == failing
+    assert failed["thm-4.3"].counterexample["algebra"] == ("h3" if value else "sl2")
 
 
 ORACLE_ROWS = [
@@ -481,9 +485,11 @@ def test_misread_term_table_fails_exactly_the_ring_laws(monkeypatch, shifted, sc
     assert failed["struct-ring-laws"].counterexample["law"] == "round trip"
 
 
-# order 1 holds because the order-1 product is linear, and thm-4.* because
-# Theorem 4 holds for any matrices
-WRONG_IMAGE_FAILS = {"def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3"}
+# order 1 holds because the order-1 product is linear; from order 2 the
+# matrix products form each bracket as the commutator of the images, while
+# the closed form's bracket is realized through the doubled image of z, so
+# both the matrix comparisons and Theorem 4's two sides tell them apart
+WRONG_IMAGE_FAILS = {"def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3", "thm-4.2", "thm-4.3"}
 
 
 def test_wrong_representation_image_fails_exactly_the_matrix_checks_that_see_it(
@@ -596,12 +602,14 @@ NAME_ROWS = [
      _edit_product(lambda x, y, z: (x[0] - y[0], *z[1:])),
      {"def6.1-vs-bch-n1", "def6.1-vs-bch-n2", "def6.1-vs-bch-n3",
       "def6.1-vs-matrix-n1", "def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3",
+      "thm-4.1", "thm-4.2", "thm-4.3",
       "thm-6.1", "thm-6.2", "thm-6.3", "thm-7.0", "thm-7.1", "thm-7.2", "thm-7.3"}),
     # z2 = x2 + [x1, y1], y2 dropped; the order-1 checks have no z2
     ((liejets.jets, liejets.checks), "jet_mul",
      _edit_product(lambda x, y, z: z if len(z) < 2 else (z[0], z[1] - y[1], *z[2:])),
      {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3", "def6.1-vs-matrix-n2",
-      "def6.1-vs-matrix-n3", "thm-6.2", "thm-6.3", "thm-7.0", "thm-7.2", "thm-7.3"}),
+      "def6.1-vs-matrix-n3", "thm-4.2", "thm-4.3",
+      "thm-6.2", "thm-6.3", "thm-7.0", "thm-7.2", "thm-7.3"}),
     # the inverse returns its argument; the group commutator in jets inverts
     # too, so patching checks alone would reach only thm-7.0
     ((liejets.jets, liejets.checks), "jet_inverse", lambda real: lambda a: a,

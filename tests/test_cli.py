@@ -206,12 +206,14 @@ class TestValidate:
         _spec_doc(("a", "b", [["c", "1"]]), ("b", "a", [["a", "1"]])),
         _spec_doc(("a", "b", [["b" * 50_000, "1"]])),
         _spec_doc(("a\nb", "c", [])),
+        _spec_doc(("a", "b", ["c1"])),
     ], ids=["non-string-basis", "non-string-name", "basis-as-string",
             "non-string-value-name", "pair-twice", "pair-twice-reversed",
-            "long-name", "name-with-line-break"])
+            "long-name", "name-with-line-break", "value-pair-as-string"])
     def test_bad_spec_is_one_short_usage_error_line(self, jet_files, capsys, doc):
         # The first six loaded and passed, coerced or with a bracket dropped;
-        # the last two were refused, echoing 50 KB or breaking the line.
+        # the next two were refused, echoing 50 KB or breaking the line; the
+        # last loaded the string "c1" as the pair ["c", "1"].
         assert main(["validate", jet_files("spec.json", doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -294,6 +296,10 @@ class TestMul:
             _set(("coords", 0, "coords", "p", "terms", 0, 1), "0.5"),
             _set(("coords", 0, "coords", "p", "terms", 0, 1), " 1/2 "),
             _set(("coords", 0, "coords", "p", "terms", 0, 1), "1_000"),
+            _set(("coords", 0, "ring"), ""),
+            _set(("coords", 0, "ring"), {}),
+            _set(("coords", 0, "coords", "p", "ring"), ""),
+            _set(("coords", 0, "coords", "p", "terms", 0, 0), ""),
         ],
         ids=[
             "zero-denominator", "non-integer-order", "coords-as-list", "top-level-array",
@@ -302,6 +308,8 @@ class TestMul:
             "boolean-coefficient", "boolean-jet-order", "not-utf8", "nested-too-deep",
             "long-coefficient", "element-without-ring", "exponent-coefficient",
             "decimal-coefficient", "padded-coefficient", "underscore-coefficient",
+            "element-ring-as-string", "element-ring-as-object", "scalar-ring-as-string",
+            "exponent-vector-as-string",
         ],
     )
     def test_malformed_jet_is_one_line_usage_error(self, jet_files, capsys, corrupt):

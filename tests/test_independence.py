@@ -1,5 +1,6 @@
 """Oracle independence, traced: the closed-form product reaches no oracle code,
-and neither oracle reaches the closed-form product."""
+neither oracle reaches the closed-form product, and Theorem 4's check takes
+its right side from the closed-form product."""
 
 import sys
 from random import Random
@@ -8,9 +9,10 @@ import pytest
 
 from liejets.algebras import heisenberg3
 from liejets.bch import bch_mul
+from liejets.checks import exp_product_holds
 from liejets.hall import free_nilpotent
 from liejets.jets import jet_mul
-from liejets.matrices import builtin_rep, matrix_mul
+from liejets.matrices import builtin_rep, exp_weights, matrix_mul
 from liejets.sampling import PLAIN_RING, random_jet, symbolic_jet_family
 
 H3 = heisenberg3()
@@ -69,3 +71,13 @@ def test_oracles_never_reach_the_closed_form(order):
             calls = reached(engine, *args)
             assert CURVE_CODE <= calls
             assert ("liejets.jets", "jet_mul") not in calls
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_theorem_4_takes_its_right_side_from_the_closed_form(order):
+    rep, weights = builtin_rep("h3"), exp_weights(order)
+    rng = Random(order)
+    a, b = (random_jet(H3, weights[0].signature, order, rng) for _ in range(2))
+    calls = reached(exp_product_holds, rep, weights, a, b)
+    assert ("liejets.jets", "jet_mul") in calls
+    assert ("liejets.matrices", "weil_exp") in calls

@@ -38,6 +38,13 @@ def rational_matrix(ring, rows):
     return WeilMatrix(ring, tuple(tuple(ring.rational(e) for e in row) for row in rows))
 
 
+def weighted_matrix(ring, rows, weight):
+    """The matrix over ``ring`` whose entries are these rationals times the
+    scalar ``weight``, built as a grid of scalars: a matrix takes no scalar
+    factor."""
+    return WeilMatrix(ring, tuple(tuple(ring.rational(e) * weight for e in row) for row in rows))
+
+
 def zero_matrix(ring, n):
     return rational_matrix(ring, [[0] * n] * n)
 
@@ -182,7 +189,6 @@ class TestAgainstEntrywiseReference:
         one = grid_identity(ring, n)
         for _ in range(12):
             a, b = random_grid(ring, n, rng), random_grid(ring, n, rng)
-            s = random_grid(ring, 1, rng)[0][0]
             q = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
             A, B = WeilMatrix(ring, a), WeilMatrix(ring, b)
             Z, I = zero_matrix(ring, n), WeilMatrix.identity(ring, n)
@@ -196,7 +202,6 @@ class TestAgainstEntrywiseReference:
             self.check(Z.add_scaled(A, q), grid_scale(a, q))
             self.check(A.add_scaled(A, 2), grid_scale(a, 3))
             self.check(A.add_scaled(B, 0), a)
-            self.check(A * s, tuple(tuple(x * s for x in row) for row in a))
             self.check(A * Z, zero)
             self.check(Z * A, zero)
             self.check(A + Z, a)
@@ -231,8 +236,6 @@ def test_mismatched_shapes_and_rings_rejected():
         A * WeilMatrix.identity(ring, 3)
     with pytest.raises(SignatureMismatch):
         A + WeilMatrix.identity(other, 2)
-    with pytest.raises(SignatureMismatch):
-        A * other.gen("e")
     with pytest.raises(MatrixError):
         builtin_rep("sl2").extract(zero_matrix(ring, 3))
 
@@ -256,10 +259,18 @@ def test_scale_reads_only_exact_rationals():
     "number", [3, 0, Fraction(1, 2), True], ids=["int", "zero", "fraction", "bool"]
 )
 def test_numbers_are_no_right_factors(number):
-    """A matrix is multiplied only by a matrix or a scalar of its ring."""
+    """A matrix is multiplied only by a matrix."""
     A = rational_matrix(PLAIN_RING, [[0, 1], [2, 0]])
     with pytest.raises(TypeError):
         A * number
+
+
+def test_a_scalar_is_no_right_factor():
+    """Not even a scalar of the matrix's own ring multiplies it: a weighted
+    matrix is built as a grid of scalars (see ``weighted_matrix``)."""
+    ring = ring_make([("d", 2)])
+    with pytest.raises(TypeError):
+        WeilMatrix.identity(ring, 2) * ring.gen("d")
 
 
 class TestExp:
@@ -270,8 +281,7 @@ class TestExp:
     def test_series_truncates_at_first_power(self):
         ring = ring_make([("d", 1)])
         d = ring.gen("d")
-        N = rational_matrix(ring, [[0, 1], [0, 0]])
-        M = N * d
+        M = weighted_matrix(ring, [[0, 1], [0, 0]], d)
         assert weil_exp(M) == WeilMatrix.identity(ring, 2) + M
 
     def test_sl2_diagonal_generator_order3(self):
@@ -284,11 +294,11 @@ class TestExp:
         d = ring.gen("d")
         expected = (
             WeilMatrix.identity(ring, 2)
-            + rational_matrix(ring, H) * d
-            + rational_matrix(ring, H2) * (d * d).scale(Fraction(1, 2))
-            + rational_matrix(ring, H3_) * (d * d * d).scale(Fraction(1, 6))
+            + weighted_matrix(ring, H, d)
+            + weighted_matrix(ring, H2, (d * d).scale(Fraction(1, 2)))
+            + weighted_matrix(ring, H3_, (d * d * d).scale(Fraction(1, 6)))
         )
-        assert weil_exp(rational_matrix(ring, H) * d) == expected
+        assert weil_exp(weighted_matrix(ring, H, d)) == expected
 
     def test_rejects_nonzero_constant_term(self):
         ring = ring_make([("d", 2)])
@@ -324,12 +334,12 @@ class TestLog:
         # log(I + dN + 1/2 d^2 N^2) recovers dN when N^2 is nonzero
         ring = ring_make([("d", 2)])
         d = ring.gen("d")
-        N = rational_matrix(ring, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        assert not (N * N).is_zero()
-        M = WeilMatrix.identity(ring, 3) + N * d + (N * N) * (d * d).scale(
-            Fraction(1, 2)
-        )
-        assert weil_log(M) == N * d
+        N = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+        N2 = rmat_mul(N, N)
+        assert any(any(row) for row in N2)
+        M = (WeilMatrix.identity(ring, 3) + weighted_matrix(ring, N, d)
+             + weighted_matrix(ring, N2, (d * d).scale(Fraction(1, 2))))
+        assert weil_log(M) == weighted_matrix(ring, N, d)
 
     def test_rejects_non_unipotent(self):
         ring = ring_make([("d", 2)])
@@ -351,13 +361,11 @@ def test_order1_homomorphism():
     d = ring.gen("d")
     rng = Random(9)
     for _ in range(10):
-        A = rational_matrix(
-            ring, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        A, B = (
+            weighted_matrix(ring, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)], d)
+            for _ in range(2)
         )
-        B = rational_matrix(
-            ring, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        )
-        assert weil_exp(A * d) * weil_exp(B * d) == weil_exp((A + B) * d)
+        assert weil_exp(A) * weil_exp(B) == weil_exp(A + B)
 
 
 class TestRep:
@@ -488,12 +496,10 @@ class TestTheorem4:
                 (ring.zero, ring.zero, ring.one),
             ),
         )
-        rep = builtin_rep("h3")
-        P = rational_matrix(ring, rep.images["p"])
-        Q = rational_matrix(ring, rep.images["q"])
-        Z = rational_matrix(ring, rep.images["z"])
-        lhs = weil_exp(P * s) * weil_exp(Q * s)
-        rhs = weil_exp((P + Q) * s + Z * s2.scale(Fraction(1, 2)))
+        images = builtin_rep("h3").images
+        sP, sQ = (weighted_matrix(ring, images[b], s) for b in "pq")
+        lhs = weil_exp(sP) * weil_exp(sQ)
+        rhs = weil_exp(sP + sQ + weighted_matrix(ring, images["z"], s2.scale(Fraction(1, 2))))
         assert lhs == frozen
         assert rhs == frozen
 
@@ -512,31 +518,21 @@ class TestTheorem4:
         with pytest.raises(MatrixError):
             exp_weights(n)
 
-    def test_failing_evidence_is_the_string_grid_of_the_inputs(self):
-        # the order-2 identity in the order-3 ring misses the s^3 terms, so it
-        # fails; its evidence reads the inputs back through WeilMatrix.rows
-        weights = exp_weights(3)[:2]
-        ring = weights[0].signature
-        one_plus_half_d1 = ring.one + ring.gen("d1").scale(Fraction(1, 2))
-        xs = [
-            rational_matrix(ring, [[0, 1, -3], [0, 0, Fraction(1, 2)], [0, 0, 0]]),
-            rational_matrix(ring, [[0, Fraction(2, 3), 0], [0, 0, 0], [0, 0, 0]])
-            * one_plus_half_d1,
-        ]
-        ys = [
-            rational_matrix(ring, [[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
-            rational_matrix(ring, [[0, 0, 0], [0, 0, Fraction(-1, 5)], [0, 0, 0]]),
-        ]
-        assert exp_product_holds(weights, xs, ys) == {
-            "X": [
-                [["0", "1", "-3"], ["0", "0", "1/2"], ["0", "0", "0"]],
-                [["0", "2/3 + 1/3*d1", "0"], ["0", "0", "0"], ["0", "0", "0"]],
-            ],
-            "Y": [
-                [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]],
-                [["0", "0", "0"], ["0", "0", "-1/5"], ["0", "0", "0"]],
-            ],
-        }
+    def test_the_order_2_law_over_the_order_3_ring_fails_with_both_jets(self):
+        # with a = (2/3 p, 0) and b = (0, -3q), Z3 = 3/2 [X1, Y2] = -3z: the
+        # order-2 law over its own ring holds, but in the order-3 ring it
+        # misses the s^3 Z3 / 3! term, so it fails with the two jets
+        rep = builtin_rep("h3")
+        for n in (2, 3):
+            weights = exp_weights(n)[:2]
+            ring = weights[0].signature
+            zero = zero_element(H3, ring)
+            p, q = (basis_element(H3, ring, b) for b in "pq")
+            a = jet_make(H3, ring, 2, (p.scale(Fraction(2, 3)), zero))
+            b = jet_make(H3, ring, 2, (zero, q.scale(-3)))
+            evidence = exp_product_holds(rep, weights, a, b)
+            assert evidence == (None if n == 2 else {"a": a.to_json(), "b": b.to_json()})
+        assert evidence["a"]["coords"][0]["coords"]["p"]["terms"] == [[[0, 0, 0], "2/3"]]
 
 
 class TestDef61VsMatrix:

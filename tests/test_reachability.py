@@ -54,9 +54,8 @@ ALLOWED = {
     "liejets.algebras.make_algebra.<locals>.<genexpr>": "input check: a spec that "
                                                         "brackets an element with itself",
     "liejets.algebras.validate_algebra.<locals>.<dictcomp>": "failure evidence",
-    "liejets.checks.exp_product_holds.<locals>.<dictcomp>": "failure evidence",
     "liejets.checks.witt_dimensions_hold.<locals>.<listcomp>": "failure evidence",
-    "liejets.matrices.WeilMatrix.rows": "failure evidence of thm-4.*",
+    "liejets.matrices.WeilMatrix.rows": "read only by WeilMatrix.__repr__",
     "liejets.scalars.WeilScalar.constant_term": "failure evidence of the Jacobi scan",
     "liejets.matrices.WeilMatrix.__init__": "perfbench/tracing.py probe_inputs builds "
                                             "its probe matrix with it",
@@ -75,6 +74,7 @@ COMMAND_ONLY = {
                     "algebras.LieElement", "jets.Jet")
         for method in ("from_json", "to_json")
     },
+    "liejets.scalars.json_list": "the JSON readers' check that an array is a list",
     "liejets.scalars.WeilScalar._coerce": "operands parsed from two files have equal "
                                           "but distinct rings",
 }
