@@ -118,9 +118,7 @@ class LieAlgebraSpec:
     def from_json(cls, doc: Mapping) -> "LieAlgebraSpec":
         try:
             name = _name(doc["name"])
-            if not isinstance(doc["basis"], list):
-                raise AlgebraError("'basis' must be a list of names")
-            basis = [_name(b) for b in doc["basis"]]
+            basis = [_name(b) for b in json_list(doc["basis"])]
             brackets: dict = {}
             for entry in json_list(doc.get("brackets", [])):
                 pair = (_name(entry["left"]), _name(entry["right"]))
@@ -263,22 +261,11 @@ class LieElement:
         return LieElement(self.algebra, self.signature, tuple(-a for a in self.coords))
 
     def __mul__(self, scalar):
-        """Every coordinate times one scalar of the element's ring; a plain
-        rational goes through :meth:`scale` instead."""
+        """Every coordinate times one scalar of the element's ring, never a number."""
         if not isinstance(scalar, WeilScalar):
             return NotImplemented
         return LieElement(
             self.algebra, self.signature, tuple(c * scalar for c in self.coords)
-        )
-
-    def scale(self, rational) -> "LieElement":
-        """Multiply every coordinate by a plain rational, read as
-        :meth:`~liejets.scalars.WeilScalar.scale` reads it."""
-        rational = rational_from_str(rational)
-        if rational == 1:
-            return self
-        return LieElement(
-            self.algebra, self.signature, tuple(c.scale(rational) for c in self.coords)
         )
 
     def __eq__(self, other):
@@ -319,10 +306,15 @@ class LieElement:
             raise AlgebraError(
                 "an element must be an object whose 'coords' map basis names to scalars"
             )
-        if doc.get("algebra") != algebra.name:
-            raise AlgebraError(
-                f"element belongs to {doc.get('algebra')!r}, expected {algebra.name!r}"
-            )
+        name = doc.get("algebra")
+        if name != algebra.name:
+            from .catalog import resolve_algebra  # the catalog imports this module
+            try:  # another spelling of the name, as a jet's own name is read
+                same = isinstance(name, str) and resolve_algebra(name) == algebra
+            except ValueError:  # no catalog name, or parameters out of its bounds
+                same = False
+            if not same:
+                raise AlgebraError(f"element belongs to {name!r}, expected {algebra.name!r}")
         if "ring" not in doc:
             raise AlgebraError("an element needs its 'ring'")
         sig = RingSignature.from_json(doc["ring"])

@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .algebras import LieElement, bracket
+from .algebras import LieElement, bracket, zero_element
 from .jets import Jet, JetError, lift_curves, read_curve
 from .scalars import lowest_last_power
 
@@ -77,7 +77,7 @@ def bch_mul(a: Jet, b: Jet) -> Jet:
         raise JetError("series table only covers orders up to 3")
     A, B = lift_curves(a, b)
     values = {"a": A, "b": B}
-    total = None
+    total = zero_element(A.algebra, A.signature)
     for word, coeff in BCH_DEGREE3_TERMS:
         degree = _word_degree(word)
         if degree > a.order:
@@ -88,5 +88,5 @@ def bch_mul(a: Jet, b: Jet) -> Jet:
             raise JetError(
                 f"bracket word {word} produced a term of d-degree {lowest}"
             )
-        total = value.scale(coeff) if total is None else total.add_scaled(value, coeff)
+        total = total.add_scaled(value, coeff)
     return read_curve(total, a)

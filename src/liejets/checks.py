@@ -34,7 +34,7 @@ from operator import add, le, mul
 from random import Random
 
 from . import __version__
-from .algebras import LieAlgebraSpec, basis_element, bracket, validate_algebra
+from .algebras import LieAlgebraSpec, basis_element, bracket, validate_algebra, zero_element
 from .bch import bch_mul
 from .catalog import BUILTIN_NAMES, SUITE_NAMES, default_verification_algebras, resolve_algebra
 from .hall import _commutator, expand_tree, free_nilpotent, lyndon_words, standard_bracketing
@@ -253,10 +253,11 @@ def _associativity_detail(order: int, out: Outcome, families) -> dict:
 def cubic_identity(x, y, z) -> dict | None:
     """The cubic bracket identity behind order-3 associativity reduces to zero."""
     expr = (
-        bracket(bracket(x, y), z).scale(_THREE_HALVES)
-        + (bracket(x, bracket(y, z)) + bracket(y, bracket(x, z))).scale(_HALF)
-        - bracket(x, bracket(y, z)).scale(_THREE_HALVES)
-        + (bracket(y, bracket(x, z)) + bracket(z, bracket(x, y))).scale(_HALF)
+        zero_element(x.algebra, x.signature)
+        .add_scaled(bracket(bracket(x, y), z), _THREE_HALVES)
+        .add_scaled(bracket(x, bracket(y, z)) + bracket(y, bracket(x, z)), _HALF)
+        .add_scaled(bracket(x, bracket(y, z)), -_THREE_HALVES)
+        .add_scaled(bracket(y, bracket(x, z)) + bracket(z, bracket(x, y)), _HALF)
     )
     return None if expr.is_zero() else {"residual": expr.to_json()}
 
@@ -333,7 +334,7 @@ def bracket_recovered(a_raw: Jet, b_raw: Jet) -> dict | None:
     if a.order >= 2:
         coords[1] = bracket(x[0], y[0]) * e12
     if a.order >= 3:
-        coords[2] = (bracket(x[0], y[1]) + bracket(x[1], y[0])) * e12.scale(_HALF)
+        coords[2] = (bracket(x[0], y[1]) + bracket(x[1], y[0])) * (e12 * ring.rational(_HALF))
     expected = Jet(zero.algebra, zero.signature, a.order, MONOMIAL, tuple(coords))
     if commutator == pointwise == expected:
         return None

@@ -48,15 +48,25 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, refused when a key repeats, where a dict keeps the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is repeated")
+        doc[key] = value
+    return doc
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_object)
     except OSError as exc:
         raise _CliUsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:
-        # Malformed JSON, text that is not UTF-8, an integer literal too long
-        # to convert, or arrays and objects nested too deeply to parse.
+        # Malformed JSON or a repeated key, text that is not UTF-8, an integer
+        # literal too long to convert, or arrays and objects nested too deeply.
         raise _CliUsageError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -182,16 +182,16 @@ def factorial_weights(order: int) -> tuple[int, ...]:
 
 def jet_convert(j: Jet, target: str) -> Jet:
     """The jet in ``target`` coordinates: ``j`` itself when it is in them
-    already, and otherwise the exact factorial rescale from exp to monomial
-    coordinates, monomial X_i = exp X_i / i!.  No caller converts monomial
-    coordinates back to exp, so that is refused with the unknown systems.
+    already, and otherwise monomial X_i = exp X_i / i!, X_i merged into zero
+    with the weight 1/i!.  No caller converts monomial coordinates back to
+    exp, so that is refused with the unknown systems.
     """
     if j.system == target:
         return j
     if target != MONOMIAL:
         raise JetError(f"cannot convert {j.system} coordinates to {target!r}")
-    weights = factorial_weights(j.order)
-    coords = tuple(c.scale(Fraction(1, weights[i])) for i, c in enumerate(j.coords, 1))
+    weights, zero = factorial_weights(j.order), zero_element(j.algebra, j.signature)
+    coords = tuple(zero.add_scaled(c, Fraction(1, weights[i])) for i, c in enumerate(j.coords, 1))
     return Jet(j.algebra, j.signature, j.order, MONOMIAL, coords)
 
 

@@ -494,4 +494,4 @@ def exp_weights(n: int) -> tuple[WeilScalar, ...]:
         raise MatrixError(f"order must be the int 1, 2, or 3, got {n!r}")
     ring = ring_make(tuple((f"d{i}", 1) for i in range(1, n + 1)))
     s = sum((ring.gen(f"d{i}") for i in range(1, n + 1)), ring.zero)
-    return tuple((s**i).scale(Fraction(1, factorial(i))) for i in range(1, n + 1))
+    return tuple(s**i * ring.rational(Fraction(1, factorial(i))) for i in range(1, n + 1))

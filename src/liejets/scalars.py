@@ -14,8 +14,8 @@ is exact: integer products and sums of the numerators, then a single gcd to
 reduce the result.  ``+`` and ``-`` share one merge, x + (p/q) y, so a
 difference is a sum with the second operand's numerators negated, and a
 sum with a rational weight costs no separate rescale.  A scalar combines
-only with a scalar of its ring: a rational enters through ``scale``,
-``ring.rational`` or the weight of that merge.  ``coefficients()``
+only with a scalar of its ring: a rational enters through
+``ring.rational`` or as the weight of that merge.  ``coefficients()``
 gives the terms as ``Fraction`` values keyed by dense exponent vectors.
 
 A ring is one object, the :class:`RingSignature` that each of its scalars
@@ -227,8 +227,7 @@ class RingSignature:
         return WeilScalar(self, {0: 1})
 
     def rational(self, value) -> "WeilScalar":
-        """The constant scalar ``value``, read as :meth:`WeilScalar.scale`
-        reads its rational."""
+        """The constant scalar ``value``, as :func:`rational_from_str` reads it."""
         q = rational_from_str(value)
         p = q.numerator
         return WeilScalar(self, {0: p}, q.denominator) if p else self.zero
@@ -314,33 +313,23 @@ def _reduced(signature: RingSignature, terms: dict, den: int) -> "WeilScalar":
     return WeilScalar(signature, terms, den)
 
 
-def _scaled(y: "WeilScalar", p: int, q: int) -> "WeilScalar":
-    """(p/q) * y for integers p and q > 0, as ``scale`` and the merge into an
-    empty x (each of bracket's zero accumulators) take it: y's numerators
-    times p, zero products dropped, over ``q * y.den``, reduced once."""
-    if p == 1 and q == 1:
-        return y
-    b = y.terms
-    terms = b if p == 1 else {k: c for k, n in b.items() if (c := n * p)}
-    return _reduced(y.signature, terms, y.den * q)
-
-
 def _signed_sum(x: "WeilScalar", y: "WeilScalar", p: int, q: int) -> "WeilScalar":
     """x + (p/q) * y for scalars over one ring, integers p and q > 0: the one
     merge behind ``+`` (p/q = 1), ``-`` (p/q = -1), every sum of Lie
     elements (``LieElement.add_scaled``) and each structure constant's term
     in ``bracket``.  y's terms, scaled by p and brought with x's to the lcm
     of ``x.den`` and ``q * y.den``, are merged into a copy of x's, and one
-    reduction makes the result canonical; into an empty x, the sum is
-    :func:`_scaled`.  Two one-term operands at one monomial, the plain-Q
-    coordinates of Lie elements, skip the table: their numerators are
-    cross-multiplied over ``x.den * q * y.den`` and one gcd reduces the sum
-    (none over denominator 1), or it is the zero scalar."""
+    reduction makes the result canonical.  Two one-term operands at one
+    monomial, the plain-Q coordinates of Lie elements, skip the table: their
+    numerators are cross-multiplied over ``x.den * q * y.den`` and one gcd
+    reduces the sum (none over denominator 1), or it is the zero scalar."""
     a, b = x.terms, y.terms
     if not b or not p:
         return x
-    if not a:
-        return _scaled(y, p, q)
+    if not a:  # an empty x, as bracket's accumulators start: p != 0 makes no product zero
+        if p == 1 and q == 1:
+            return y
+        return _reduced(y.signature, b if p == 1 else {k: c * p for k, c in b.items()}, y.den * q)
     da, db = x.den, y.den * q
     if len(a) == 1 == len(b):
         # One term each at one monomial, as every plain-Q coordinate is: one
@@ -493,12 +482,6 @@ class WeilScalar:
                     else:
                         del out[k]
         return _reduced(self.signature, out, self.den * other.den)
-
-    def scale(self, rational) -> "WeilScalar":
-        """Multiply every coefficient by a plain rational: an ``int``, a
-        ``Fraction`` or a "p/q" string, but never a float or a bool."""
-        rational = rational_from_str(rational)
-        return _scaled(self, rational.numerator, rational.denominator)
 
     def __pow__(self, n: int):
         if n.__class__ is not int or n < 0:

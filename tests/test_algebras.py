@@ -259,7 +259,7 @@ def test_add_scaled_is_scale_then_add(ring):
             x = LieElement(spec, ring, random_coords(spec, ring, rng))
             y = LieElement(spec, ring, random_coords(spec, ring, rng))
             for c in (Fraction(1), Fraction(-1), Fraction(1, 12), Fraction(-5, 6), 3, 0):
-                assert x.add_scaled(y, c) == x + y.scale(c)
+                assert x.add_scaled(y, c) == x + y * ring.rational(c)
             assert x.add_scaled(x, -1).is_zero()
     p = basis_element(H3, PLAIN_RING, "p")
     with pytest.raises(AlgebraError):
@@ -270,11 +270,12 @@ def test_add_scaled_is_scale_then_add(ring):
 
 def test_scale_reads_only_exact_rationals():
     p = basis_element(H3, PLAIN_RING, "p")
-    assert p.scale(1) is p and p.scale(Fraction(1)) is p
-    assert p.scale("1/2") == h3_element(PLAIN_RING, Fraction(1, 2), 0, 0)
+    half = h3_element(PLAIN_RING, Fraction(1, 2), 0, 0)
+    assert zero_element(H3, PLAIN_RING).add_scaled(p, "1/2") == half
+    assert p.add_scaled(half, "-2").is_zero()
+    # the weight 0 leaves every coordinate as it was
+    assert all(a is b for a, b in zip(p.add_scaled(half, 0).coords, p.coords))
     for value in (0.1, 1.0, True):
-        with pytest.raises(SignatureError):
-            p.scale(value)
         with pytest.raises(SignatureError):
             p.add_scaled(p, value)
 
@@ -283,8 +284,8 @@ def test_scale_reads_only_exact_rationals():
     "number", [3, 0, Fraction(1, 2), True], ids=["int", "zero", "fraction", "bool"]
 )
 def test_numbers_are_no_factors(number):
-    """An element is multiplied only by a scalar of its ring; a rational
-    goes through ``scale``."""
+    """An element is multiplied only by a scalar of its ring; a rational is
+    ``ring.rational`` or the weight of ``add_scaled``."""
     p = basis_element(H3, PLAIN_RING, "p")
     with pytest.raises(TypeError):
         p * number
@@ -302,8 +303,8 @@ coords3 = st.lists(
 def test_bracket_bilinear_in_rational_coords(xc, yc):
     x = h3_element(PLAIN_RING, *xc)
     y = h3_element(PLAIN_RING, *yc)
-    two_x = x.scale(2)
-    assert bracket(two_x, y) == bracket(x, y).scale(2)
+    two = PLAIN_RING.rational(2)
+    assert bracket(x * two, y) == bracket(x, y) * two
     assert bracket(x + y, y) == bracket(x, y)  # [y, y] = 0
 
 

@@ -7,15 +7,17 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from liejets.algebras import MAX_DIMENSION, abelian, basis_element, heisenberg3, zero_element
+from liejets.catalog import resolve_algebra
 from liejets.cli import build_parser, main
 from liejets.jets import jet_make
-from liejets.sampling import PLAIN_RING
+from liejets.sampling import PLAIN_RING, random_jet
 
 H3 = heisenberg3()
 
@@ -68,6 +70,15 @@ def _over_t(order, exponent, name="t"):
         return doc
 
     return corrupt
+
+
+def _repeated_p(doc):
+    """Corruption that gives the coordinate p twice, first 1 and then 5, as
+    text: ``json.load`` alone keeps the last, so the jet read is 5p."""
+    once = '"p": {"ring": [], "terms": [[[], "1"]]}'
+    text = json.dumps(doc)
+    assert once in text
+    return text.replace(once, f"{once}, {once.replace('1', '5')}").encode()
 
 
 def _drop_ring(doc):
@@ -207,13 +218,15 @@ class TestValidate:
         _spec_doc(("a", "b", [["b" * 50_000, "1"]])),
         _spec_doc(("a\nb", "c", [])),
         _spec_doc(("a", "b", ["c1"])),
+        b'{"name": "x", "basis": ["a"], "basis": ["a", "b", "c"], "brackets": []}',
     ], ids=["non-string-basis", "non-string-name", "basis-as-string",
             "non-string-value-name", "pair-twice", "pair-twice-reversed",
-            "long-name", "name-with-line-break", "value-pair-as-string"])
+            "long-name", "name-with-line-break", "value-pair-as-string", "basis-twice"])
     def test_bad_spec_is_one_short_usage_error_line(self, jet_files, capsys, doc):
         # The first six loaded and passed, coerced or with a bracket dropped;
         # the next two were refused, echoing 50 KB or breaking the line; the
-        # last loaded the string "c1" as the pair ["c", "1"].
+        # next loaded the string "c1" as the pair ["c", "1"], and the last
+        # checked the second of its two bases.
         assert main(["validate", jet_files("spec.json", doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -300,6 +313,7 @@ class TestMul:
             _set(("coords", 0, "ring"), {}),
             _set(("coords", 0, "coords", "p", "ring"), ""),
             _set(("coords", 0, "coords", "p", "terms", 0, 0), ""),
+            _repeated_p,
         ],
         ids=[
             "zero-denominator", "non-integer-order", "coords-as-list", "top-level-array",
@@ -309,7 +323,7 @@ class TestMul:
             "long-coefficient", "element-without-ring", "exponent-coefficient",
             "decimal-coefficient", "padded-coefficient", "underscore-coefficient",
             "element-ring-as-string", "element-ring-as-object", "scalar-ring-as-string",
-            "exponent-vector-as-string",
+            "exponent-vector-as-string", "coordinate-twice",
         ],
     )
     def test_malformed_jet_is_one_line_usage_error(self, jet_files, capsys, corrupt):
@@ -331,6 +345,28 @@ class TestMul:
         a, b = _long_pair(jet_files)
         assert main(["mul", a, b, "--via", engine]) == 2
         _assert_too_long(capsys.readouterr())
+
+    @pytest.mark.parametrize("spelling", ["free_nilpotent(2,3)", "Free-Nilpotent(2,3)"])
+    def test_elements_may_spell_their_algebra_as_the_jet_does(
+        self, jet_files, capsys, spelling
+    ):
+        rng = Random(3)
+        docs = [random_jet(resolve_algebra(spelling), PLAIN_RING, 3, rng).to_json()
+                for _ in "ab"]
+        assert main(["mul", *(jet_files(f"{n}.json", d) for n, d in zip("ab", docs))]) == 0
+        canonical = capsys.readouterr().out
+        respelled = [json.loads(json.dumps(d).replace("free-nilpotent(2,3)", spelling))
+                     for d in docs]
+        assert all(e["algebra"] == spelling for d in respelled for e in d["coords"])
+        paths = [jet_files(f"{n}-respelled.json", d) for n, d in zip("ab", respelled)]
+        assert main(["mul", *paths]) == 0
+        assert capsys.readouterr().out == canonical
+        # an element of another algebra is still refused
+        doc = h3_jet_doc(1, "p")
+        doc["coords"][0]["algebra"] = "sl2"
+        a = jet_files("a.json", doc)
+        assert main(["mul", a, a]) == 2
+        assert "element belongs to 'sl2', expected 'h3'" in capsys.readouterr().err
 
     def test_element_without_ring_names_the_key(self, jet_files, capsys):
         a = jet_files("a.json", _drop_ring(h3_jet_doc(1, "p")))

@@ -81,7 +81,7 @@ def random_nilpotent_matrix(ring, n, rng):
 def grid_mul(a, b):
     """Entrywise product: each entry a sum over k of WeilScalar products."""
     n = len(a)
-    zero = a[0][0].scale(0)
+    zero = a[0][0].signature.zero
     return tuple(
         tuple(sum((a[i][k] * b[k][j] for k in range(n)), zero) for j in range(n))
         for i in range(n)
@@ -91,12 +91,14 @@ def grid_mul(a, b):
 def grid_add(a, b, sign=1):
     """a + sign * b, entry by entry, for a rational ``sign``."""
     return tuple(
-        tuple(x + y.scale(sign) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, grid_scale(b, sign))
     )
 
 
 def grid_scale(a, q):
-    return tuple(tuple(x.scale(q) for x in row) for row in a)
+    """Every entry times the constant ``q`` of the entries' ring."""
+    c = a[0][0].signature.rational(q)
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def grid_identity(ring, n):
@@ -295,8 +297,8 @@ class TestExp:
         expected = (
             WeilMatrix.identity(ring, 2)
             + weighted_matrix(ring, H, d)
-            + weighted_matrix(ring, H2, (d * d).scale(Fraction(1, 2)))
-            + weighted_matrix(ring, H3_, (d * d * d).scale(Fraction(1, 6)))
+            + weighted_matrix(ring, H2, d * d * ring.rational(Fraction(1, 2)))
+            + weighted_matrix(ring, H3_, d * d * d * ring.rational(Fraction(1, 6)))
         )
         assert weil_exp(weighted_matrix(ring, H, d)) == expected
 
@@ -338,7 +340,7 @@ class TestLog:
         N2 = rmat_mul(N, N)
         assert any(any(row) for row in N2)
         M = (WeilMatrix.identity(ring, 3) + weighted_matrix(ring, N, d)
-             + weighted_matrix(ring, N2, (d * d).scale(Fraction(1, 2))))
+             + weighted_matrix(ring, N2, d * d * ring.rational(Fraction(1, 2))))
         assert weil_log(M) == weighted_matrix(ring, N, d)
 
     def test_rejects_non_unipotent(self):
@@ -488,18 +490,19 @@ class TestTheorem4:
         ring = ring_make([("d1", 1), ("d2", 1)])
         s = ring.gen("d1") + ring.gen("d2")
         s2 = s * s
+        half, two = ring.rational(Fraction(1, 2)), ring.rational(2)
         frozen = WeilMatrix(
             ring,
             (
-                (ring.one, s, s.scale(Fraction(1, 2)) + s2.scale(2)),
-                (ring.zero, ring.one, s.scale(2)),
+                (ring.one, s, s * half + s2 * two),
+                (ring.zero, ring.one, s * two),
                 (ring.zero, ring.zero, ring.one),
             ),
         )
         images = builtin_rep("h3").images
         sP, sQ = (weighted_matrix(ring, images[b], s) for b in "pq")
         lhs = weil_exp(sP) * weil_exp(sQ)
-        rhs = weil_exp(sP + sQ + weighted_matrix(ring, images["z"], s2.scale(Fraction(1, 2))))
+        rhs = weil_exp(sP + sQ + weighted_matrix(ring, images["z"], s2 * half))
         assert lhs == frozen
         assert rhs == frozen
 
@@ -528,8 +531,8 @@ class TestTheorem4:
             ring = weights[0].signature
             zero = zero_element(H3, ring)
             p, q = (basis_element(H3, ring, b) for b in "pq")
-            a = jet_make(H3, ring, 2, (p.scale(Fraction(2, 3)), zero))
-            b = jet_make(H3, ring, 2, (zero, q.scale(-3)))
+            a = jet_make(H3, ring, 2, (p * ring.rational(Fraction(2, 3)), zero))
+            b = jet_make(H3, ring, 2, (zero, q * ring.rational(-3)))
             evidence = exp_product_holds(rep, weights, a, b)
             assert evidence == (None if n == 2 else {"a": a.to_json(), "b": b.to_json()})
         assert evidence["a"]["coords"][0]["coords"]["p"]["terms"] == [[[0, 0, 0], "2/3"]]

@@ -132,7 +132,7 @@ class TestExtend:
 
 class TestBoolIsNoScalar:
     """``True`` is an int to Python, but not a scalar; no number is.  A
-    number enters only through ``scale`` or ``ring.rational``."""
+    number enters only through ``ring.rational`` or as a merge's weight."""
 
     @pytest.mark.parametrize("value", [True, False])
     @pytest.mark.parametrize(
@@ -146,9 +146,9 @@ class TestBoolIsNoScalar:
             op(D3.gen("d"), value)
 
     def test_ints_still_combine(self):
-        """Through the ring's constants and ``scale``."""
+        """Through the ring's constants."""
         d = D3.gen("d")
-        assert d.scale(1) == d
+        assert D3.rational(1) * d == d
         assert d + D3.rational(1) == D3.rational(1) + d == D3.one + d
         assert d - D3.rational(1) == d + D3.rational(-1)
 
@@ -199,7 +199,7 @@ class TestAddition:
         assert d + D3.zero == d
 
     def test_rational_coefficients(self):
-        half_d2 = (D3.gen("d") ** 2).scale(Fraction(1, 2))
+        half_d2 = D3.rational(Fraction(1, 2)) * D3.gen("d") ** 2
         assert half_d2 + half_d2 == D3.gen("d") ** 2
 
     def test_mismatched_rings_rejected(self):
@@ -219,7 +219,7 @@ class TestMultiplication:
         assert expected == {(0,): 1, (1,): 2, (2,): 1}
         s = D2.one + D2.gen("d")
         assert s * s == D2.scalar(expected)
-        assert s * s == D2.one + D2.gen("d").scale(2) + D2.gen("d") ** 2
+        assert s * s == D2.one + D2.rational(2) * D2.gen("d") + D2.gen("d") ** 2
 
     def test_distinct_square_zero_generators_multiply(self):
         e1e2 = EE.gen("e1") * EE.gen("e2")
@@ -282,9 +282,9 @@ class TestPackedLayout:
             }
             assert split_last_generator(lifted, base, UNWEIGHTED) == {power: s}
             assert lowest_last_power(lifted, WeilScalar(ext, {})) == power
-            total = total + lifted.scale(power + 1)
+            total = total + ext.rational(power + 1) * lifted
         assert split_last_generator(total, base, UNWEIGHTED) == {
-            p: s.scale(p + 1) for p in range(4)
+            p: base.rational(p + 1) * s for p in range(4)
         }
         assert lowest_last_power(total) == 0
         assert lowest_last_power(WeilScalar(ext, {})) is None
@@ -295,7 +295,7 @@ class TestConstantTerm:
         assert (D3.rational(3) + D3.gen("d")).constant_term() == 3
 
     def test_no_constant_part(self):
-        s = D3.gen("d") + (D3.gen("d") ** 2).scale(Fraction(1, 2))
+        s = D3.gen("d") + D3.rational(Fraction(1, 2)) * D3.gen("d") ** 2
         assert s.constant_term() == 0
 
     def test_zero(self):
@@ -344,7 +344,8 @@ class TestRingLaws:
         a = data.draw(scalars_of(ring))
         b = data.draw(scalars_of(ring))
         q = data.draw(small_fractions)
-        for result in (a + b, a - b, a * b, -a, a.scale(q)):
+        weighted = _signed_sum(ring.zero, a, q.numerator, q.denominator)
+        for result in (a + b, a - b, a * b, -a, ring.rational(q) * a, weighted):
             assert result.den > 0
             assert all(c != 0 for c in result.terms.values())
             assert gcd(result.den, *result.terms.values()) == 1
@@ -358,7 +359,7 @@ class TestRingLaws:
         b = data.draw(scalars_of(ring))
         # b / 3 meets a over unequal denominators, and (a + b) - a cancels
         # every term of a exactly
-        for x, y in ((a, b), (a, b.scale(Fraction(1, 3))), (a + b, a)):
+        for x, y in ((a, b), (a, ring.rational(Fraction(1, 3)) * b), (a + b, a)):
             cx, cy = x.coefficients(), y.coefficients()
             for got, want in (
                 (x + y, naive_poly_sum(cx, cy, 1)),
@@ -380,17 +381,18 @@ class TestRingLaws:
         q = data.draw(st.integers(1, 6))
         # b over a denominator unlike a's, and b / 7 that no q cancels; u, v
         # and u, w are one-term pairs, at two monomials or at one
-        for x, y in ((a, b), (a, b.scale(Fraction(1, 7))), (b, a), (u, v), (u, w)):
+        weight = ring.rational(Fraction(p, q))
+        for x, y in ((a, b), (a, ring.rational(Fraction(1, 7)) * b), (b, a), (u, v), (u, w)):
             got = _signed_sum(x, y, p, q)
-            assert got == x + y.scale(Fraction(p, q))
+            assert got == x + weight * y
             assert got.coefficients() == naive_poly_sum(
-                x.coefficients(), y.scale(Fraction(p, q)).coefficients(), 1
+                x.coefficients(), (weight * y).coefficients(), 1
             )
             assert all(got.terms.values()) and gcd(got.den, *got.terms.values()) == 1
         # a sum that cancels to zero comes back in canonical form
         if p:
             for x in (a, u):
-                zero = _signed_sum(x.scale(Fraction(-p, q)), x, p, q)
+                zero = _signed_sum(ring.rational(Fraction(-p, q)) * x, x, p, q)
                 assert zero.terms == {} and zero.den == 1
         assert _signed_sum(a, b, 0, q) is a
 
@@ -470,9 +472,19 @@ def test_canonical_idempotence():
 
 def test_scale_and_pow():
     d = D3.gen("d")
-    assert d.scale(0) == D3.zero
-    assert (D3.one + d) ** 2 == D3.one + d.scale(2) + D3.gen("d") ** 2
+    assert D3.rational(0) * d == D3.zero
+    assert (D3.one + d) ** 2 == D3.one + D3.rational(2) * d + D3.gen("d") ** 2
     assert d**0 == D3.one
+
+
+def test_a_merge_into_zero_is_canonical():
+    """The merge into an empty scalar: weight 1 returns y itself, and a weight
+    sharing a factor with y's denominator reduces, (2/3) * (3/4)d = (1/2)d."""
+    d = D3.gen("d")
+    assert _signed_sum(D3.zero, d, 1, 1) is d
+    half = _signed_sum(D3.zero, D3.rational(Fraction(3, 4)) * d, 2, 3)
+    assert half == D3.rational(Fraction(1, 2)) * d
+    assert half.terms == d.terms and half.den == 2
 
 
 class TestScaleRefusesInexactRationals:
@@ -480,8 +492,6 @@ class TestScaleRefusesInexactRationals:
 
     @pytest.mark.parametrize("value", [0.1, 1.0, 0.0, True, False])
     def test_scale_and_rational(self, value):
-        with pytest.raises(SignatureError):
-            D3.gen("d").scale(value)
         with pytest.raises(SignatureError):
             D3.rational(value)
 
@@ -498,8 +508,8 @@ class TestScaleRefusesInexactRationals:
 
     def test_strings_and_exact_values_still_read(self):
         d = D3.gen("d")
-        assert d.scale("1/2") == d.scale(Fraction(1, 2)) == D3.scalar({(1,): Fraction(1, 2)})
-        assert d.scale(1) is d
+        half = D3.scalar({(1,): Fraction(1, 2)})
+        assert D3.rational("1/2") * d == D3.rational(Fraction(1, 2)) * d == half
         assert D3.rational("-7/3") == D3.rational(Fraction(-7, 3))
         with pytest.raises(TypeError):
             d * 0.1
@@ -561,7 +571,7 @@ class TestRationalStrings:
 
 class TestJson:
     def test_documented_shape(self):
-        s = D3.gen("d") + (D3.gen("d") ** 2).scale(Fraction(1, 2))
+        s = D3.gen("d") + D3.rational(Fraction(1, 2)) * D3.gen("d") ** 2
         assert s.to_json() == {
             "ring": [["d", 3]],
             "terms": [[[1], "1"], [[2], "1/2"]],
@@ -652,14 +662,12 @@ class TestJoinSplit:
                     })
                 joined = join_last_generator(parts, ext, weights)
                 # part p divided by weights[p], then moved to t^p
-                assert joined == join_last_generator(
-                    {p: s.scale(Fraction(1, weights[p])) for p, s in parts.items()},
-                    ext, UNWEIGHTED,
-                )
+                divided = {p: base.rational(Fraction(1, weights[p])) * s for p, s in parts.items()}
+                assert joined == join_last_generator(divided, ext, UNWEIGHTED)
                 split = split_last_generator(joined, base, weights)
                 assert split == {p: s for p, s in parts.items() if s.terms}
                 assert split_last_generator(joined, base, UNWEIGHTED) == {
-                    p: s.scale(Fraction(1, weights[p])) for p, s in parts.items() if s.terms
+                    p: s for p, s in divided.items() if s.terms
                 }
                 for scalar in (joined, *split.values()):
                     assert gcd(scalar.den, *scalar.terms.values()) == 1
@@ -672,7 +680,7 @@ class TestJoinSplit:
         assert sorted(whole) == [0, 1, 3]
         # weights are needed only up to the highest power present
         assert split_last_generator(low, D2, (1, 2)) == {
-            0: whole[0], 1: whole[1].scale(2)
+            0: whole[0], 1: D2.rational(2) * whole[1]
         }
         # a power with no weight is refused, not dropped
         with pytest.raises(SignatureError, match="power 3 .* has no weight"):
@@ -698,7 +706,7 @@ class TestJoinSplit:
             split_last_generator(joined, ext, UNWEIGHTED)
 
     def test_split_reduces_each_part(self):
-        s = D2.rational(Fraction(1, 2)) + D2.gen("d").scale(Fraction(1, 3))
+        s = D2.rational(Fraction(1, 2)) + D2.rational(Fraction(1, 3)) * D2.gen("d")
         parts = split_last_generator(s, Q, UNWEIGHTED)
         assert parts == {0: Q.rational(Fraction(1, 2)), 1: Q.rational(Fraction(1, 3))}
 
