@@ -18,12 +18,14 @@ k > n, and :func:`bch_mul` skips it.  Skipping cannot change a product or a
 verdict: every evaluated word is checked to lie in d^k, and the words "a" and
 "b" of degree 1 are always evaluated, so a curve with a d^0 part is refused
 before a skipped word could have been nonzero.  Within one product every
-subword is formed once: [A, B] is shared by [A, [A, B]] and the sum itself.
+subword is formed once up to sign: [A, B] is shared by [A, [A, B]] and the
+sum itself, and [B, A] in [B, [B, A]] is -[A, B], since the bracket is
+antisymmetric over a commutative ring and the storage is canonical.
 
 The coefficient table is fixed, audited data through bracket degree 3, read
-when :func:`bch_mul` is called.  Each word's coefficient is folded into the
-one merge that adds the word to the sum (``LieElement.add_scaled``).  The
-oracles share only the curve lift and readback
+when :func:`bch_mul` is called.  The words are summed in one merge per
+coordinate (``liejets.scalars._weighted_sum``), each word's coefficient its
+weight there.  The oracles share only the curve lift and readback
 (:func:`liejets.jets.lift_curves`, :func:`liejets.jets.read_curve`), which
 apply the factorial weights inside the one pass that joins or splits each
 coordinate by powers of d, and which the closed-form product never calls;
@@ -36,9 +38,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .algebras import LieElement, bracket, zero_element
+from .algebras import LieElement, bracket
 from .jets import Jet, JetError, lift_curves, read_curve
-from .scalars import lowest_last_power
+from .scalars import _weighted_sum, lowest_last_power, rational_from_str
 
 __all__ = ["BCH_DEGREE3_TERMS", "bch_mul"]
 
@@ -63,10 +65,17 @@ def _word_degree(word) -> int:
 
 def _eval_word(word, values: dict) -> LieElement:
     """The word's value, from and into ``values``, which maps every word
-    formed so far (the leaves "a" and "b" to begin with) to its value."""
+    formed so far (the leaves "a" and "b" to begin with) to its value.  A
+    pair whose mirror image is already formed is that value negated, as
+    [y, x] = -[x, y] holds exactly in the canonical storage."""
     value = values.get(word)
     if value is None:
-        value = bracket(_eval_word(word[0], values), _eval_word(word[1], values))
+        left, right = word
+        mirror = values.get((right, left))
+        if mirror is None:
+            value = bracket(_eval_word(left, values), _eval_word(right, values))
+        else:
+            value = -mirror
         values[word] = value
     return value
 
@@ -77,7 +86,7 @@ def bch_mul(a: Jet, b: Jet) -> Jet:
         raise JetError("series table only covers orders up to 3")
     A, B = lift_curves(a, b)
     values = {"a": A, "b": B}
-    total = zero_element(A.algebra, A.signature)
+    words, weights = [], []
     for word, coeff in BCH_DEGREE3_TERMS:
         degree = _word_degree(word)
         if degree > a.order:
@@ -88,5 +97,10 @@ def bch_mul(a: Jet, b: Jet) -> Jet:
             raise JetError(
                 f"bracket word {word} produced a term of d-degree {lowest}"
             )
-        total = total.add_scaled(value, coeff)
+        coeff = rational_from_str(coeff)
+        words.append(value.coords)
+        weights.append((coeff.numerator, coeff.denominator))
+    total = LieElement(A.algebra, A.signature, tuple(
+        _weighted_sum(column, weights) for column in zip(*words)
+    ))
     return read_curve(total, a)

@@ -31,8 +31,26 @@ class UnknownAlgebraError(AlgebraError):
     built-in family asked for parameters out of its bounds."""
 
 
-_ABELIAN = re.compile(r"abelian\((\d+)\)$")
-_FREE = re.compile(r"free-nilpotent\((\d+),(\d+)\)$")
+# ASCII digits only: \d would also read other scripts' digits, which the
+# rational grammar (scalars._RATIONAL_TEXT) refuses too
+_ABELIAN = re.compile(r"abelian\(([0-9]+)\)$")
+_FREE = re.compile(r"free-nilpotent\(([0-9]+),([0-9]+)\)$")
+
+#: The most significant digits a family parameter may have.  Every family's
+#: bound has fewer, so a longer parameter is refused before ``int()`` reads it,
+#: whose limit on digits would raise a bare ``ValueError``.
+_PARAMETER_DIGITS = 4
+
+
+def _parameters(match: re.Match) -> list[int]:
+    digits = [g.lstrip("0") or "0" for g in match.groups()]
+    for g in digits:
+        if len(g) > _PARAMETER_DIGITS:
+            raise AlgebraError(
+                f"a family parameter has at most {_PARAMETER_DIGITS} digits, "
+                f"got one of {len(g)}"
+            )
+    return [int(g) for g in digits]
 
 
 def resolve_algebra(name: str) -> LieAlgebraSpec:
@@ -47,12 +65,12 @@ def resolve_algebra(name: str) -> LieAlgebraSpec:
         return so3()
     m = _ABELIAN.match(key)
     if m:
-        return abelian(int(m.group(1)))
+        return abelian(*_parameters(m))
     m = _FREE.match(key)
     if m:
         from .hall import free_nilpotent
 
-        return free_nilpotent(int(m.group(1)), int(m.group(2)))
+        return free_nilpotent(*_parameters(m))
     raise UnknownAlgebraError(
         f"unknown algebra {name!r}; the built-in names are h3, sl2, so3, "
         "abelian(N) and free-nilpotent(M,C)"

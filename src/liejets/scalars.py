@@ -13,7 +13,10 @@ literal comparison of signature, denominator and table, and every operation
 is exact: integer products and sums of the numerators, then a single gcd to
 reduce the result.  ``+`` and ``-`` share one merge, x + (p/q) y, so a
 difference is a sum with the second operand's numerators negated, and a
-sum with a rational weight costs no separate rescale.  A scalar combines
+sum with a rational weight costs no separate rescale.  That merge of two
+operands also serves every sum of two Lie elements; a weighted sum of three
+or more scalars, the series oracle's words, is one merge of its own
+(``_weighted_sum``) over one common denominator.  A scalar combines
 only with a scalar of its ring: a rational enters through
 ``ring.rational`` or as the weight of that merge.  ``coefficients()``
 gives the terms as ``Fraction`` values keyed by dense exponent vectors.
@@ -369,6 +372,48 @@ def _signed_sum(x: "WeilScalar", y: "WeilScalar", p: int, q: int) -> "WeilScalar
             else:
                 del out[k]
     return _reduced(x.signature, out, den)
+
+
+def _weighted_sum(
+    ys: Sequence["WeilScalar"], weights: Sequence[tuple[int, int]]
+) -> "WeilScalar":
+    """The sum of (p/q) * y over at least two scalars y of one ring, with
+    their weights (p, q) in ``weights``, integers p and q > 0: the merge
+    behind the series oracle's sum of words.  Two operands, the first of
+    weight 1 as the series' "a" is, are one ``_signed_sum`` (a first operand
+    of another weight is merged into zero first).  Three or more
+    are brought to the lcm of every nonzero operand's ``q * y.den`` in one
+    pass, their numerators, each scaled by p and its share of the lcm, are
+    merged in one table, and one reduction makes the sum canonical, where a
+    chain of merges would build and reduce a scalar per operand."""
+    if len(ys) == 2:
+        (x, y), ((p, q), (r, s)) = ys, weights
+        if p != 1 or q != 1:
+            x = _signed_sum(WeilScalar(x.signature, {}), x, p, q)
+        return _signed_sum(x, y, r, s)
+    sig = ys[0].signature
+    den = 1
+    for y, (p, q) in zip(ys, weights):
+        if y.terms and p:
+            d = y.den * q
+            if d != den:
+                den = lcm(den, d)
+    out: dict = {}
+    for y, (p, q) in zip(ys, weights):
+        if y.terms and p:
+            f = den // (y.den * q) * p
+            for k, c in y.terms.items():
+                c = c * f
+                acc = out.get(k)
+                if acc is None:
+                    out[k] = c
+                else:
+                    acc = acc + c
+                    if acc:
+                        out[k] = acc
+                    else:
+                        del out[k]
+    return _reduced(sig, out, den)
 
 
 class WeilScalar:

@@ -112,12 +112,13 @@ class TestBchMul:
         two_thirds = PLAIN_RING.rational(Fraction(2, 3))
         assert wrong.coords[1] == basis_element(H3, PLAIN_RING, "z") * two_thirds
 
-    @pytest.mark.parametrize("order, brackets", [(1, 0), (2, 1), (3, 4)])
+    @pytest.mark.parametrize("order, brackets", [(1, 0), (2, 1), (3, 3)])
     def test_forms_only_the_brackets_the_truncation_keeps(
         self, monkeypatch, order, brackets
     ):
-        # words of degree above the order are skipped, and [a, b] is formed
-        # once for both the sum and [a, [a, b]]
+        # words of degree above the order are skipped, [a, b] is formed once
+        # for both the sum and [a, [a, b]], and [b, a] in [b, [b, a]] is
+        # -[a, b] rather than a fourth bracket
         calls = []
 
         def counted(x, y):

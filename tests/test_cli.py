@@ -29,6 +29,8 @@ NESTED_TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
 #: An error line, prefix and newline included, stays shorter than this however
 #: long the input it echoes.
 ERROR_LINE_LIMIT = 300
+#: A family parameter longer than ``int()`` reads (``sys.get_int_max_str_digits()``).
+NINES = "9" * 5000
 
 
 def _spec_doc(*brackets, basis=("a", "b", "c"), name="x"):
@@ -201,6 +203,13 @@ class TestValidate:
     @pytest.mark.parametrize("name, bound", [
         (f"abelian({MAX_DIMENSION + 1})", f"1..{MAX_DIMENSION}"),
         ("free-nilpotent(4,3)", "generator count must be between 1 and 3"),
+        # parameters longer than int() reads raised a bare ValueError, and
+        # \d read an Arabic-Indic three as 3
+        pytest.param(f"abelian({NINES})", "at most 4 digits", id="abelian-5000-digits"),
+        pytest.param(f"free-nilpotent({NINES},2)", "at most 4 digits",
+                     id="free-nilpotent-5000-digits"),
+        pytest.param("abelian(\u0663)", "neither a readable file nor a built-in algebra",
+                     id="abelian-non-ascii-digit"),
     ])
     def test_out_of_bounds_builtin_names_its_bound(self, capsys, name, bound):
         assert main(["validate", name]) == 2
@@ -314,6 +323,7 @@ class TestMul:
             _set(("coords", 0, "coords", "p", "ring"), ""),
             _set(("coords", 0, "coords", "p", "terms", 0, 0), ""),
             _repeated_p,
+            _set(("algebra",), f"abelian({NINES})"),
         ],
         ids=[
             "zero-denominator", "non-integer-order", "coords-as-list", "top-level-array",
@@ -323,7 +333,7 @@ class TestMul:
             "long-coefficient", "element-without-ring", "exponent-coefficient",
             "decimal-coefficient", "padded-coefficient", "underscore-coefficient",
             "element-ring-as-string", "element-ring-as-object", "scalar-ring-as-string",
-            "exponent-vector-as-string", "coordinate-twice",
+            "exponent-vector-as-string", "coordinate-twice", "algebra-5000-digits",
         ],
     )
     def test_malformed_jet_is_one_line_usage_error(self, jet_files, capsys, corrupt):
@@ -447,6 +457,10 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [
         ["--algebra", f"abelian({MAX_DIMENSION + 1})"],
         ["--algebra", "free-nilpotent(4,3)"],
+        pytest.param(["--algebra", f"abelian({NINES})"], id="abelian-5000-digits"),
+        pytest.param(["--algebra", f"free-nilpotent({NINES},2)"],
+                     id="free-nilpotent-5000-digits"),
+        pytest.param(["--algebra", "abelian(\u0663)"], id="abelian-non-ascii-digit"),
     ])
     def test_oversized_algebra_is_one_line_usage_error(self, capsys, argv):
         assert main(["verify", "--suite", "s6", "--trials", "1", *argv]) == 2

@@ -15,6 +15,7 @@ from liejets.scalars import (
     SignatureMismatch,
     WeilScalar,
     _signed_sum,
+    _weighted_sum,
     join_last_generator,
     lowest_last_power,
     rational_from_str,
@@ -395,6 +396,34 @@ class TestRingLaws:
                 zero = _signed_sum(ring.rational(Fraction(-p, q)) * x, x, p, q)
                 assert zero.terms == {} and zero.den == 1
         assert _signed_sum(a, b, 0, q) is a
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_weighted_sum_is_the_chain_of_merges(self, ring, data):
+        # the reference is the chain of _signed_sum merges from zero, one per
+        # operand; the operands mix tables and one-term scalars over unlike
+        # denominators, and the empty scalar and a zero weight are always in
+        u, v, w = data.draw(one_terms_of(ring))
+        ys = data.draw(st.lists(scalars_of(ring), min_size=1, max_size=4))
+        ys = data.draw(st.permutations([*ys, u, v, w, ring.zero]))
+        weights = data.draw(st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(1, 6)), min_size=len(ys), max_size=len(ys)
+        ))
+        weights[data.draw(st.integers(0, len(ys) - 1))] = (0, data.draw(st.integers(1, 6)))
+        # as drawn, and with the first weight 1, as the series' "a" has
+        for ws in (weights, [(1, 1), *weights[1:]]):
+            for count in range(2, len(ys) + 1):
+                chain = ring.zero
+                for y, (p, q) in zip(ys[:count], ws[:count]):
+                    chain = _signed_sum(chain, y, p, q)
+                got = _weighted_sum(ys[:count], ws[:count])
+                assert got == chain
+                assert all(got.terms.values()) and gcd(got.den, *got.terms.values()) == 1
+                if not got.terms:
+                    assert got.den == 1
+                # adding -(chain) to the operands cancels the sum to the canonical zero
+                zero = _weighted_sum([*ys[:count], chain], [*ws[:count], (-1, 1)])
+                assert zero.terms == {} and zero.den == 1
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
