@@ -15,10 +15,13 @@ all-zero coefficient matrix is stored, and the denominator is coprime to the
 gcd of every numerator (1 for the zero matrix), so equality is literal
 comparison.  A product loops over pairs of monomials, multiplying each pair
 once and adding one small integer matrix product per pair, then reduces the
-whole result with a single gcd.  ``+``, ``-`` and :meth:`WeilMatrix.add_scaled`
-share one merge, self + (p/q) other.  Every other matrix is built by
-:func:`_linear_combination`, a sum of scalars times integer matrices, and
-:func:`weil_exp` and :func:`weil_log` sum one series, :func:`_nilpotent_series`.
+whole result with a single gcd.  Every sum of matrices is one call of
+:func:`_linear_combination`, which adds monomial terms c/d * cells * t^k
+over the lcm of their d and reduces once: the grid constructor and
+:meth:`MatrixRep.realize` pass each entry's or coordinate's terms, ``-``
+passes the terms of both operands, and :func:`weil_exp` and
+:func:`weil_log` pass every power of one series, c_0 I + c_1 N + c_2 N^2 +
+..., with an integer c_0 and the other coefficients as integer pairs.
 
 A :class:`MatrixRep` sends basis elements of an algebra to rational matrices
 and is validated at load time: the images must be linearly independent, so
@@ -104,22 +107,28 @@ def _matrix(signature: RingSignature, size: int, coeffs: dict, den: int) -> "Wei
     return m
 
 
-def _linear_combination(signature: RingSignature, size: int, parts) -> "WeilMatrix":
-    """The sum of s * cells / d over ``parts``, each a (WeilScalar s, flat
-    row-major integer cells, positive denominator d) triple: every product
-    brought to the lcm of the s.den * d, then reduced once."""
-    parts = [p for p in parts if p[0].terms]
-    den = lcm(*(s.den * d for s, _, d in parts))
+def _linear_combination(signature: RingSignature, size: int, terms) -> "WeilMatrix":
+    """The sum of c/d * cells * t^k over ``terms``, each a (packed monomial
+    k, integer c, positive integer d, flat row-major integer cells) tuple:
+    every term brought to the lcm of the d, then reduced once."""
+    # the distinct d only: a tuple of every term's d, as long as the terms,
+    # raised the catalog's peak memory by 9%
+    den = lcm(*{d for _, _, d, _ in terms})
     cells: dict = {}
-    for s, image, d in parts:
-        f = den // (s.den * d)
-        for k, c in s.terms.items():
-            c *= f
-            term = [c * e for e in image]
-            acc = cells.get(k)
-            cells[k] = term if acc is None else list(map(add, acc, term))
+    for k, c, d, image in terms:
+        c *= den // d
+        if c != 1:
+            image = [c * e for e in image]
+        acc = cells.get(k)
+        cells[k] = image if acc is None else list(map(add, acc, image))
     coeffs = {k: tuple(cell) for k, cell in cells.items() if any(cell)}
     return _matrix(signature, size, coeffs, den)
+
+
+def _terms(m: "WeilMatrix", c: int, d: int) -> list:
+    """The terms of c/d * m, for :func:`_linear_combination`."""
+    d *= m.den
+    return [(k, c, d, cell) for k, cell in m.coeffs.items()]
 
 
 class WeilMatrix:
@@ -142,7 +151,9 @@ class WeilMatrix:
                 self._check_ring(e.signature)
         units = [tuple(int(c == i) for c in range(n * n)) for i in range(n * n)]
         m = _linear_combination(signature, n, [
-            (e, units[i * n + j], 1) for i, row in enumerate(rows) for j, e in enumerate(row)
+            (k, c, e.den, units[i * n + j])
+            for i, row in enumerate(rows) for j, e in enumerate(row)
+            for k, c in e.terms.items()
         ])
         self.size, self.coeffs, self.den = n, m.coeffs, m.den
 
@@ -183,57 +194,12 @@ class WeilMatrix:
             raise MatrixError(f"cannot combine {self.size}x{self.size} and "
                               f"{other.size}x{other.size} matrices")
 
-    def _combine(self, other: "WeilMatrix", p: int, q: int) -> "WeilMatrix":
-        """self + (p/q) * other for integers p and q > 0: the one merge behind
-        ``+`` (p/q = 1), ``-`` (p/q = -1) and :meth:`add_scaled`, as
-        :func:`~liejets.scalars._signed_sum` is for scalars.  other's cells,
-        scaled by p and brought with self's to the lcm of ``self.den`` and
-        ``q * other.den``, are merged into a copy of self's, and one
-        reduction makes the result canonical."""
-        self._check(other)
-        if not p:
-            return self
-        da, db = self.den, other.den * q
-        if da == db:
-            den, fb = da, p
-            out = dict(self.coeffs)
-        else:
-            g = gcd(da, db)
-            fa, fb = db // g, da // g * p
-            den = da * fa
-            out = {k: tuple(c * fa for c in cell) for k, cell in self.coeffs.items()}
-        for k, cell in other.coeffs.items():
-            if fb != 1:
-                cell = tuple(c * fb for c in cell)
-            acc = out.get(k)
-            if acc is None:
-                out[k] = cell
-            else:
-                acc = tuple(map(add, acc, cell))
-                if any(acc):
-                    out[k] = acc
-                else:
-                    del out[k]
-        return _matrix(self.signature, self.size, out, den)
-
-    def __add__(self, other):
-        if not isinstance(other, WeilMatrix):
-            return NotImplemented
-        return self._combine(other, 1, 1)
-
     def __sub__(self, other):
         if not isinstance(other, WeilMatrix):
             return NotImplemented
-        return self._combine(other, -1, 1)
-
-    def add_scaled(self, other: "WeilMatrix", rational) -> "WeilMatrix":
-        """self + rational * other, the rational read by
-        :func:`~liejets.scalars.rational_from_str` (never a float or a bool)
-        and folded into the one merge rather than applied by a rescale."""
-        if not isinstance(other, WeilMatrix):
-            raise TypeError(f"cannot add a scaled {type(other).__name__} to a WeilMatrix")
-        rational = rational_from_str(rational)
-        return self._combine(other, rational.numerator, rational.denominator)
+        self._check(other)
+        return _linear_combination(self.signature, self.size,
+                                   _terms(self, 1, 1) + _terms(other, -1, 1))
 
     def __mul__(self, other):
         if not isinstance(other, WeilMatrix):
@@ -281,28 +247,28 @@ class WeilMatrix:
         return f"WeilMatrix[{self.size}]({body})"
 
 
-def _nilpotent_series(N: WeilMatrix, coefficient) -> WeilMatrix:
-    """N + coefficient(2) N^2 + coefficient(3) N^3 + ... for scalar-nilpotent N,
-    whose series start with coefficient 1.  Each power is one product with N,
-    and a nonzero power joins the sum in one merge weighted by its
-    coefficient."""
-    acc = power = N
-    # N^(cap + 1) = 0, so the series ends by k = max(2, cap + 1)
+def _power_series(N: WeilMatrix, c0: int, coefficient) -> WeilMatrix:
+    """c0 I + c_1 N + c_2 N^2 + ... for scalar-nilpotent N and an integer c0,
+    where ``coefficient(k)`` is c_k as an integer pair (p, q > 0).  Each power
+    is one product with N, and the nonzero powers are summed in one
+    :func:`_linear_combination`."""
+    terms = _terms(WeilMatrix.identity(N.signature, N.size), c0, 1)
+    # N^(cap + 1) = 0, so a nonzero N^(cap + 2) means N is not nilpotent
     cap = sum(N.signature.orders)
-    for k in range(2, cap + 3):
-        power = power * N
-        if power.is_zero():
-            return acc
-        acc = acc.add_scaled(power, coefficient(k))
-    raise MatrixError("nilpotent power series failed to terminate")
+    power, k = N, 1
+    while not power.is_zero():
+        if k > cap + 1:
+            raise MatrixError("nilpotent power series failed to terminate")
+        terms += _terms(power, *coefficient(k))
+        power, k = power * N, k + 1
+    return _linear_combination(N.signature, N.size, terms)
 
 
 def weil_exp(M: WeilMatrix) -> WeilMatrix:
     """I + M + M^2/2! + ...; finite because M is scalar-nilpotent."""
     if not M.is_scalar_nilpotent():
         raise MatrixError("weil_exp needs every entry to have zero constant term")
-    series = _nilpotent_series(M, lambda k: Fraction(1, factorial(k)))
-    return WeilMatrix.identity(M.signature, M.size) + series
+    return _power_series(M, 1, lambda k: (1, factorial(k)))
 
 
 def weil_log(M: WeilMatrix) -> WeilMatrix:
@@ -310,7 +276,7 @@ def weil_log(M: WeilMatrix) -> WeilMatrix:
     N = M - WeilMatrix.identity(M.signature, M.size)
     if not N.is_scalar_nilpotent():
         raise MatrixError("weil_log needs M - I to have entries with zero constant term")
-    return _nilpotent_series(N, lambda k: Fraction((-1) ** (k + 1), k))
+    return _power_series(N, 0, lambda k: ((-1) ** (k + 1), k))
 
 
 # -- representations -----------------------------------------------------------
@@ -375,11 +341,14 @@ class MatrixRep:
 
     def realize(self, x: LieElement) -> WeilMatrix:
         """WeilMatrix image of an element with WeilScalar coordinates, built
-        from the coordinates' integer numerators."""
-        images = self._numerators
-        return _linear_combination(x.signature, self.dimension, [
-            (s, *images[name]) for name, s in zip(self.algebra.basis, x.coords)
-        ])
+        from the coordinates' integer numerators: each term is over its
+        coordinate's denominator times its image's."""
+        terms = []
+        for name, s in zip(self.algebra.basis, x.coords):
+            image, d = self._numerators[name]
+            d *= s.den
+            terms += [(k, c, d, image) for k, c in s.terms.items()]
+        return _linear_combination(x.signature, self.dimension, terms)
 
     def extract(self, M: WeilMatrix) -> LieElement:
         """Solve sum_k x_k * image(b_k) = M for the coordinates x_k.

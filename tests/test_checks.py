@@ -377,13 +377,20 @@ ORACLE_ROWS = [
     (liejets.jets, "factorial", lambda n: n * n,
      {"def6.1-vs-bch-n2", "def6.1-vs-bch-n3", "def6.1-vs-matrix-n2",
       "def6.1-vs-matrix-n3", "thm-7.2", "thm-7.3"}),
+    # n^2 for n! in matrices: weil_exp's 1/k! and Theorem 4's weights
+    # s^i/i! go wrong from k = 2, and only rings with a square that is not
+    # zero reach k = 2: one d of order 1 (def6.1-vs-matrix-n1, thm-4.1)
+    # kills every power of its images past the first
+    (liejets.matrices, "factorial", lambda n: n * n,
+     {"def6.1-vs-matrix-n2", "def6.1-vs-matrix-n3", "thm-4.2", "thm-4.3"}),
 ]
 
 
 @pytest.mark.parametrize(
     "module, name, value, failing",
     ORACLE_ROWS,
-    ids=["bch-sign", "bch-leaf", "bch-aab", "bch-bba", "jet-convert-factorial"],
+    ids=["bch-sign", "bch-leaf", "bch-aab", "bch-bba", "jet-convert-factorial",
+         "matrix-factorial"],
 )
 def test_corrupted_oracle_fails_exactly_the_checks_that_guard_it(
     monkeypatch, module, name, value, failing

@@ -6,7 +6,7 @@ from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from liejets.checks import _ring_label
 from liejets.scalars import (
@@ -325,9 +325,16 @@ def one_terms_of(ring):
     )
 
 
+#: Hypothesis phases without the shrink: each ring's failing example is
+#: reported as drawn.  With one defect planted in the kernel for each test
+#: that uses this, shrinking ring after ring took 64 s to 290 s to report
+#: the failure, and the unshrunk report about 3 s (Python 3.11, 2 vCPUs).
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
 @pytest.mark.parametrize("ring", [Q, D3, EE, DE], ids=_ring_label)
 class TestRingLaws:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
     def test_add_mul_laws(self, ring, data):
         a = data.draw(scalars_of(ring))
@@ -339,7 +346,7 @@ class TestRingLaws:
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
     def test_no_zero_coefficients_stored(self, ring, data):
         a = data.draw(scalars_of(ring))
@@ -372,7 +379,7 @@ class TestRingLaws:
         zero = a - a
         assert zero.terms == {} and zero.den == 1
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
     def test_weighted_merge_is_scale_then_add(self, ring, data):
         a = data.draw(scalars_of(ring))
@@ -397,7 +404,7 @@ class TestRingLaws:
                 assert zero.terms == {} and zero.den == 1
         assert _signed_sum(a, b, 0, q) is a
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
     def test_weighted_sum_is_the_chain_of_merges(self, ring, data):
         # the reference is the chain of _signed_sum merges from zero, one per
@@ -425,7 +432,7 @@ class TestRingLaws:
                 zero = _weighted_sum([*ys[:count], chain], [*ws[:count], (-1, 1)])
                 assert zero.terms == {} and zero.den == 1
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
     def test_mul_against_naive_oracle(self, ring, data):
         a = data.draw(scalars_of(ring))
