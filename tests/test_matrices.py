@@ -4,6 +4,7 @@ matrix-comparison rows."""
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from random import Random
 
 import pytest
@@ -641,20 +642,31 @@ def _integer_cells_unscaled(values):
     return tuple(v.numerator for v in values), lcm(*(v.denominator for v in values))
 
 
-def _realize_without_image_den(rep, x):
-    """``MatrixRep.realize`` with each image's denominator left out of the
-    denominators of its terms."""
-    terms = []
-    for name, s in zip(rep.algebra.basis, x.coords):
-        image, _ = rep._numerators[name]
-        terms += [(k, c, s.den, image) for k, c in s.terms.items()]
-    return liejets.matrices._linear_combination(x.signature, rep.dimension, terms)
+def _realize_without_image_den(in_lcm: bool, in_factor: bool):
+    """``MatrixRep.realize`` with each image's denominator d left out of the
+    shared denominator (``in_lcm`` false) or out of the factor that brings a
+    term to it (``in_factor`` false)."""
+    def realize(rep, x):
+        terms = []
+        for name, s in zip(rep.algebra.basis, x.coords):
+            image, d = rep._numerators[name]
+            terms += [(k, c, s.den, d, image) for k, c in s.terms.items()]
+        den = lcm(*(e * (d if in_lcm else 1) for _, _, e, d, _ in terms))
+        cells: dict = {}
+        for k, c, e, d, image in terms:
+            term = [c * (den // (e * (d if in_factor else 1))) * v for v in image]
+            acc = cells.get(k)
+            cells[k] = term if acc is None else list(map(add, acc, term))
+        coeffs = {k: tuple(cell) for k, cell in cells.items() if any(cell)}
+        return liejets.matrices._matrix(x.signature, rep.dimension, coeffs, den)
+    return realize
 
 
 IMAGE_MUTANTS = pytest.mark.parametrize("name, mutant", [
     ("_integer_cells", _integer_cells_unscaled),
-    ("MatrixRep.realize", _realize_without_image_den),
-], ids=["cells-unscaled", "realize-without-image-den"])
+    ("MatrixRep.realize", _realize_without_image_den(False, True)),
+    ("MatrixRep.realize", _realize_without_image_den(True, False)),
+], ids=["cells-unscaled", "lcm-without-image-den", "factor-without-image-den"])
 
 #: The checks that build the h3 representation, each in its setup.
 H3_REP_CHECKS = {
