@@ -26,7 +26,10 @@ passes the terms of both operands, and :func:`weil_exp` and
 A :class:`MatrixRep` sends basis elements of an algebra to rational matrices
 and is validated at load time: the images must be linearly independent, so
 that coordinates can be read back, and the image of every basis bracket must
-equal the commutator of the images.  Built-in representations ship for h3
+equal the commutator of the images.  Coordinates are read from one pivot
+cell per basis element, where the images restrict to an invertible block, and
+a matrix lies in the image span exactly when the coordinates read from it
+realize it again.  Built-in representations ship for h3
 (strictly upper triangular 3x3), sl2 (2x2), and so3 (3x3), in one table of
 images by catalog name.
 """
@@ -286,9 +289,9 @@ class MatrixRep:
     """Rational matrix images of an algebra's basis, bracket-compatible; the
     dimension is the images' common size.
 
-    The images must not change after construction: their integer forms and
-    the solver for coordinates are derived from them then, and the solver
-    refuses linearly dependent images.
+    The images must not change after construction: their integer forms, and
+    the pivot cells that coordinates are read from, are derived from them
+    then, and linearly dependent images are refused.
     """
 
     def __init__(self, algebra: LieAlgebraSpec, images: dict):
@@ -306,38 +309,34 @@ class MatrixRep:
         return f"MatrixRep(algebra={self.algebra!r}, images={self.images!r})"
 
     def _solve(self) -> tuple[list, list]:
-        """Integer forms of the rational maps that recover coordinates.
+        """The pivot cells, and the rows L_k that read coordinates off them.
 
-        Gauss-Jordan elimination of [A | I], where the columns of A are the
-        flattened images, leaves a row (e_k | L_k) for each basis element, so
-        that x_k = L_k v for every v = A x in the span, and rows (0 | R) with
-        R v = 0 exactly on the span.  Returns the L_k as (numerators,
-        denominator) pairs and the R as numerators.
+        Gauss-Jordan elimination of [A^T | I], whose row k is the flattened
+        image of basis element k, pivots row k on its first cell that is
+        nonzero once the earlier pivots are eliminated.  The I half is then
+        the inverse of A^T restricted to the pivot cells P, so x_k = L_k v_P
+        for every v = A x in the span, where L_k is that half's column k.
+        Returns P, and the L_k as (numerators, denominator) pairs.
         """
         basis = self.algebra.basis
-        n, dim = self.dimension, len(basis)
-        size = n * n
-        rows = [
-            [Fraction(self.images[b][e // n][e % n]) for b in basis]
-            + [Fraction(int(e == f)) for f in range(size)]
-            for e in range(size)
-        ]
-        for col in range(dim):
-            pivot = next((i for i in range(col, size) if rows[i][col]), None)
-            if pivot is None:
+        dim, size = len(basis), self.dimension ** 2
+        rows = [[Fraction(e) for row in self.images[b] for e in row]
+                + [Fraction(int(k == j)) for j in range(dim)] for k, b in enumerate(basis)]
+        pivots = []
+        for k in range(dim):
+            cell = next((c for c in range(size) if rows[k][c]), None)
+            if cell is None:
                 raise MatrixError(
                     "basis images are linearly dependent; coordinates undetermined"
                 )
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            inv = 1 / rows[col][col]
-            lead = rows[col] = [e * inv for e in rows[col]]
-            for i in range(size):
-                f = rows[i][col]
-                if i != col and f:
+            inv = 1 / rows[k][cell]
+            lead = rows[k] = [e * inv for e in rows[k]]
+            for i in range(dim):
+                f = rows[i][cell]
+                if i != k and f:
                     rows[i] = [e - f * p for e, p in zip(rows[i], lead)]
-        inverse = [_integer_cells(row[dim:]) for row in rows[:dim]]
-        residuals = [_integer_cells(row[dim:])[0] for row in rows[dim:]]
-        return inverse, residuals
+            pivots.append(cell)
+        return pivots, [_integer_cells(row[size + k] for row in rows) for k in range(dim)]
 
     def realize(self, x: LieElement) -> WeilMatrix:
         """WeilMatrix image of an element with WeilScalar coordinates, built
@@ -353,27 +352,27 @@ class MatrixRep:
     def extract(self, M: WeilMatrix) -> LieElement:
         """Solve sum_k x_k * image(b_k) = M for the coordinates x_k.
 
-        Each monomial's coefficient matrix is solved against the rational
-        image span.  Raises if M lies outside the span.
+        Each monomial's coefficient matrix is read at the pivot cells only.
+        Raises unless the coordinates realize M again, that is, unless M lies
+        in the image span.
         """
         if M.size != self.dimension:
             raise MatrixError(
                 f"a {M.size}x{M.size} matrix is not in a {self.dimension}-dimensional "
                 "representation"
             )
-        inverse, residuals = self._solver
-        for cell in M.coeffs.values():
-            if any(sum(map(mul, r, cell)) for r in residuals):
-                raise MatrixError("matrix does not lie in the image span")
-        coords = []
-        for row, d in inverse:
-            terms = {}
-            for k, cell in M.coeffs.items():
-                c = sum(map(mul, row, cell))
-                if c:
-                    terms[k] = c
-            coords.append(_reduced(M.signature, terms, d * M.den))
-        return LieElement(self.algebra, M.signature, tuple(coords))
+        pivots, readback = self._solver
+        picked = [(k, [cell[p] for p in pivots]) for k, cell in M.coeffs.items()]
+        coords = tuple(
+            _reduced(M.signature,
+                     {k: c for k, v in picked if (c := sum(map(mul, row, v)))},
+                     d * M.den)
+            for row, d in readback
+        )
+        x = LieElement(self.algebra, M.signature, coords)
+        if self.realize(x) != M:
+            raise MatrixError("matrix does not lie in the image span")
+        return x
 
 
 def matrix_rep(algebra: LieAlgebraSpec, images: dict) -> MatrixRep:

@@ -3,6 +3,7 @@ matrix-comparison rows."""
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import add
 from random import Random
@@ -11,7 +12,10 @@ import pytest
 
 import liejets.algebras
 import liejets.matrices
-from liejets.algebras import abelian, basis_element, heisenberg3, make_algebra, zero_element
+from liejets.algebras import (
+    abelian, basis_element, heisenberg3, make_algebra, validate_algebra, zero_element,
+)
+from liejets.bch import bch_mul
 from liejets.catalog import resolve_algebra
 from liejets.checks import ROWS, _ring_label, exp_product_holds, run_check, run_suite
 from liejets.cli import main
@@ -27,7 +31,7 @@ from liejets.matrices import (
     weil_exp,
     weil_log,
 )
-from liejets.sampling import PLAIN_RING, random_element, random_jet
+from liejets.sampling import PLAIN_RING, random_element, random_jet, random_rational
 from liejets.scalars import SignatureMismatch, ring_make
 from liejets.scalars import rational_from_str
 
@@ -459,18 +463,38 @@ class TestRep:
             x = random_element(rep.algebra, ring, rng)
             assert rep.extract(rep.realize(x)) == x
 
-    def test_extract_rejects_outside_span(self):
-        rep = builtin_rep("h3")
-        ring = ring_make([])
-        M = rational_matrix(ring, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-        with pytest.raises(MatrixError):
+    @pytest.mark.parametrize("name, outside", [
+        ("h3", [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+        ("sl2", [[1, 0], [0, 1]]),
+        ("so3", [[0, 1, 0], [1, 0, 0], [0, 0, 2]]),
+        ("h3-scaled", [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    ], ids=["h3", "sl2", "so3", "h3-scaled"])
+    def test_extract_rejects_outside_span(self, name, outside):
+        # realize(x) + O e over Q[e]/(e^2), with O outside the image span: the
+        # constant term reads back, the coefficient of e does not
+        rep = matrix_rep(H3, SCALED_H3_IMAGES) if name == "h3-scaled" else builtin_rep(name)
+        ring = ring_make([("e", 1)])
+        x = random_element(rep.algebra, ring, Random(5))
+        assert rep.extract(rep.realize(x)) == x
+        M = WeilMatrix(ring, grid_sum(rep.realize(x).rows,
+                                      weighted_grid(ring, outside, ring.gen("e"))))
+        with pytest.raises(MatrixError, match="^matrix does not lie in the image span$"):
             rep.extract(M)
 
-    def test_extract_rejects_dependent_images(self):
+    @pytest.mark.parametrize("algebra, images", [
+        (abelian(2), {"a1": [[0, 1], [0, 0]], "a2": [[0, 1], [0, 0]]}),
+        (abelian(3), {
+            "a1": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+            "a2": [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+            "a3": [[0, 1, Fraction(1, 2)], [0, 0, 0], [0, 0, 0]],
+        }),
+    ], ids=["identical", "dependent-after-elimination"])
+    def test_extract_rejects_dependent_images(self, algebra, images):
         # commuting, bracket-compatible, but linearly dependent images: refused
-        # at load, before any extraction could go wrong
+        # at load, before any extraction could go wrong; E12 + E13/2 has
+        # nonzero cells left only until E12 and E13 are eliminated
         with pytest.raises(MatrixError, match="linearly dependent"):
-            matrix_rep(abelian(2), {"a1": [[0, 1], [0, 0]], "a2": [[0, 1], [0, 0]]})
+            matrix_rep(algebra, images)
 
     @pytest.mark.parametrize("name", ["h3", "sl2", "so3"])
     def test_json_round_trip_through_text(self, name):
@@ -573,7 +597,7 @@ class TestMatrixMul:
     def test_agrees_with_closed_form(self, name):
         if name == "h3-scaled":
             rep = matrix_rep(H3, SCALED_H3_IMAGES)
-            assert [d for _, d in rep._solver[0]] == [2, 1, 2]
+            assert [d for _, d in rep._solver[1]] == [2, 1, 2]
         else:
             rep = builtin_rep(name)
         rng = Random(12)
@@ -705,3 +729,109 @@ def test_a_misread_rational_image_fails_the_matrix_engine_with_exit_1(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: images violate bracket compatibility on (p, q)\n"
+
+
+# -- generated algebras: Lie algebras of random rational matrices ---------------
+
+
+def _reduce(echelon, v):
+    """``v`` less its part in the span of the ``echelon`` rows, and that
+    part's coordinates over them; each row is (pivot cell, cells) with a 1 at
+    its pivot and a 0 at every earlier row's pivot."""
+    coords = []
+    for p, row in echelon:
+        f = v[p]
+        coords.append(f)
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v, coords
+
+
+def generated_algebra(seed: int, n: int, strict: bool):
+    """The span of two seeded random rational n x n upper triangular matrices
+    (strictly so when ``strict``) closed under commutators, as an algebra with
+    its structure constants read by an exact solve, and the basis matrices."""
+    rng = Random(seed)
+    echelon = []
+
+    def extend(v):
+        r, _ = _reduce(echelon, v)
+        p = next((c for c, e in enumerate(r) if e), None)
+        if p is not None:
+            echelon.append((p, [e / r[p] for e in r]))
+
+    def grid(v):
+        return [v[i * n:(i + 1) * n] for i in range(n)]
+
+    def commutator(x, y):
+        x, y = grid(x), grid(y)
+        return [a - b for ra, rb in zip(rmat_mul(x, y), rmat_mul(y, x)) for a, b in zip(ra, rb)]
+
+    for _ in range(2):
+        extend([random_rational(rng) if j > i or (j == i and not strict) else Fraction(0)
+                for i in range(n) for j in range(n)])
+    k = 0
+    while k < len(echelon):  # bracket each basis matrix with every earlier one
+        for j in range(k):
+            extend(commutator(echelon[j][1], echelon[k][1]))
+        k += 1
+    names = [f"m{k + 1}" for k in range(len(echelon))]
+    structure = {}
+    for (i, (_, x)), (j, (_, y)) in combinations(enumerate(echelon), 2):
+        r, coords = _reduce(echelon, commutator(x, y))
+        assert not any(r)
+        structure[names[i], names[j]] = [(m, c) for m, c in zip(names, coords) if c]
+    algebra = make_algebra(f"generated-{seed}", names, structure)
+    images = {m: grid(row) for m, (_, row) in zip(names, echelon)}
+    return algebra, images
+
+
+#: (seed, size, strictly upper triangular): nilpotent and solvable algebras of
+#: dimensions 3 to 8, every one with structure constants and image entries
+#: that are not integers
+GENERATED = [(0, 3, True), (1, 3, False), (2, 4, True), (3, 4, False), (4, 4, True),
+             (5, 4, False)]
+
+
+def generated_algebra_agrees(seed: int, n: int, strict: bool) -> None:
+    """The generated algebra validates, its inclusion reads elements back, and
+    the three engines agree on seeded jets at orders 1-3."""
+    algebra, images = generated_algebra(seed, n, strict)
+    assert any(c.denominator != 1 for entries in algebra.structure.values() for _, c in entries)
+    assert validate_algebra(algebra) is None
+    rep = matrix_rep(algebra, images)
+    rng = Random(seed)
+    ring = ring_make([("d", 2)])
+    for _ in range(3):
+        x = random_element(algebra, ring, rng)
+        assert rep.extract(rep.realize(x)) == x
+    for order in (1, 2, 3):
+        for _ in range(2):
+            a, b = (random_jet(algebra, PLAIN_RING, order, rng) for _ in range(2))
+            product = jet_mul(a, b)
+            assert bch_mul(a, b) == product
+            assert matrix_mul(a, b, rep) == product
+
+
+@pytest.mark.parametrize("seed, n, strict", GENERATED)
+def test_a_generated_matrix_algebra_agrees_with_its_inclusion(seed, n, strict):
+    generated_algebra_agrees(seed, n, strict)
+
+
+def test_a_bracket_that_drops_the_constants_denominator_fails_a_generated_algebra(
+    monkeypatch
+):
+    real = liejets.algebras._signed_sum
+    monkeypatch.setattr(liejets.algebras, "_signed_sum",
+                        lambda x, y, p, q: real(x, y, p, 1))
+    with pytest.raises((AssertionError, MatrixError)):
+        for row in GENERATED:
+            generated_algebra_agrees(*row)
+
+
+@IMAGE_MUTANTS
+def test_a_misread_rational_image_fails_a_generated_algebra(monkeypatch, name, mutant):
+    monkeypatch.setattr(f"liejets.matrices.{name}", mutant)
+    with pytest.raises((AssertionError, MatrixError)):
+        for row in GENERATED:
+            generated_algebra_agrees(*row)
