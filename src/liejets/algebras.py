@@ -196,11 +196,11 @@ def validate_algebra(spec: LieAlgebraSpec) -> dict | None:
         jac = (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
                + bracket(z, bracket(x, y)))
         if not jac.is_zero():
-            return {
-                "failing_triple": [a, b, c],
-                "defect": {n: str(s.constant_term())
-                           for n, s in zip(spec.basis, jac.coords) if s.terms},
-            }
+            defect = {}
+            for n, s in zip(spec.basis, jac.coords):
+                if s.terms:
+                    defect[n] = str(s.constant_term())
+            return {"failing_triple": [a, b, c], "defect": defect}
     return None
 
 

@@ -376,7 +376,7 @@ def witt_dimensions_hold(spec: LieAlgebraSpec, generators: int, cls: int) -> dic
             for d in range(1, cls + 1)]
     if got != want:
         # a necklace total that its degree does not divide is a fractional want
-        return {"got": got, "want": [str(w) for w in want]}
+        return {"got": got, "want": list(map(str, want))}
     expansions = [expand_tree(standard_bracketing(w), cls)
                   for w in lyndon_words(generators, cls)]
     for i, j in combinations(range(spec.dim), 2):

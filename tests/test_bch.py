@@ -1,5 +1,6 @@
 """Series engine tests: table evaluation, coefficient identities, agreement."""
 
+import json
 from fractions import Fraction
 from random import Random
 
@@ -74,6 +75,16 @@ class TestBchMul:
 
         # and the engine's own degree-3 output (exp coordinate = 3! * top)
         assert bch_mul(a, b).coords[2] == series_top * r(6)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("generators", [2, 3])
+    def test_generic_jets_match_the_closed_form(self, generators, order):
+        # the catalog's series check is symbolic over free-nilpotent(2,n)
+        # only; over (3,3) the sum of five words and the mirrored word
+        # [b, a] meet a ring of 28 to 84 generators
+        _, jets = symbolic_jet_family(free_nilpotent(generators, 3), order, ("a", "b"))
+        a, b = jets["a"], jets["b"]
+        assert json.dumps(bch_mul(a, b).to_json()) == json.dumps(jet_mul(a, b).to_json())
 
     def test_ring_name_collision_avoided(self):
         from liejets.scalars import ring_make

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from liejets.algebras import MAX_DIMENSION, abelian, basis_element, heisenberg3, zero_element
 from liejets.catalog import resolve_algebra
 from liejets.cli import build_parser, main
-from liejets.jets import jet_make
+from liejets.jets import jet_make, jet_scale
 from liejets.sampling import PLAIN_RING, random_jet
+from liejets.scalars import ring_make
 
 H3 = heisenberg3()
 
@@ -256,6 +257,26 @@ class TestValidate:
         )
 
 
+def _seeded_pair(algebra, over_e):
+    """Documents of two seeded order-3 jets on ``algebra``, over Q or,
+    scaled by 1 + e, over Q[e]/(e^2), so that each engine lifts a curve over
+    a base ring with a generator and lays d's field above e's."""
+    spec, rng = resolve_algebra(algebra), Random(0)
+    ring = ring_make([("e", 1)]) if over_e else PLAIN_RING
+    jets = [random_jet(spec, ring, 3, rng) for _ in range(2)]
+    if over_e:
+        jets = [jet_scale(jet, ring.one + ring.gen("e")) for jet in jets]
+    return tuple(jet.to_json() for jet in jets)
+
+
+ENGINE_PAIRS = [
+    pytest.param((h3_jet_doc(2, "p", "0"), h3_jet_doc(2, "q", "0")), id="h3-basis"),
+] + [
+    pytest.param(_seeded_pair(algebra, over_e), id=f"{algebra}-order3-{'e' if over_e else 'q'}")
+    for algebra in ("h3", "sl2", "so3") for over_e in (False, True)
+]
+
+
 class TestMul:
     def test_order2_product(self, jet_files, capsys):
         a = jet_files("a.json", h3_jet_doc(2, "p", "0"))
@@ -268,9 +289,9 @@ class TestMul:
         assert set(doc["coords"][1]["coords"]) == {"z"}
 
     @pytest.mark.parametrize("engine", ["bch", "matrix"])
-    def test_engines_agree_byte_for_byte(self, jet_files, capsys, engine):
-        a = jet_files("a.json", h3_jet_doc(2, "p", "0"))
-        b = jet_files("b.json", h3_jet_doc(2, "q", "0"))
+    @pytest.mark.parametrize("pair", ENGINE_PAIRS)
+    def test_engines_agree_byte_for_byte(self, jet_files, capsys, pair, engine):
+        a, b = (jet_files(f"{name}.json", doc) for name, doc in zip("ab", pair))
         assert main(["mul", a, b]) == 0
         default_out = capsys.readouterr().out
         assert main(["mul", a, b, "--via", engine]) == 0

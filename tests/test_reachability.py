@@ -8,9 +8,12 @@ too, so the README cannot drift from the package.
 Functions are matched by code object, not by name or line number, so a
 decorated function, a lambda, a nested function and a generator expression
 each count on their own, and a branch that no caller takes shows up through
-the comprehensions in it.  A code object cannot tell apart two names bound
-to one function (``__radd__ = __add__``), so a package class may not bind
-one function under two names.
+the generator expressions, lambdas and nested functions in it.  List, set
+and dict comprehensions are code objects of their own only before Python
+3.12, which inlines them (PEP 709), so no ``ALLOWED`` or ``COMMAND_ONLY``
+key may name one.  A code object cannot tell apart two names bound to one
+function (``__radd__ = __add__``), so a package class may not bind one
+package function under two names.
 """
 
 import json
@@ -26,6 +29,7 @@ from liejets.algebras import heisenberg3
 from liejets.checks import run_suite
 from liejets.cli import main
 from liejets.sampling import PLAIN_RING, random_jet
+from liejets.scalars import WeilScalar
 
 PACKAGE = Path(liejets.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
@@ -53,8 +57,6 @@ ALLOWED = {
     "liejets.cli._fail": "error path: every traced command succeeds",
     "liejets.algebras.make_algebra.<locals>.<genexpr>": "input check: a spec that "
                                                         "brackets an element with itself",
-    "liejets.algebras.validate_algebra.<locals>.<dictcomp>": "failure evidence",
-    "liejets.checks.witt_dimensions_hold.<locals>.<listcomp>": "failure evidence",
     "liejets.matrices.WeilMatrix.rows": "read only by WeilMatrix.__repr__",
     "liejets.scalars.WeilScalar.constant_term": "failure evidence of the Jacobi scan",
     "liejets.matrices.WeilMatrix.__init__": "perfbench/tracing.py probe_inputs builds "
@@ -101,11 +103,27 @@ def _functions(value, seen: set):
         yield value
 
 
-def _nested(code):
-    yield code
+#: Code names of the comprehensions, whose nested code the compiler names
+#: without ``<locals>``.
+COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<setcomp>", "<dictcomp>"}
+
+
+def _nested(code, qualname: str):
+    """``code`` and each code object nested in it, with its qualified name,
+    formed as the compiler forms ``co_qualname`` (new in Python 3.11)."""
+    assert getattr(code, "co_qualname", qualname) == qualname, (code, qualname)
+    yield code, qualname
+    if code.co_name not in COMPREHENSIONS:
+        qualname += ".<locals>"
     for const in code.co_consts:
         if hasattr(const, "co_code"):
-            yield from _nested(const)
+            yield from _nested(const, f"{qualname}.{const.co_name}")
+
+
+def _in_package(fn) -> bool:
+    """Whether ``fn``'s source is in the package, rather than generated by
+    ``dataclasses`` or ``collections.namedtuple``, or not the package's."""
+    return fn.__code__.co_filename.startswith(str(PACKAGE))
 
 
 def _modules() -> list:
@@ -125,17 +143,15 @@ def defined_code() -> dict:
     for module in _modules():
         for value in vars(module).values():
             for fn in _functions(value, seen):
-                top = fn.__code__
-                if not top.co_filename.startswith(str(PACKAGE)):
-                    continue  # generated by dataclasses, or not the package's
-                for code in _nested(top):
-                    out.setdefault(code, f"{fn.__module__}.{code.co_qualname}")
+                if _in_package(fn):
+                    for code, name in _nested(fn.__code__, fn.__qualname__):
+                        out.setdefault(code, f"{fn.__module__}.{name}")
     return out
 
 
 def aliases() -> list:
-    """Each package class attribute that binds the same function as an
-    earlier attribute of its class, as "module.Class.alias = name"."""
+    """Each package class attribute that binds the same package function as
+    an earlier attribute of its class, as "module.Class.alias = name"."""
     out = []
     for module in _modules():
         for cls in vars(module).values():
@@ -143,7 +159,7 @@ def aliases() -> list:
                 continue  # not a class, or imported from elsewhere
             first: dict = {}
             for attr, member in vars(cls).items():
-                for fn in _functions(member, set()):
+                for fn in filter(_in_package, _functions(member, set())):
                     name = first.setdefault(fn.__code__, attr)
                     if name != attr:
                         out.append(f"{cls.__module__}.{cls.__qualname__}.{attr} = {name}")
@@ -267,6 +283,11 @@ def test_no_command_runs_code_the_catalog_never_runs(tmp_path):
 
 def test_no_class_binds_one_function_under_two_names():
     assert aliases() == []
+
+
+def test_an_alias_in_a_package_class_is_reported(monkeypatch):
+    monkeypatch.setattr(WeilScalar, "__radd__", WeilScalar.__add__, raising=False)
+    assert aliases() == ["liejets.scalars.WeilScalar.__radd__ = __add__"]
 
 
 def test_readme_quick_tour_runs_and_its_engines_agree():
