@@ -160,8 +160,9 @@ def make_algebra(
         i, j = index[left], index[right]
         sign = 1
         if i == j:
-            if any(rational_from_str(c, AlgebraError) for _, c in entries):
-                raise AlgebraError(f"[{left}, {left}] must be zero")
+            for _, c in entries:
+                if rational_from_str(c, AlgebraError):
+                    raise AlgebraError(f"[{left}, {left}] must be zero")
             continue
         if i > j:
             i, j, sign = j, i, -1

@@ -53,7 +53,7 @@ from .jets import (
 from .matrices import BUILTIN_REP_NAMES, MatrixRep, builtin_rep, exp_weights
 from .matrices import matrix_mul, weil_exp
 from .report import FAIL, PASS, CheckResult, VerificationReport
-from .sampling import PLAIN_RING, random_jet, random_rational
+from .sampling import PLAIN_RING, draw_int, random_jet, random_rational
 from .sampling import symbolic_jet_family
 from .scalars import RingSignature, ring_make
 
@@ -490,11 +490,11 @@ def ring_laws_hold(a, b, c, drawn: list) -> dict | None:
 def _scalars(ring: RingSignature, rng: Random) -> tuple:
     """Three random scalars of three random terms each, then the list of
     the term tables they were built from."""
-    drawn = []
+    bits, drawn = rng.getrandbits, []
     for _ in range(3):
         terms = {}
         for _ in range(3):
-            vec = tuple(rng.randint(0, m) for m in ring.orders)
+            vec = tuple(draw_int(bits, 0, m) for m in ring.orders)
             terms[vec] = terms.get(vec, Fraction(0)) + random_rational(rng)
         drawn.append(terms)
     return (*map(ring.scalar, drawn), drawn)
@@ -606,14 +606,18 @@ def build_checks(
 
     ``algebras`` overrides the default random-trial algebra sets; checks that
     need a matrix representation then require every override to have one.
-    Raises ``ValueError`` for an unknown suite, fewer than one trial, an
-    empty ``algebras`` list (no suite may pass without its random trials) or
-    an override without a representation that its suite needs.
+    Raises ``ValueError`` for an unknown suite, fewer than one trial, a
+    negative seed (``Random(-s)`` draws what ``Random(s)`` draws, so the
+    report would name a run that never happened), an empty ``algebras``
+    list (no suite may pass without its random trials) or an override
+    without a representation that its suite needs.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if algebras is not None and not algebras:
         raise ValueError("the algebras override names no algebra")
     unrepresented = [a.name for a in algebras or () if a.name not in BUILTIN_REP_NAMES]

@@ -179,7 +179,7 @@ def cmd_verify(args) -> int:
             return _fail(str(exc), USAGE_ERROR)
     try:
         checks = build_checks(args.suite, algebras, args.order, args.trials, args.seed)
-    except ValueError as exc:  # unknown suite, trials < 1, or an override without a rep
+    except ValueError as exc:  # unknown suite, trials < 1, seed < 0, or an override without a rep
         return _fail(str(exc), USAGE_ERROR)
     report = run_checks(checks, args.seed)
     _emit(report.to_json(include_timing=not args.no_timing))

@@ -7,6 +7,13 @@ decisive regardless of magnitude.  Draws are over a ring, the
 ``PLAIN_RING``, the ring Q, is defined in :mod:`liejets.scalars` and
 re-exported here.
 
+Every seeded integer comes from one kernel, :func:`draw_int`, which reads
+the generator's ``getrandbits`` alone and returns exactly what
+``rng.randint`` would, draw for draw (tests/test_sampling.py pins this on
+Python 3.10-3.13), so a seed gives the same inputs it always gave.  Each
+drawn rational is one ``Fraction``, and each drawn coordinate is built
+directly as its canonical one-term scalar.
+
 Generic symbolic jets adjoin one nilpotent coefficient symbol per (jet,
 coordinate slot, basis element) and set each slot to the all-basis linear
 combination of its symbols.  The symbols have order 3: every symbol sits in
@@ -24,9 +31,10 @@ from random import Random
 
 from .algebras import LieAlgebraSpec, LieElement
 from .jets import EXP, Jet, _check_order, jet_make
-from .scalars import PLAIN_RING, RingSignature
+from .scalars import PLAIN_RING, RingSignature, WeilScalar
 
 __all__ = [
+    "draw_int",
     "random_rational",
     "random_element",
     "random_jet",
@@ -42,20 +50,43 @@ DENOMINATOR_BOUND = 3
 INT_BOUND = 3
 
 
-def random_rational(rng: Random) -> Fraction:
+def draw_int(getrandbits, low: int, high: int) -> int:
+    """The value ``rng.randint(low, high)`` returns, from the same bits,
+    where ``getrandbits`` is the bound ``rng.getrandbits``: for the
+    n = high - low + 1 values, k = n.bit_length() bits, drawn again while
+    they read n or more."""
+    n = high - low + 1
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return low + r
+
+
+def _rational(getrandbits) -> Fraction:
     return Fraction(
-        rng.randint(-NUMERATOR_BOUND, NUMERATOR_BOUND),
-        rng.randint(1, DENOMINATOR_BOUND),
+        draw_int(getrandbits, -NUMERATOR_BOUND, NUMERATOR_BOUND),
+        draw_int(getrandbits, 1, DENOMINATOR_BOUND),
     )
+
+
+def random_rational(rng: Random) -> Fraction:
+    return _rational(rng.getrandbits)
 
 
 def random_element(algebra: LieAlgebraSpec, ring: RingSignature, rng: Random,
                    integer: bool = False) -> LieElement:
-    """Element with random small rational (or integer) coordinates."""
+    """Element with random small rational (or integer) coordinates, each
+    built as its canonical one-term scalar."""
+    bits = rng.getrandbits
     coords = []
     for _ in range(algebra.dim):
-        q = rng.randint(-INT_BOUND, INT_BOUND) if integer else random_rational(rng)
-        coords.append(ring.rational(q))
+        if integer:
+            p, q = draw_int(bits, -INT_BOUND, INT_BOUND), 1
+        else:
+            x = _rational(bits)
+            p, q = x.numerator, x.denominator
+        coords.append(WeilScalar(ring, {0: p} if p else {}, q))
     return LieElement(algebra, ring, tuple(coords))
 
 

@@ -228,6 +228,12 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("all", algebras=[])
 
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_negative_seed_rejected(self, seed):
+        # a negative seed draws what its absolute value draws
+        with pytest.raises(ValueError, match=f"^seed must be at least 0, got {seed}$"):
+            build_checks("s6", seed=seed)
+
     def test_s7_order3_contains_recovery_and_axioms(self):
         ids = [check_id for check_id, _ in build_checks("s7", order=3)]
         assert ids == ["thm-7.0", "thm-7.3"]

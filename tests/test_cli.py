@@ -496,6 +496,15 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: trials must be at least 1")
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # Random(-5) seeds as Random(5) does, so the report would claim a
+        # run at seed -5 that never happened
+        assert main(["verify", "--seed", "-5", "--suite", "s6", "--trials", "3",
+                     "--no-timing"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be at least 0, got -5\n"
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "s5"])

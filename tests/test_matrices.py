@@ -3,6 +3,7 @@ matrix-comparison rows."""
 
 import json
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
 from math import gcd, lcm
 from operator import add
@@ -17,7 +18,10 @@ from liejets.algebras import (
 )
 from liejets.bch import bch_mul
 from liejets.catalog import resolve_algebra
-from liejets.checks import ROWS, _ring_label, exp_product_holds, run_check, run_suite
+from liejets.checks import (
+    ROWS, _ring_label, associative, bracket_recovered, exp_product_holds, run_check, run_law,
+    run_suite, unit_and_inverse,
+)
 from liejets.cli import main
 from liejets.jets import jet_make, jet_mul
 from liejets.matrices import (
@@ -835,3 +839,64 @@ def test_a_misread_rational_image_fails_a_generated_algebra(monkeypatch, name, m
     with pytest.raises((AssertionError, MatrixError)):
         for row in GENERATED:
             generated_algebra_agrees(*row)
+
+
+@cache
+def generated_rep(seed: int, n: int, strict: bool):
+    """The inclusion of a generated algebra, built once (and before a test
+    patches the bracket, which ``matrix_rep`` would refuse)."""
+    return matrix_rep(*generated_algebra(seed, n, strict))
+
+
+#: The ring of the square-zero scalings of ``bracket_recovered``, Q[e1,e2]/(e1^2,e2^2).
+SQUARE_ZERO = ring_make((("e1", 1), ("e2", 1)))
+
+
+def _jets_on(rep, order, count, ring):
+    """A draw of ``count`` seeded jets over ``ring`` on the algebra of ``rep``."""
+    return lambda rng: tuple(random_jet(rep.algebra, ring, order, rng) for _ in range(count))
+
+
+def _exp_product_inputs(rep, order):
+    """The draw of Theorem 4's inputs: ``rep``, the weights of the order and
+    two seeded jets over the weights' ring Q[d_1..d_n]/(d_i^2)."""
+    weights = exp_weights(order)
+    jets = _jets_on(rep, order, 2, weights[0].signature)
+    return lambda rng: (rep, weights, *jets(rng))
+
+
+#: Each catalog law, with the function that makes its draw on a generated
+#: algebra's inclusion at one order.
+GENERATED_LAWS = {
+    "associative": (associative, partial(_jets_on, count=3, ring=PLAIN_RING)),
+    "unit_and_inverse": (unit_and_inverse, partial(_jets_on, count=2, ring=PLAIN_RING)),
+    "bracket_recovered": (bracket_recovered, partial(_jets_on, count=2, ring=SQUARE_ZERO)),
+    "exp_product_holds": (exp_product_holds, _exp_product_inputs),
+}
+
+
+def generated_law_outcome(law_name: str):
+    """``run_law`` on one catalog law, one family per generated algebra and
+    order 1-3, two seeded draws each."""
+    law, draw = GENERATED_LAWS[law_name]
+    families = [({"algebra": f"generated-{row[0]}/n{order}"}, draw(generated_rep(*row), order))
+                for row in GENERATED for order in (1, 2, 3)]
+    return run_law(law, families, 2, seed=0)
+
+
+@pytest.mark.parametrize("law_name", GENERATED_LAWS)
+def test_the_catalog_laws_hold_on_the_generated_algebras(law_name):
+    out = generated_law_outcome(law_name)
+    assert out.counterexample is None
+    assert len(out.instances) == 3 * len(GENERATED)
+
+
+def test_a_bracket_that_drops_the_constants_denominator_fails_a_catalog_law(monkeypatch):
+    """The catalog's own algebras have integral structure constants, so the
+    catalog passes this bracket; the generated algebras' constants do not."""
+    for row in GENERATED:
+        generated_rep(*row)
+    real = liejets.algebras._signed_sum
+    monkeypatch.setattr(liejets.algebras, "_signed_sum",
+                        lambda x, y, p, q: real(x, y, p, 1))
+    assert any(generated_law_outcome(name).counterexample for name in GENERATED_LAWS)

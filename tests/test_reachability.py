@@ -19,6 +19,7 @@ package function under two names.
 import json
 import pkgutil
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -55,8 +56,6 @@ ALLOWED = {
     "liejets.scalars.RingSignature.__setattr__": "immutability guard",
     "liejets.scalars.RingSignature.__delattr__": "immutability guard",
     "liejets.cli._fail": "error path: every traced command succeeds",
-    "liejets.algebras.make_algebra.<locals>.<genexpr>": "input check: a spec that "
-                                                        "brackets an element with itself",
     "liejets.matrices.WeilMatrix.rows": "read only by WeilMatrix.__repr__",
     "liejets.scalars.WeilScalar.constant_term": "failure evidence of the Jacobi scan",
     "liejets.matrices.WeilMatrix.__init__": "perfbench/tracing.py probe_inputs builds "
@@ -253,6 +252,13 @@ def test_allowlist_names_defined_functions_with_reasons():
     names = set(defined_code().values())
     assert {key for key in ALLOWED if key not in names} == set()
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_no_key_names_more_than_one_code_object():
+    """A key exempts every code object of its name, so one that several share
+    (the generator expressions of one function) would exempt them all."""
+    counts = Counter(defined_code().values())
+    assert {key: counts[key] for key in (*ALLOWED, *COMMAND_ONLY) if counts[key] > 1} == {}
 
 
 def test_command_only_list_covers_defined_functions_with_reasons():
