@@ -14,7 +14,6 @@ Specs and elements are immutable after construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -64,10 +63,14 @@ class LieAlgebraSpec:
     """Lie algebra on a named basis with rational structure constants.
 
     ``structure`` maps index pairs (i, j) with i < j to tuples of
-    (k, coefficient) meaning [b_i, b_j] = sum c * b_k, each coefficient an
-    ``int`` when it is integral and a ``Fraction`` otherwise.  Pairs that
-    bracket to zero are absent.  ``degrees`` is optional grading metadata,
-    set by :func:`liejets.hall.free_nilpotent`, and does not affect equality.
+    (k, coefficient) meaning [b_i, b_j] = sum c * b_k.  Pairs that bracket
+    to zero are absent.  The table is stored as given: callers pass each
+    coefficient as an ``int`` when it is integral and a ``Fraction``
+    otherwise, as :func:`make_algebra` and
+    :func:`liejets.hall.free_nilpotent` do, so :func:`bracket` reads an
+    integral constant without ``Fraction``'s property calls.  ``degrees`` is
+    optional grading metadata, set by :func:`liejets.hall.free_nilpotent`,
+    and does not affect equality.
     """
 
     __slots__ = ("name", "basis", "structure", "degrees", "_index")
@@ -81,12 +84,7 @@ class LieAlgebraSpec:
     ):
         self.name = name
         self.basis = basis
-        # an integral constant is kept as an int, whose numerator and
-        # denominator the bracket reads without Fraction's property calls
-        self.structure = {
-            pair: tuple((k, c.numerator if c.denominator == 1 else c) for k, c in entries)
-            for pair, entries in structure.items()
-        }
+        self.structure = structure
         self.degrees = degrees
         self._index = {b: i for i, b in enumerate(basis)}
 
@@ -146,7 +144,7 @@ def make_algebra(
     if len(set(basis)) != len(basis):
         raise AlgebraError(f"duplicate basis names in {basis}")
     index = {b: i for i, b in enumerate(basis)}
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict] = {}
     for key, entries in brackets.items():
         try:
             (left, right), entries = key, [(b, c) for b, c in entries]
@@ -174,9 +172,11 @@ def make_algebra(
                 raise AlgebraError(f"bracket value names unknown basis element {b!r}")
             c = rational_from_str(c, AlgebraError) * sign
             k = index[b]
-            acc[k] = acc.get(k, Fraction(0)) + c
+            acc[k] = acc.get(k, 0) + c
+    # each constant in canonical form, an int when it is integral
     structure = {
-        pair: tuple(sorted((k, c) for k, c in acc.items() if c))
+        pair: tuple(sorted((k, c.numerator if c.denominator == 1 else c)
+                           for k, c in acc.items() if c))
         for pair, acc in table.items()
     }
     structure = {pair: entries for pair, entries in structure.items() if entries}

@@ -48,8 +48,8 @@ __all__ = ["BCH_DEGREE3_TERMS", "bch_mul"]
 #: coefficients, complete through bracket degree 3.  A word is either a leaf
 #: name or a pair (left word, right word) meaning their bracket.
 BCH_DEGREE3_TERMS: tuple = (
-    ("a", Fraction(1)),
-    ("b", Fraction(1)),
+    ("a", 1),
+    ("b", 1),
     (("a", "b"), Fraction(1, 2)),
     (("a", ("a", "b")), Fraction(1, 12)),
     (("b", ("b", "a")), Fraction(1, 12)),

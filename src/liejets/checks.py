@@ -39,6 +39,7 @@ from .bch import bch_mul
 from .catalog import BUILTIN_NAMES, SUITE_NAMES, default_verification_algebras, resolve_algebra
 from .hall import _commutator, expand_tree, free_nilpotent, lyndon_words, standard_bracketing
 from .jets import (
+    MAX_ORDER,
     MONOMIAL,
     Jet,
     jet_bracket,
@@ -495,7 +496,7 @@ def _scalars(ring: RingSignature, rng: Random) -> tuple:
         terms = {}
         for _ in range(3):
             vec = tuple(draw_int(bits, 0, m) for m in ring.orders)
-            terms[vec] = terms.get(vec, Fraction(0)) + random_rational(rng)
+            terms[vec] = terms.get(vec, 0) + random_rational(rng)
         drawn.append(terms)
     return (*map(ring.scalar, drawn), drawn)
 
@@ -606,18 +607,24 @@ def build_checks(
 
     ``algebras`` overrides the default random-trial algebra sets; checks that
     need a matrix representation then require every override to have one.
-    Raises ``ValueError`` for an unknown suite, fewer than one trial, a
-    negative seed (``Random(-s)`` draws what ``Random(s)`` draws, so the
-    report would name a run that never happened), an empty ``algebras``
-    list (no suite may pass without its random trials) or an override
-    without a representation that its suite needs.
+    Raises ``ValueError`` for an unknown suite; an ``order`` other than
+    None or an ``int`` from 1 to ``jets.MAX_ORDER``; ``trials`` or ``seed``
+    that is not an ``int``, bools included, which the report would print
+    as they are; fewer than one trial; a negative seed (``Random(-s)`` draws
+    what ``Random(s)`` draws, so the report would name a run that never
+    happened); an empty ``algebras`` list (no suite may pass without its
+    random trials) or an override without a representation that its suite
+    needs.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
+    if order is not None and (order.__class__ is not int or not 1 <= order <= MAX_ORDER):
+        raise ValueError(f"order must be None or an int 1..{MAX_ORDER}, got {order!r}")
+    for what, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if value.__class__ is not int:
+            raise ValueError(f"{what} must be an int, got {value!r}")
+        if value < least:
+            raise ValueError(f"{what} must be at least {least}, got {value}")
     if algebras is not None and not algebras:
         raise ValueError("the algebras override names no algebra")
     unrepresented = [a.name for a in algebras or () if a.name not in BUILTIN_REP_NAMES]

@@ -6,7 +6,10 @@ standard bracketing; expanding those bracketings in the free associative
 algebra gives a triangular system (a Lyndon word is the lexicographically
 smallest word in its own expansion, with coefficient 1), which lets us
 rewrite any bracket of basis elements back into the basis and read off exact
-structure constants.
+structure constants.  The system is unitriangular, so the rewriting never
+divides, and every table and structure constant is an ``int``: the Lyndon
+basis is a basis of the free Lie ring over Z (Reutenauer, "Free Lie
+Algebras", 1993).
 
 Only m <= 3 and c <= 3 are supported; that is all the claim catalog needs
 and keeps every table tiny.
@@ -14,7 +17,6 @@ and keeps every table tiny.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .algebras import AlgebraError, LieAlgebraSpec
@@ -59,39 +61,22 @@ def standard_bracketing(word: tuple[int, ...]) -> Tree:
     return (standard_bracketing(word[:split]), standard_bracketing(suffix))
 
 
-def _concat_product(a: dict, b: dict, cap: int) -> dict:
-    """Concatenation product of word->coefficient tables, dropping words
-    longer than cap."""
-    out: dict = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            if len(w1) + len(w2) > cap:
-                continue
-            w = w1 + w2
-            acc = out.get(w, 0) + c1 * c2
-            if acc:
-                out[w] = acc
-            else:
-                del out[w]
-    return out
-
-
 def _commutator(left: dict, right: dict, cap: int) -> dict:
-    """left*right - right*left in the free associative algebra (degree <= cap)."""
-    out = _concat_product(left, right, cap)
-    for w, c in _concat_product(right, left, cap).items():
-        acc = out.get(w, 0) - c
-        if acc:
-            out[w] = acc
-        else:
-            del out[w]
-    return out
+    """left*right - right*left of word->coefficient tables in the free
+    associative algebra, dropping words longer than cap."""
+    out: dict = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            if len(w1) + len(w2) <= cap:
+                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+                out[w2 + w1] = out.get(w2 + w1, 0) - c1 * c2
+    return {w: c for w, c in out.items() if c}
 
 
 def expand_tree(tree: Tree, cap: int) -> dict:
     """Expansion of a bracket tree in the free associative algebra (degree <= cap)."""
     if isinstance(tree, int):
-        return {(tree,): Fraction(1)}
+        return {(tree,): 1}
     return _commutator(expand_tree(tree[0], cap), expand_tree(tree[1], cap), cap)
 
 

@@ -354,6 +354,29 @@ class TestMakeAlgebra:
         spec = make_algebra("half", ("a", "b"), {("a", "b"): [("b", "1/2")]})
         assert spec.structure == {(0, 1): ((1, Fraction(1, 2)),)}
 
+    @pytest.mark.parametrize("values, stored", [
+        (["4/2"], 2),
+        (["1/2"], Fraction(1, 2)),
+        (["1/2", "1/2"], 1),
+        ([Fraction(3, 1)], 3),
+    ], ids=["integral-text", "half", "integral-sum", "integral-fraction"])
+    def test_constants_are_stored_in_canonical_form(self, values, stored):
+        # an int when integral, else a Fraction: LieAlgebraSpec stores the
+        # table as given, so make_algebra is where the form is set
+        spec = make_algebra("c", ("a", "b"), {("a", "b"): [("b", v) for v in values]})
+        ((k, c),) = spec.structure[0, 1]
+        assert (k, c) == (1, stored)
+        assert type(c) is type(stored)
+
+
+@pytest.mark.parametrize("spec", [
+    heisenberg3(), sl2(), so3(), abelian(3),
+    *(free_nilpotent(m, c) for m in (1, 2, 3) for c in (1, 2, 3)),
+], ids=lambda spec: spec.name)
+def test_integral_structure_constants_are_ints(spec):
+    constants = [c for entries in spec.structure.values() for _, c in entries]
+    assert all(type(c) is int for c in constants), constants
+
 
 def spec_doc(spec: LieAlgebraSpec) -> dict:
     """The JSON document of ``spec``, in the shape README's JSON formats give."""

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -233,6 +234,26 @@ class TestSuites:
         # a negative seed draws what its absolute value draws
         with pytest.raises(ValueError, match=f"^seed must be at least 0, got {seed}$"):
             build_checks("s6", seed=seed)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"order": 0}, "order must be None or an int 1..3, got 0"),
+        ({"order": 4}, "order must be None or an int 1..3, got 4"),
+        ({"order": True}, "order must be None or an int 1..3, got True"),
+        ({"order": 2.0}, "order must be None or an int 1..3, got 2.0"),
+        ({"trials": 2.5}, "trials must be an int, got 2.5"),
+        ({"trials": True}, "trials must be an int, got True"),
+        ({"trials": 0}, "trials must be at least 1, got 0"),
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+    ], ids=["order-0", "order-4", "order-bool", "order-float", "trials-float",
+            "trials-bool", "trials-0", "seed-bool", "seed-float"])
+    def test_order_trials_and_seed_refused_unless_ints_in_range(self, kwargs, message):
+        # each would otherwise list a check twice, name a check after a
+        # bool, fail in range() or print a seed no run used
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_checks("s7", **kwargs)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_suite("s6", **kwargs)
 
     def test_s7_order3_contains_recovery_and_axioms(self):
         ids = [check_id for check_id, _ in build_checks("s7", order=3)]

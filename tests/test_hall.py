@@ -82,6 +82,13 @@ class TestLyndonMachinery:
             tree = standard_bracketing(word)
             assert expand_tree(tree, 3) == tensor_of_tree(tree)
 
+    def test_expansions_are_integer_tables(self):
+        # the Lyndon basis spans the free Lie ring over Z, so no expansion
+        # needs a Fraction
+        for word in lyndon_words(3, 3):
+            table = expand_tree(standard_bracketing(word), 3)
+            assert table and all(type(c) is int for c in table.values()), word
+
 
 class TestDimensions:
     @pytest.mark.parametrize("m", [1, 2, 3])

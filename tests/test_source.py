@@ -82,3 +82,25 @@ def test_every_draw_goes_through_the_draw_kernel():
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
     assert kernel, "the draw kernel sampling.draw_int is gone"
+
+
+def _integer_literal(node) -> bool:
+    """An integer literal such as ``0``, ``1`` or ``-1``, bools excluded."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and node.value.__class__ is int
+
+
+def test_no_integer_constant_is_built_as_a_fraction():
+    """An integral constant is an ``int`` where it is computed, as
+    ``{(tree,): 1}`` or ``terms.get(vec, 0)``: no package module calls
+    ``Fraction`` on one integer literal, whose arithmetic an ``int`` does
+    exactly and without ``Fraction``'s overhead."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and _called(node) == "Fraction"
+        and len(node.args) == 1 and not node.keywords and _integer_literal(node.args[0])
+    ]
+    assert found == []
